@@ -32,7 +32,7 @@ from .dataio import (
     split,
 )
 from .errors import ConfigError, DatasetFormatError, DinetError
-from .network import build_topology, derive_seed, predict, train_network
+from .network import build_topology, derive_seed, predict, train_network, tree_layer_sizes
 from .quantizer import QuantizedDataset, apply_quantizer, fit_quantizer
 from .synthetic import make_synthetic_ckd
 
@@ -255,7 +255,12 @@ def prepare_dataset(cfg: ExperimentConfig) -> RawDataset:
     return data
 
 
-def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig):
+def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=()):
+    """One fitted spec per feature of the training rows.
+
+    Features named in ``reserve_missing`` get a missing symbol even when no
+    training cell is missing; it then has zero training mass.
+    """
     specs = []
     for i, name in enumerate(train.feature_names):
         override = qcfg.overrides.get(name, {})
@@ -265,13 +270,16 @@ def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig):
         kind = override.get("kind")
         if kind is None and train.kinds[i] == "nominal":
             kind = "categorical"
-        specs.append(fit_quantizer(
+        spec = fit_quantizer(
             train.columns[i],
             requested_levels=override.get("levels", qcfg.default_levels),
             kind=kind,
             name=name,
             categorical_max_distinct=qcfg.categorical_max_distinct,
-        ))
+        )
+        if name in reserve_missing and not spec.has_missing:
+            spec = dataclasses.replace(spec, has_missing=True)
+        specs.append(spec)
     return specs
 
 
@@ -294,19 +302,11 @@ def resolve_n_out(n_out_setting, n_layers: int, n_class: int):
     return [int(n_out_setting)] * (n_layers - 1) + [n_class] if n_layers > 1 else [n_class]
 
 
-def _tree_depth(d: int) -> int:
-    sizes = [d]
-    while sizes[-1] > 1:
-        n = sizes[-1]
-        sizes.append(n // 2 if n % 2 == 0 else (n - 3) // 2 + 1)
-    return len(sizes)
-
-
-def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int):
+def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missing=()):
     """Fit quantizers on the training rows only, then train the tree."""
-    specs = fit_quantizers(train, cfg.quantizer)
+    specs = fit_quantizers(train, cfg.quantizer, reserve_missing)
     qtrain = quantize_with(specs, train)
-    n_layers = _tree_depth(train.n_features)
+    n_layers = len(tree_layer_sizes(train.n_features))
     n_out = resolve_n_out(cfg.model.n_out, n_layers, len(train.classes))
     topo = build_topology(train.n_features, n_out, len(train.classes),
                           qtrain.cardinalities)
@@ -337,7 +337,11 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
         positive_fraction=cfg.split.positive_fraction,
         positive_label=positive,
     )
-    model, _ = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG))
+    # a test row may hold a feature's only missing cells: reserve the symbol
+    with_missing = {name for name, col in zip(data.feature_names, data.columns)
+                    if None in col}
+    model, _ = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG),
+                        reserve_missing=with_missing)
     result = {
         "run": run_index,
         "train": evaluate_on(model, train, cfg, derive_seed(run_seed, _PRED_TRAIN_TAG)),
@@ -356,9 +360,17 @@ def _run_indexed(cfg: ExperimentConfig, data: RawDataset, run_index: int):
         raise DinetError(f"run {run_index} failed: {exc}") from exc
 
 
-def _pool_run(args):
-    cfg_dict, data, run_index = args
-    return run_index, _run_indexed(config_from_dict(cfg_dict), data, run_index)
+_worker_job = None  # (config, table) of a pool worker process, set by _pool_init
+
+
+def _pool_init(cfg_dict, data):
+    global _worker_job
+    _worker_job = (config_from_dict(cfg_dict), data)
+
+
+def _pool_run(run_index):
+    cfg, data = _worker_job
+    return run_index, _run_indexed(cfg, data, run_index)
 
 
 def run_experiment(cfg: ExperimentConfig, data: RawDataset,
@@ -375,9 +387,9 @@ def run_experiment(cfg: ExperimentConfig, data: RawDataset,
             if progress:
                 progress(results[r])
     else:
-        jobs = [(config_to_dict(cfg), data, r) for r in range(cfg.runs)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for idx, out in pool.map(_pool_run, jobs):
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_pool_init,
+                                 initargs=(config_to_dict(cfg), data)) as pool:
+            for idx, out in pool.map(_pool_run, range(cfg.runs)):
                 results[idx] = out
                 if progress:
                     progress(out)

@@ -376,8 +376,22 @@ def save_model(model: DINModel, path) -> None:
         fh.write("\n")
 
 
+# top-level payload keys and the JSON types their values must have
+_PAYLOAD_TYPES = {
+    "beta": (int, float),
+    "seed": int,
+    "feature_names": list,
+    "class_names": list,
+    "class_alignment": list,
+    "layers": list,
+    "mux_groups": list,
+    "quantizers": list,
+    "nodes": list,
+}
+
+
 def load_model(path) -> DINModel:
-    """Read a model file back; checksum or version trouble raises."""
+    """Read a model file back; a bad checksum, version or payload raises."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -394,6 +408,24 @@ def load_model(path) -> DINModel:
     if digest != doc.get("sha256"):
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
 
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"{path}: payload is not an object")
+    for key, kind in _PAYLOAD_TYPES.items():
+        if key not in payload:
+            raise ModelFormatError(f"{path}: payload lacks key {key!r}")
+        value = payload[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ModelFormatError(
+                f"{path}: payload key {key!r} has type {type(value).__name__}")
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: payload entry lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed payload ({exc})") from None
+
+
+def _model_from_payload(payload: dict) -> DINModel:
     layers = tuple(
         LayerSpec(n_in=tuple(d["n_in"]), n_out=tuple(d["n_out"]))
         for d in payload["layers"]
@@ -406,7 +438,6 @@ def load_model(path) -> DINModel:
     for nd in payload["nodes"]:
         diag = IBDiagnostics(
             iterations=nd["iterations"],
-            lagrangian_trace=(),
             i_in_out=nd["i_in_out"],
             i_y_out=nd["i_y_out"],
             converged=nd["converged"],

@@ -23,6 +23,7 @@ output marginal, which keeps the update a no-op on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,9 @@ class IBProblem:
 
 @dataclass(frozen=True)
 class IBDiagnostics:
+    """How the solve ended; the final Lagrangian is i_in_out - beta * i_y_out."""
+
     iterations: int
-    lagrangian_trace: tuple
     i_in_out: float
     i_y_out: float
     converged: bool
@@ -113,60 +115,85 @@ def estimate_empirical(x_symbols, y_labels, n_in: int, n_class: int):
     return DiscreteDistribution(counts_x / x.size), ConditionalMatrix(py_x)
 
 
-def _posteriors(px, py_x, channel):
+class _Source(NamedTuple):
+    """The per-problem constants of the update, computed once per solve."""
+
+    px: np.ndarray
+    py_x: np.ndarray
+    prior: np.ndarray        # class prior P(y)
+    plogp: np.ndarray        # column of row sums  sum_y p(y|i) log2 p(y|i)
+    zero_mass: np.ndarray    # rows with px == 0
+    any_zero_mass: bool
+
+
+def _source(problem: IBProblem) -> _Source:
+    px, py_x = problem.px.probs, problem.py_given_x.p
+    plogp = np.where(py_x > 0, py_x * np.log2(np.where(py_x > 0, py_x, 1.0)), 0.0)
+    zero_mass = px == 0
+    return _Source(px, py_x, px @ py_x, plogp.sum(axis=1)[:, None],
+                   zero_mass, bool(zero_mass.any()))
+
+
+# Every update runs under this: dead outputs divide 0 by 0, and exp2 underflows.
+_QUIET = {"invalid": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _posteriors(src: _Source, channel):
     """Output marginal and class posterior induced by a channel.
 
     Outputs with zero marginal get the global class prior as posterior;
     the update gives them zero weight anyway.
     """
-    p_out = px @ channel
-    joint_out_in = (px[:, None] * channel).T        # p(out, in)
-    prior = px @ py_x
-    with np.errstate(invalid="ignore", divide="ignore"):
-        py_out = (joint_out_in / p_out[:, None]) @ py_x
-    py_out[p_out == 0] = prior
+    p_out = src.px @ channel
+    joint_out_in = (src.px[:, None] * channel).T        # p(out, in)
+    py_out = (joint_out_in / p_out[:, None]) @ src.py_x
+    if not p_out.min() > 0:
+        py_out[p_out == 0] = src.prior
     return p_out, py_out
 
 
 _NEG_HUGE = -1e300  # finite stand-in for log2(0): keeps 0*log terms at 0, not nan
 
 
-def _distortions(py_x, py_out):
-    """Pairwise KL(P(y|in=i) || P(y|out=j)) in bits; support gaps become huge."""
-    log_q = np.where(py_out > 0, np.log2(np.where(py_out > 0, py_out, 1.0)), _NEG_HUGE)
-    plogp = np.where(py_x > 0, py_x * np.log2(np.where(py_x > 0, py_x, 1.0)), 0.0)
-    cross = py_x @ log_q.T
-    return plogp.sum(axis=1)[:, None] - cross
-
-
-def _ib_step_raw(px, py_x, beta, channel):
-    p_out, py_out = _posteriors(px, py_x, channel)
-    d = _distortions(py_x, py_out)
-    with np.errstate(under="ignore"):
-        # cap at 0: float error can push d a hair below zero
-        new = p_out[None, :] * np.exp2(np.clip(-beta * d, _NEG_HUGE, 0.0))
+def _step(src: _Source, beta, channel):
+    """One self-consistent update; the errors of ``_QUIET`` must be ignored."""
+    p_out, py_out = _posteriors(src, channel)
+    if py_out.min() > 0:
+        log_q = np.log2(py_out)
+    else:
+        log_q = np.where(py_out > 0, np.log2(np.where(py_out > 0, py_out, 1.0)), _NEG_HUGE)
+    # d(i, j) = KL(P(y|in=i) || P(y|out=j)) in bits; support gaps become huge
+    d = src.plogp - src.py_x @ log_q.T
+    # cap at 0: float error can push d a hair below zero.  No lower cap is
+    # needed: exp2 of anything below -1075 is exactly 0.
+    new = p_out * np.exp2(np.minimum(-beta * d, 0.0))
     sums = new.sum(axis=1)
-    dead = sums <= 0
-    if np.any(dead):
+    if not sums.min() > 0:
         # whole row underflowed: hard-assign the least-distorted output
+        dead = sums <= 0
         new[dead] = 0.0
         new[dead, np.argmin(d[dead], axis=1)] = 1.0
         sums[dead] = 1.0
     new /= sums[:, None]
-    new[px == 0] = p_out
+    if src.any_zero_mass:
+        new[src.zero_mass] = p_out
     return new
 
 
-def ib_step(problem: IBProblem, channel: ConditionalMatrix) -> ConditionalMatrix:
-    """One full self-consistent update of the channel."""
+def _check_channel(problem: IBProblem, channel: ConditionalMatrix):
     if channel.rows != problem.n_in or channel.cols != problem.n_out:
         raise ValidationError(
             f"channel is {channel.rows}x{channel.cols}, expected "
             f"{problem.n_in}x{problem.n_out}"
         )
-    return ConditionalMatrix(
-        _ib_step_raw(problem.px.probs, problem.py_given_x.p, problem.beta, channel.p)
-    )
+
+
+def ib_step(problem: IBProblem, channel: ConditionalMatrix) -> ConditionalMatrix:
+    """One full self-consistent update of the channel."""
+    _check_channel(problem, channel)
+    src = _source(problem)
+    with np.errstate(**_QUIET):
+        return ConditionalMatrix(_step(src, problem.beta, channel.p))
 
 
 def _joint_out_y(px, py_x, channel):
@@ -174,21 +201,13 @@ def _joint_out_y(px, py_x, channel):
     return (channel * px[:, None]).T @ py_x
 
 
-def _lagrangian_raw(px, py_x, beta, channel):
-    i_in_out = mutual_information_raw(px, channel)
-    i_y_out = joint_mi_raw(_joint_out_y(px, py_x, channel))
-    return i_in_out - beta * i_y_out
-
-
 def lagrangian(problem: IBProblem, channel: ConditionalMatrix) -> float:
     """Training objective I(in;out) - beta * I(y;out), in bits."""
-    if channel.rows != problem.n_in or channel.cols != problem.n_out:
-        raise ValidationError(
-            f"channel is {channel.rows}x{channel.cols}, expected "
-            f"{problem.n_in}x{problem.n_out}"
-        )
-    return _lagrangian_raw(problem.px.probs, problem.py_given_x.p,
-                           problem.beta, channel.p)
+    _check_channel(problem, channel)
+    px, py_x = problem.px.probs, problem.py_given_x.p
+    i_in_out = mutual_information_raw(px, channel.p)
+    i_y_out = joint_mi_raw(_joint_out_y(px, py_x, channel.p))
+    return i_in_out - problem.beta * i_y_out
 
 
 def _init_channel(n_in, n_out, rng):
@@ -209,31 +228,28 @@ def solve_ib(problem: IBProblem, tol: float = DEFAULT_TOL,
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    px = problem.px.probs
-    py_x = problem.py_given_x.p
+    src = _source(problem)
     beta = problem.beta
     rng = np.random.default_rng(seed)
     channel = _init_channel(problem.n_in, problem.n_out, rng)
 
-    trace = []
     converged = False
     iterations = 0
-    for _ in range(max_iter):
-        new = _ib_step_raw(px, py_x, beta, channel)
-        iterations += 1
-        trace.append(_lagrangian_raw(px, py_x, beta, new))
-        delta = np.abs(new - channel).max()
-        channel = new
-        if delta < tol:
-            converged = True
-            break
+    with np.errstate(**_QUIET):
+        for _ in range(max_iter):
+            new = _step(src, beta, channel)
+            iterations += 1
+            delta = np.abs(new - channel).max()
+            channel = new
+            if delta < tol:
+                converged = True
+                break
+        p_out, py_out = _posteriors(src, channel)
 
-    p_out, py_out = _posteriors(px, py_x, channel)
     diagnostics = IBDiagnostics(
         iterations=iterations,
-        lagrangian_trace=tuple(trace),
-        i_in_out=mutual_information_raw(px, channel),
-        i_y_out=joint_mi_raw(_joint_out_y(px, py_x, channel)),
+        i_in_out=mutual_information_raw(src.px, channel),
+        i_y_out=joint_mi_raw(_joint_out_y(src.px, src.py_x, channel)),
         converged=converged,
     )
     return IBSolution(

@@ -122,6 +122,14 @@ def _group_layer(size: int):
     return tuple(groups)
 
 
+def tree_layer_sizes(D: int) -> tuple:
+    """Node count of each layer of the standard tree for D features."""
+    sizes = [D]
+    while sizes[-1] > 1:
+        sizes.append(len(_group_layer(sizes[-1])))
+    return tuple(sizes)
+
+
 def build_topology(D: int, n_out_per_layer, n_class: int,
                    feature_cardinalities) -> Topology:
     """Construct the standard tree for D features.
@@ -137,14 +145,12 @@ def build_topology(D: int, n_out_per_layer, n_class: int,
     if any(c < 1 for c in cards):
         raise ConfigError("feature cardinalities must be >= 1")
 
-    sizes = [D]
-    while sizes[-1] > 1:
-        sizes.append(len(_group_layer(sizes[-1])))
+    sizes = tree_layer_sizes(D)
     n_out = [int(v) for v in n_out_per_layer]
     if len(n_out) != len(sizes):
         raise ConfigError(
             f"n_out_per_layer has {len(n_out)} entries but this tree has "
-            f"{len(sizes)} layers (sizes {sizes})")
+            f"{len(sizes)} layers (sizes {list(sizes)})")
     if any(v < 1 for v in n_out):
         raise ConfigError("n_out values must be >= 1")
     if n_out[-1] != n_class:

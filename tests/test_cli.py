@@ -165,6 +165,35 @@ class TestPipeline:
         assert report["test"]["mean"]["accuracy"] == pytest.approx(
             sum(accs) / len(accs), abs=1e-12)
 
+    def test_missing_cell_only_in_test_rows(self):
+        # the split puts the table's only missing cell in the test rows; the
+        # quantizer must still reserve a missing symbol for it
+        from dinet.dataio import RawDataset
+
+        cfg = config_from_dict({
+            "dataset": {"format": "synthetic", "positive_class": "a"},
+            "quantizer": {"default_levels": 2},
+            "model": {"n_out": 2},
+            "split": {"n_train": 12, "stratify": "none"},
+            "runs": 1, "seed": 0,
+        })
+        n = 20
+        ids = tuple(float(i) for i in range(n))
+        x = tuple(float(i % 3) for i in range(n))
+        target = tuple("a" if i % 2 else "b" for i in range(n))
+
+        def table(x_column):
+            return RawDataset(("id", "x"), (ids, x_column), "class", target, ("a", "b"))
+
+        _, test = run_single(cfg, table(x), 0, keep_model=True)["splits"]
+        row = int(test.columns[0][0])
+        x_missing = x[:row] + (None,) + x[row + 1:]
+        result = run_single(cfg, table(x_missing), 0, keep_model=True)
+        train, test = result["splits"]
+        assert None not in train.columns[1] and None in test.columns[1]
+        spec = result["model"].quantizers[1]
+        assert spec.has_missing and spec.cardinality == 3
+
     def test_workers_do_not_change_results(self, config_file):
         cfg1 = load_config(config_file)
         data = prepare_dataset(cfg1)

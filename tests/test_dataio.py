@@ -273,3 +273,54 @@ class TestModelPersistence:
         path.write_text('{"hello": "world"}')
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+PAYLOAD_KEYS = ("beta", "seed", "feature_names", "class_names", "class_alignment",
+                "layers", "mux_groups", "quantizers", "nodes")
+
+
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(small_model(), path)
+    return json.loads(path.read_text())
+
+
+def write_resigned(doc, path):
+    """Write a model document with its checksum recomputed over the payload."""
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestMalformedPayload:
+    @pytest.mark.parametrize("key", PAYLOAD_KEYS)
+    def test_missing_key(self, model_doc, tmp_path, key):
+        assert set(model_doc["payload"]) == set(PAYLOAD_KEYS)
+        doc = json.loads(json.dumps(model_doc))
+        del doc["payload"][key]
+        with pytest.raises(ModelFormatError, match=key):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(beta="five"),
+        lambda p: p.update(seed=True),
+        lambda p: p.update(layers=3),
+        lambda p: p.update(nodes={}),
+        lambda p: p["nodes"][0].pop("channel"),
+        lambda p: p["nodes"][0].update(channel="not a matrix"),
+        lambda p: p["layers"][0].update(n_in=None),
+        lambda p: p["quantizers"][0].update(kind="wavelet"),
+    ], ids=["beta-string", "seed-bool", "layers-int", "nodes-object", "node-no-channel",
+            "channel-string", "n_in-null", "quantizer-kind"])
+    def test_wrong_shape_or_type(self, model_doc, tmp_path, edit):
+        doc = json.loads(json.dumps(model_doc))
+        edit(doc["payload"])
+        with pytest.raises(ModelFormatError):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    def test_payload_not_an_object(self, model_doc, tmp_path):
+        doc = dict(model_doc, payload=[1, 2])
+        with pytest.raises(ModelFormatError, match="object"):
+            load_model(write_resigned(doc, tmp_path / "model.json"))

@@ -12,6 +12,7 @@ from dinet import (
     mutual_information,
     solve_ib,
 )
+from dinet.ib import DEFAULT_MAX_ITER, DEFAULT_TOL
 from dinet.infotheory import entropy_raw, mutual_information_raw
 
 
@@ -188,13 +189,28 @@ class TestLagrangian:
         )
         assert lagrangian(prob, ConditionalMatrix(np.eye(2))) == pytest.approx(-4.0)
 
-    def test_trace_non_increasing_for_moderate_beta(self):
+    def test_replayed_ib_step_matches_solve_ib(self):
+        # replay the solver's sweeps with the public ib_step from its seeded
+        # start: the objective never rises, and the replay ends on the same
+        # sweep with the same channel bits
         rng = np.random.default_rng(8)
         for t in range(10):
             prob = random_problem(rng, beta=5.0)
             sol = solve_ib(prob, seed=t)
-            trace = np.array(sol.diagnostics.lagrangian_trace)
+            w = np.random.default_rng(t).random((prob.n_in, prob.n_out)) + 1e-12
+            chan = ConditionalMatrix(w / w.sum(axis=1, keepdims=True))
+            trace = []
+            for sweep in range(1, DEFAULT_MAX_ITER + 1):
+                new = ib_step(prob, chan)
+                trace.append(lagrangian(prob, new))
+                delta = np.abs(new.p - chan.p).max()
+                chan = new
+                if delta < DEFAULT_TOL:
+                    break
             assert np.all(np.diff(trace) <= 1e-9)
+            assert sweep == sol.diagnostics.iterations
+            assert (delta < DEFAULT_TOL) == sol.diagnostics.converged
+            assert np.array_equal(chan.p, sol.channel.p)
 
 
 class TestSolverInvariants:

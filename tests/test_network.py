@@ -14,7 +14,7 @@ from dinet import (
     predict_quantized,
     train_network,
 )
-from dinet.network import derive_seed, sample_channel, stream_rng
+from dinet.network import derive_seed, sample_channel, stream_rng, tree_layer_sizes
 
 
 def toy_dataset(rng, n=300):
@@ -33,6 +33,13 @@ class TestBuildTopology:
         topo = build_topology(D, [3] * (layers - 1) + [2], 2, [4] * D)
         assert topo.n_nodes == 2 * D - 1
         assert topo.n_mixers == D - 1
+
+    def test_tree_layer_sizes(self):
+        assert tree_layer_sizes(24) == (24, 12, 6, 3, 1)
+        for D in (1, 2, 3):
+            sizes = tree_layer_sizes(D)
+            topo = build_topology(D, [3] * (len(sizes) - 1) + [2], 2, [4] * D)
+            assert topo.layer_sizes == sizes
 
     def test_24_feature_layout(self):
         topo = build_topology(24, [3, 3, 3, 3, 2], 2, [5] * 24)
