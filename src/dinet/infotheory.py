@@ -1,7 +1,8 @@
 """Exact discrete information-theory primitives, everything in bits.
 
 The containers (distribution vector, row-stochastic matrix, joint matrix)
-validate on construction with tolerance 1e-9 and are immutable afterwards.
+validate on construction (finite, non-negative entries; sums within
+tolerance 1e-9) and are immutable afterwards.
 Renormalization never happens implicitly: start from raw weights via the
 ``normalized`` constructors when that is what you mean.
 
@@ -21,6 +22,14 @@ from .errors import ValidationError
 VALIDATION_TOL = 1e-9
 
 
+def _check_entries(a: np.ndarray, what: str) -> None:
+    # a NaN slips past both a sign test and a sum tolerance test
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    if np.any(a < 0):
+        raise ValidationError(f"{what} has a negative entry")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
@@ -37,8 +46,7 @@ class DiscreteDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("distribution must be a non-empty 1-d vector")
-        if np.any(p < 0):
-            raise ValidationError("distribution has a negative entry")
+        _check_entries(p, "distribution")
         if abs(p.sum() - 1.0) > VALIDATION_TOL:
             raise ValidationError(f"distribution sums to {p.sum()!r}, not 1")
         object.__setattr__(self, "probs", _freeze(p))
@@ -65,8 +73,7 @@ class ConditionalMatrix:
         m = np.asarray(self.p, dtype=np.float64)
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("conditional matrix must be a non-empty 2-d array")
-        if np.any(m < 0):
-            raise ValidationError("conditional matrix has a negative entry")
+        _check_entries(m, "conditional matrix")
         bad = np.abs(m.sum(axis=1) - 1.0) > VALIDATION_TOL
         if np.any(bad):
             raise ValidationError(f"rows {np.flatnonzero(bad).tolist()} do not sum to 1")
@@ -102,8 +109,7 @@ class JointDistribution:
         m = np.asarray(self.p, dtype=np.float64)
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("joint distribution must be a non-empty 2-d array")
-        if np.any(m < 0):
-            raise ValidationError("joint distribution has a negative entry")
+        _check_entries(m, "joint distribution")
         if abs(m.sum() - 1.0) > VALIDATION_TOL:
             raise ValidationError(f"joint distribution sums to {m.sum()!r}, not 1")
         object.__setattr__(self, "p", _freeze(m))

@@ -240,8 +240,19 @@ class DINModel:
     seed: int
 
     def __post_init__(self):
-        if len(self.nodes) != self.topology.n_nodes:
+        slots = {
+            (i, k): (layer.n_in[k], layer.n_out[k])
+            for i, layer in enumerate(self.topology.layers)
+            for k in range(layer.size)
+        }
+        if set(self.nodes) != set(slots):
             raise ValidationError("one trained node per topology slot required")
+        for key, shape in slots.items():
+            node = self.nodes[key]
+            if (node.n_in, node.n_out) != shape or node.channel.p.shape != shape:
+                raise ValidationError(
+                    f"node {key}: n_in/n_out ({node.n_in}, {node.n_out}) and channel "
+                    f"shape {node.channel.p.shape} must match the topology's {shape}")
         align = tuple(int(a) for a in self.class_alignment)
         if sorted(align) != list(range(self.topology.n_class)):
             raise ValidationError("class_alignment must be a bijection on the classes")
@@ -254,11 +265,23 @@ class DINModel:
 
 def sample_channel(channel: np.ndarray, symbols: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    """Draw one output symbol per element, row ``symbols[n]`` of the channel."""
+    """Draw one output symbol per element, row ``symbols[n]`` of the channel.
+
+    Inverse-CDF sampling with one uniform draw ``u[n]`` per element: the
+    output is the number of the first ``n_out - 1`` cumulative thresholds
+    of the row that ``u[n]`` exceeds.  Channel entries are non-negative, so
+    each cumulative row is non-decreasing and the thresholds exceeded form
+    a prefix; counting only the first ``n_out - 1`` is therefore exactly
+    the full count clamped to ``n_out - 1``, which absorbs rows whose last
+    threshold rounds below 1.  The work is one gather and compare per
+    column over the whole symbol vector.
+    """
     cum = np.cumsum(channel, axis=1)
     u = rng.random(symbols.size)
-    out = (u[:, None] > cum[symbols]).sum(axis=1)
-    return np.minimum(out, channel.shape[1] - 1).astype(np.int64)
+    out = np.zeros(symbols.size, dtype=np.int64)
+    for j in range(channel.shape[1] - 1):
+        out += u > cum[:, j].take(symbols)
+    return out
 
 
 def _align_classes(py_given_out: np.ndarray) -> tuple:

@@ -9,6 +9,7 @@ out-of-range values to the edge bins, so nothing leaks from the test split.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,8 +37,11 @@ class FeatureSpec:
         if self.kind == CONTINUOUS:
             if self.levels is None or self.levels < 1:
                 raise ValidationError("continuous spec needs levels >= 1")
-            if self.vmin is None or self.vmax is None or self.vmin > self.vmax:
-                raise ValidationError("continuous spec needs vmin <= vmax")
+            if (self.vmin is None or self.vmax is None or self.vmin > self.vmax
+                    or not math.isfinite(self.vmax - self.vmin)):
+                raise ValidationError(
+                    f"feature {self.name!r}: continuous spec needs vmin <= vmax "
+                    "with a finite range")
         elif self.kind == CATEGORICAL:
             if not self.categories:
                 raise ValidationError("categorical spec needs a non-empty dictionary")
@@ -87,6 +91,9 @@ def fit_quantizer(raw_column, requested_levels: int | None = None,
     has_missing = len(present) < len(values)
 
     floats = _try_floats(present)
+    if floats is not None and not all(map(math.isfinite, floats)):
+        bad = next(v for v, f in zip(present, floats) if not math.isfinite(f))
+        raise ValidationError(f"feature {name!r}: non-finite value {bad!r}")
     if kind is None:
         if floats is None:
             kind = CATEGORICAL
@@ -122,56 +129,79 @@ def fit_quantizer(raw_column, requested_levels: int | None = None,
                        levels=levels, vmin=vmin, vmax=vmax)
 
 
+def _missing_symbol(spec: FeatureSpec) -> int:
+    if not spec.has_missing:
+        raise SchemaMismatchError(
+            f"feature {spec.name!r}: missing value but spec has no missing symbol")
+    return spec.missing_symbol
+
+
 def apply_quantizer(spec: FeatureSpec, raw_column) -> np.ndarray:
     """Map raw cells to integer symbols under a fitted spec.
 
-    Continuous values clamp to the edge bins outside [vmin, vmax]; unseen
-    categories map to the missing symbol when one exists, otherwise raise.
+    A present continuous cell ``x`` maps to bin
+    ``trunc((x - vmin) / (vmax - vmin) * levels)`` clipped to
+    ``[0, levels - 1]``, so values outside [vmin, vmax] clamp to the edge
+    bins; the float operations run in that order over the whole column.
+    A categorical column resolves each distinct cell once, in order of first
+    appearance, so the first offending cell in row order is the one that
+    raises; unseen categories map to the missing symbol when one exists,
+    otherwise raise.  A non-numeric or non-finite cell where a number is
+    expected raises ``ValidationError``.
     """
     n = len(raw_column)
-    out = np.zeros(n, dtype=np.int64)
     if spec.kind == CONTINUOUS:
+        cells = np.fromiter(raw_column, dtype=object, count=n)
+        missing = np.equal(cells, None)
+        any_missing = missing.any()
+        if any_missing:
+            fill = _missing_symbol(spec)
+            cells = cells[~missing]
+        try:
+            x = cells.astype(np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"feature {spec.name!r}: {exc}") from None
+        finite = np.isfinite(x)
+        if not finite.all():
+            bad = cells[np.argmin(finite)]
+            raise ValidationError(f"feature {spec.name!r}: non-finite value {bad!r}")
         span = spec.vmax - spec.vmin
-        for i, v in enumerate(raw_column):
-            if v is None:
-                if not spec.has_missing:
-                    raise SchemaMismatchError(
-                        f"feature {spec.name!r}: missing value but spec has no missing symbol")
-                out[i] = spec.missing_symbol
-                continue
-            x = float(v) if not isinstance(v, str) else float(v.strip())
-            if span == 0:
-                out[i] = 0
-            else:
-                b = int((x - spec.vmin) / span * spec.levels)
-                out[i] = min(max(b, 0), spec.levels - 1)
+        if span == 0:
+            bins = np.zeros(x.size, dtype=np.int64)
+        else:
+            with np.errstate(over="ignore"):  # an overflow to +-inf clamps like any far value
+                bins = np.trunc((x - spec.vmin) / span * spec.levels)
+            bins = np.clip(bins, 0, spec.levels - 1).astype(np.int64)
+        if not any_missing:
+            return bins
+        out = np.full(n, fill, dtype=np.int64)
+        out[~missing] = bins
         return out
 
     index = {c: k for k, c in enumerate(spec.categories)}
-    numeric_cats = spec.categories and isinstance(spec.categories[0], float)
-    for i, v in enumerate(raw_column):
+    numeric_cats = isinstance(spec.categories[0], float)
+
+    def symbol(v):
         if v is None:
-            if not spec.has_missing:
-                raise SchemaMismatchError(
-                    f"feature {spec.name!r}: missing value but spec has no missing symbol")
-            out[i] = spec.missing_symbol
-            continue
+            return _missing_symbol(spec)
         key = v
         if numeric_cats and not isinstance(v, float):
             try:
                 key = float(str(v).strip())
             except (TypeError, ValueError):
                 key = v
+        if numeric_cats and isinstance(key, float) and not math.isfinite(key):
+            raise ValidationError(f"feature {spec.name!r}: non-finite value {v!r}")
         k = index.get(key)
-        if k is None:
-            if spec.has_missing:
-                out[i] = spec.missing_symbol
-            else:
-                raise SchemaMismatchError(
-                    f"feature {spec.name!r}: unseen category {v!r} and no missing symbol")
-        else:
-            out[i] = k
-    return out
+        if k is not None:
+            return k
+        if spec.has_missing:
+            return spec.missing_symbol
+        raise SchemaMismatchError(
+            f"feature {spec.name!r}: unseen category {v!r} and no missing symbol")
+
+    lookup = {v: symbol(v) for v in dict.fromkeys(raw_column)}
+    return np.fromiter(map(lookup.__getitem__, raw_column), dtype=np.int64, count=n)
 
 
 @dataclass(frozen=True)

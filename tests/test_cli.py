@@ -285,6 +285,28 @@ class TestCommands:
         record = json.loads(err.strip().splitlines()[-1])
         assert "gone.csv" in record["message"]
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_non_finite_cell_exits_1_naming_feature(self, tmp_path, capsys, token, command):
+        rows = ["age,flag,class"]
+        for i in range(60):
+            age = token if i == 7 else str(20 + (i * 7) % 45)
+            rows.append(f"{age},{'yes' if i % 3 else 'no'},{'ckd' if i % 2 else 'notckd'}")
+        data = tmp_path / "table.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = dict(SYNTH_CONFIG, split={"n_train": 40, "stratify": "none"},
+                   outputs={"model": "", "metrics": "", "mi_flow": ""})
+        cfg["dataset"] = {"format": "csv", "path": str(data), "target": "class",
+                          "positive_class": "ckd"}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, _, err = self.run(command, "--config", str(p), "--quiet", capsys=capsys)
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert f"feature 'age': non-finite value '{token}'" in record["message"]
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text('{"model": {"beta": -3}}')

@@ -341,6 +341,26 @@ class TestMalformedPayload:
         with pytest.raises(ModelFormatError):
             load_model(write_resigned(doc, tmp_path / "model.json"))
 
+    def test_nan_channel_entry(self, model_doc, tmp_path):
+        doc = json.loads(json.dumps(model_doc))
+        doc["payload"]["nodes"][0]["channel"][0][0] = float("nan")
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    @pytest.mark.parametrize("edit", [
+        lambda nodes: nodes[0]["channel"].pop(),
+        lambda nodes: [row.append(0.0) for row in nodes[0]["channel"]],
+        lambda nodes: nodes[-1].update(n_in=nodes[-1]["n_in"] + 1),
+        lambda nodes: nodes[0].update(position=99),
+        lambda nodes: nodes[0].update(n_out="2"),
+    ], ids=["channel-row-dropped", "channel-column-added", "n_in-off-topology",
+            "position-off-topology", "n_out-string"])
+    def test_node_must_fit_its_topology_slot(self, model_doc, tmp_path, edit):
+        doc = json.loads(json.dumps(model_doc))
+        edit(doc["payload"]["nodes"])
+        with pytest.raises(ModelFormatError):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
     def test_payload_not_an_object(self, model_doc, tmp_path):
         doc = dict(model_doc, payload=[1, 2])
         with pytest.raises(ModelFormatError, match="object"):

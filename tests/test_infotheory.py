@@ -44,6 +44,15 @@ class TestContainers:
         j = JointDistribution.from_counts([[1, 1], [1, 1]])
         assert j.p.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            ConditionalMatrix([[bad, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            DiscreteDistribution([bad, 1.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            JointDistribution([[bad, 0.5], [0.25, 0.25]])
+
     def test_immutability(self):
         d = dd(0.5, 0.5)
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinet import (
     ConfigError,
@@ -14,6 +16,7 @@ from dinet import (
     predict_quantized,
     train_network,
 )
+from dinet.infotheory import ConditionalMatrix
 from dinet.network import derive_seed, sample_channel, stream_rng, tree_layer_sizes
 
 
@@ -97,7 +100,70 @@ class TestMux:
             assert np.array_equal(orig, rec)
 
 
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4).flatmap(
+    lambda radices: st.tuples(
+        st.just(radices),
+        st.lists(st.tuples(*[st.integers(0, r - 1) for r in radices]), max_size=30))))
+def test_mux_round_trip_any_radices(case):
+    radices, rows = case
+    digits = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(len(radices))]
+    back = mux_split(mux_combine(digits, radices), radices)
+    assert len(back) == len(radices)
+    for orig, rec in zip(digits, back):
+        assert np.array_equal(orig, rec)
+
+
+def sample_channel_oracle(channel, symbols, rng):
+    """The clamped inverse-CDF formula over the full (rows, n_out) comparison."""
+    cum = np.cumsum(channel, axis=1)
+    u = rng.random(symbols.size)
+    out = (u[:, None] > cum[symbols]).sum(axis=1)
+    return np.minimum(out, channel.shape[1] - 1).astype(np.int64)
+
+
+@st.composite
+def channels(draw):
+    """Row-stochastic matrices mixing one-hot rows, exact zeros and all-zero columns."""
+    n_in, n_out = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    weight = st.one_of(st.just(0.0), st.sampled_from([1.0, 3.0]),
+                       st.floats(1e-12, 1.0))
+    w = np.array(draw(st.lists(st.lists(weight, min_size=n_out, max_size=n_out),
+                               min_size=n_in, max_size=n_in)))
+    dead = draw(st.lists(st.integers(0, n_out - 1), max_size=n_out - 1, unique=True))
+    w[:, dead] = 0.0
+    live = [j for j in range(n_out) if j not in dead]
+    for i in range(n_in):
+        if draw(st.booleans()) or w[i].sum() == 0:
+            w[i] = 0.0
+            w[i, draw(st.sampled_from(live))] = 1.0
+    return ConditionalMatrix.normalized(w).p
+
+
 class TestSampling:
+    @settings(max_examples=300, deadline=None)
+    @given(channels(), st.data(), st.integers(0, 2**32 - 1))
+    def test_matches_clamped_inverse_cdf(self, channel, data, seed):
+        symbols = np.array(data.draw(st.lists(st.integers(0, channel.shape[0] - 1),
+                                              max_size=40)), dtype=np.int64)
+        got = sample_channel(channel, symbols, np.random.default_rng(seed))
+        want = sample_channel_oracle(channel, symbols, np.random.default_rng(seed))
+        assert got.dtype == np.int64 and got.shape == symbols.shape
+        assert np.array_equal(got, want)
+
+    def test_draws_on_and_above_the_thresholds(self):
+        # a valid row may sum to just below 1, so a draw can pass every
+        # threshold; a draw equal to a threshold does not pass it
+        channel = ConditionalMatrix(np.array([[0.5, 0.5 - 1e-10]])).p
+
+        class FixedDraws:
+            def random(self, n):
+                return np.array([0.25, 0.5, 0.75, 1.0 - 1e-11])[:n]
+
+        symbols = np.zeros(4, dtype=np.int64)
+        got = sample_channel(channel, symbols, FixedDraws())
+        assert got.tolist() == [0, 0, 1, 1]
+        assert np.array_equal(got, sample_channel_oracle(channel, symbols, FixedDraws()))
+
     def test_deterministic_rows_pass_through(self):
         chan = np.eye(3)
         rng = stream_rng(0)

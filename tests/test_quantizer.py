@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinet import (
     QuantizedDataset,
@@ -8,6 +10,7 @@ from dinet import (
     apply_quantizer,
     fit_quantizer,
 )
+from dinet.quantizer import CATEGORICAL, CONTINUOUS, FeatureSpec
 
 
 class TestFit:
@@ -96,6 +99,166 @@ class TestApply:
             spec = fit_quantizer(col)
             syms = apply_quantizer(spec, col)
             assert syms.min() >= 0 and syms.max() < spec.cardinality
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("cell", ["nan", " inf", "-inf ", float("nan"), float("inf")])
+    def test_fit_rejects_non_finite_numeric_cells(self, cell):
+        for levels in (None, 4):
+            with pytest.raises(ValidationError, match="feature 'age': non-finite"):
+                fit_quantizer([1.0, 2.5, cell, None], requested_levels=levels, name="age")
+
+    def test_non_numeric_text_is_not_checked(self):
+        spec = fit_quantizer(["nan", "yes", "no"], name="flag")
+        assert spec.categories == ("nan", "yes", "no")
+        assert apply_quantizer(spec, ["no", "nan"]).tolist() == [2, 0]
+
+    @pytest.mark.parametrize("cell", ["nan", " inf", float("-inf")])
+    def test_apply_rejects_non_finite_continuous_cells(self, cell):
+        spec = fit_quantizer([0.0, 1.0, 2.0, None], requested_levels=2, name="age")
+        with pytest.raises(ValidationError, match="feature 'age': non-finite"):
+            apply_quantizer(spec, [1.0, None, cell])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", float("nan")])
+    def test_apply_rejects_non_finite_numeric_categories(self, cell):
+        spec = fit_quantizer(["1", "2", None], name="grade")
+        assert spec.kind == "categorical"
+        with pytest.raises(ValidationError, match="feature 'grade': non-finite"):
+            apply_quantizer(spec, ["2", cell])
+
+    def test_non_numeric_cell_in_continuous_column_names_the_feature(self):
+        spec = fit_quantizer([0.0, 1.0, 2.0], requested_levels=2, name="age")
+        with pytest.raises(ValidationError, match="feature 'age': could not convert"):
+            apply_quantizer(spec, ["1.0", "old"])
+
+    def test_spec_needs_a_finite_range(self):
+        for vmin, vmax in [(0.0, float("nan")), (float("-inf"), 1.0), (-1e308, 1e308)]:
+            with pytest.raises(ValidationError, match="finite range"):
+                FeatureSpec(kind=CONTINUOUS, has_missing=False, name="x", levels=2,
+                            vmin=vmin, vmax=vmax)
+
+    def test_values_far_outside_the_range_clamp(self):
+        spec = FeatureSpec(kind=CONTINUOUS, has_missing=False, levels=4,
+                           vmin=0.0, vmax=1e-300)
+        assert apply_quantizer(spec, [-1e300, 1e300, 5e-301]).tolist() == [0, 3, 2]
+
+
+def apply_quantizer_oracle(spec, raw_column):
+    """The per-cell definition of apply_quantizer."""
+    n = len(raw_column)
+    out = np.zeros(n, dtype=np.int64)
+    if spec.kind == CONTINUOUS:
+        span = spec.vmax - spec.vmin
+        for i, v in enumerate(raw_column):
+            if v is None:
+                if not spec.has_missing:
+                    raise SchemaMismatchError(
+                        f"feature {spec.name!r}: missing value but spec has no missing symbol")
+                out[i] = spec.missing_symbol
+                continue
+            x = float(v) if not isinstance(v, str) else float(v.strip())
+            if span == 0:
+                out[i] = 0
+            else:
+                b = int((x - spec.vmin) / span * spec.levels)
+                out[i] = min(max(b, 0), spec.levels - 1)
+        return out
+
+    index = {c: k for k, c in enumerate(spec.categories)}
+    numeric_cats = spec.categories and isinstance(spec.categories[0], float)
+    for i, v in enumerate(raw_column):
+        if v is None:
+            if not spec.has_missing:
+                raise SchemaMismatchError(
+                    f"feature {spec.name!r}: missing value but spec has no missing symbol")
+            out[i] = spec.missing_symbol
+            continue
+        key = v
+        if numeric_cats and not isinstance(v, float):
+            try:
+                key = float(str(v).strip())
+            except (TypeError, ValueError):
+                key = v
+        k = index.get(key)
+        if k is None:
+            if spec.has_missing:
+                out[i] = spec.missing_symbol
+            else:
+                raise SchemaMismatchError(
+                    f"feature {spec.name!r}: unseen category {v!r} and no missing symbol")
+        else:
+            out[i] = k
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args).tolist()
+    except Exception as exc:  # the error cases must match in type and message
+        return type(exc), str(exc)
+
+
+SPACE = st.sampled_from(["", " ", "\t", " \n"])
+FINITE = st.one_of(st.floats(-1e6, 1e6), st.just(-0.0), st.integers(-10**6, 10**6))
+
+
+def padded(x):
+    """A number as CSV text, with stray whitespace around it."""
+    return st.tuples(SPACE, SPACE).map(lambda lr: f"{lr[0]}{x!r}{lr[1]}")
+
+
+@st.composite
+def continuous_cases(draw):
+    vmin = draw(st.floats(-1e3, 1e3))
+    span = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    levels = draw(st.integers(1, 12))
+    spec = FeatureSpec(kind=CONTINUOUS, has_missing=draw(st.booleans()), name="x",
+                       levels=levels, vmin=vmin, vmax=vmin + span)
+    edges = [spec.vmin + k * (spec.vmax - spec.vmin) / levels for k in range(levels + 1)]
+    number = st.one_of(FINITE, st.sampled_from(edges))
+    cell = st.one_of(st.none(), number, number.flatmap(padded))
+    return spec, draw(st.lists(cell, max_size=30))
+
+
+@st.composite
+def categorical_cases(draw):
+    if draw(st.booleans()):
+        cats = draw(st.lists(st.one_of(st.floats(-50, 50), st.just(-0.0)),
+                             min_size=1, max_size=6, unique=True))
+        known = st.sampled_from(cats)
+        cell = st.one_of(known, known.flatmap(padded), FINITE, FINITE.flatmap(padded),
+                         st.sampled_from(["yes", "1.5.2", ""]))
+    else:
+        words = st.text(alphabet="abxy ", max_size=3)
+        cats = draw(st.lists(words, min_size=1, max_size=6, unique=True))
+        cell = st.one_of(st.sampled_from(cats), words, FINITE)
+    spec = FeatureSpec(kind=CATEGORICAL, has_missing=draw(st.booleans()), name="c",
+                       categories=tuple(cats))
+    return spec, draw(st.lists(st.one_of(st.none(), cell), max_size=30))
+
+
+class TestApplyMatchesPerCellDefinition:
+    @settings(max_examples=400, deadline=None)
+    @given(continuous_cases())
+    def test_continuous(self, case):
+        spec, column = case
+        assert outcome(apply_quantizer, spec, column) == outcome(apply_quantizer_oracle,
+                                                                 spec, column)
+
+    @settings(max_examples=400, deadline=None)
+    @given(categorical_cases())
+    def test_categorical(self, case):
+        spec, column = case
+        assert outcome(apply_quantizer, spec, column) == outcome(apply_quantizer_oracle,
+                                                                 spec, column)
+
+    def test_first_offending_cell_in_row_order_raises(self):
+        spec = fit_quantizer(["a", "b"], name="c")
+        column = ["a", "zz", None, "q", "zz"]
+        with pytest.raises(SchemaMismatchError, match="unseen category 'zz'"):
+            apply_quantizer(spec, column)
+        with pytest.raises(SchemaMismatchError, match="missing value"):
+            apply_quantizer(spec, ["b", None, "zz"])
 
 
 class TestQuantizedDataset:
