@@ -3,8 +3,9 @@
 ``compose_full_matrix`` collapses the whole tree into one conditional
 matrix from joint quantized input to class, via Kronecker products taken
 in the same mixed-radix order the multiplexers use (first input = low
-order digit).  ``mi_flow`` re-propagates a dataset and reports plug-in
-information estimates per node plus, per multiplexer, the sandwich
+order digit).  ``mi_flow`` walks a dataset up the tree (``network.walk``)
+and reports plug-in information estimates per node plus, per multiplexer,
+the sandwich
 
     max(I(a;y), I(b;y)) <= I(mux(a,b);y) <= min(I(a;y)+H(b), I(b;y)+H(a))
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import SchemaMismatchError, ValidationError
 from .infotheory import ConditionalMatrix, entropy_raw, joint_mi_raw
-from .network import DINModel, _STREAM_MIFLOW, mux_combine, sample_channel, stream_rng
+from .network import DINModel, _STREAM_MIFLOW, mux_combine, sample_channel, stream_rng, walk
 from .quantizer import QuantizedDataset
 
 DEFAULT_STATE_CAP = 1 << 20
@@ -107,8 +108,8 @@ def _plugin_joint(a: np.ndarray, b: np.ndarray, card_a: int, card_b: int) -> np.
     return counts.reshape(card_a, card_b).astype(np.float64) / a.size
 
 
-def _marginal(v: np.ndarray, card: int) -> np.ndarray:
-    return np.bincount(v, minlength=card).astype(np.float64) / v.size
+def _entropy(v: np.ndarray, card: int) -> float:
+    return entropy_raw(np.bincount(v, minlength=card).astype(np.float64) / v.size)
 
 
 def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) -> MIFlowReport:
@@ -127,49 +128,46 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
     def mi_with_y(v, card):
         return joint_mi_raw(_plugin_joint(v, y, card, card_y))
 
+    def node(layer, pos, symbols):
+        rng = stream_rng(base, _STREAM_MIFLOW, layer, pos)
+        return sample_channel(model.nodes[(layer, pos)].channel.p, symbols, rng)
+
     nodes = []
     muxes = []
-    current = [np.asarray(c, dtype=np.int64) for c in data.columns]
-    for layer_idx, layer in enumerate(topo.layers):
-        sampled = []
-        for k in range(layer.size):
-            chan = model.nodes[(layer_idx, k)].channel.p
-            rng = stream_rng(base, _STREAM_MIFLOW, layer_idx, k)
-            out = sample_channel(chan, current[k], rng)
-            sampled.append(out)
+    below = None  # outputs of the previous layer
+    # layer i > 0 is fed by mux stage i - 1 and its inputs are the groups'
+    # last-stage outputs, so only the first pair of a 3-way group is muxed here
+    stages = ((),) + topo.mux_groups
+    for (layer_idx, inputs, outputs), groups in zip(walk(topo, data.columns, node), stages):
+        layer = topo.layers[layer_idx]
+        for k, out in enumerate(outputs):
             nodes.append(NodeFlow(
                 layer=layer_idx,
                 position=k,
-                mi_in_y=mi_with_y(current[k], layer.n_in[k]),
+                mi_in_y=mi_with_y(inputs[k], layer.n_in[k]),
                 mi_out_y=mi_with_y(out, layer.n_out[k]),
-                h_out=entropy_raw(_marginal(out, layer.n_out[k])),
+                h_out=_entropy(out, layer.n_out[k]),
             ))
-        if layer_idx == topo.depth:
-            break
-        groups = topo.mux_groups[layer_idx]
-        nxt = []
-        for g_idx, g in enumerate(groups):
-            acc = sampled[g[0]]
-            acc_card = layer.n_out[g[0]]
+        for g_idx, (g, combined) in enumerate(zip(groups, inputs)):
+            cards = topo.layers[layer_idx - 1].n_out
+            acc, acc_card = below[g[0]], cards[g[0]]
             for stage, member in enumerate(g[1:]):
-                other = sampled[member]
-                other_card = layer.n_out[member]
-                combined = mux_combine([acc, other], [acc_card, other_card])
+                other, other_card = below[member], cards[member]
+                pair = (combined if stage == len(g) - 2
+                        else mux_combine([acc, other], [acc_card, other_card]))
                 i_acc = mi_with_y(acc, acc_card)
                 i_other = mi_with_y(other, other_card)
-                h_acc = entropy_raw(_marginal(acc, acc_card))
-                h_other = entropy_raw(_marginal(other, other_card))
                 muxes.append(MuxFlow(
-                    layer=layer_idx,
+                    layer=layer_idx - 1,
                     position=g_idx,
                     stage=stage,
                     lower_bound=max(i_acc, i_other),
-                    observed=mi_with_y(combined, acc_card * other_card),
-                    upper_bound=min(i_acc + h_other, i_other + h_acc),
+                    observed=mi_with_y(pair, acc_card * other_card),
+                    upper_bound=min(i_acc + _entropy(other, other_card),
+                                    i_other + _entropy(acc, acc_card)),
                 ))
-                acc, acc_card = combined, acc_card * other_card
-            nxt.append(acc)
-        current = nxt
+                acc, acc_card = pair, acc_card * other_card
+        below = outputs
     return MIFlowReport(nodes=tuple(nodes), muxes=tuple(muxes))
 
 

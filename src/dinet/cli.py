@@ -15,13 +15,14 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import mi_flow
+from .analysis import MIFlowReport, mi_flow
 from .dataio import (
     CKD_URL,
     RawDataset,
@@ -33,7 +34,7 @@ from .dataio import (
 )
 from .errors import ConfigError, DatasetFormatError, DinetError
 from .network import build_topology, derive_seed, predict, train_network, tree_layer_sizes
-from .quantizer import QuantizedDataset, apply_quantizer, fit_quantizer
+from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
 
 _RUN_TAG = 7          # purpose tag for per-run seed derivation
@@ -52,7 +53,7 @@ class DatasetConfig:
     format: str = "arff"              # csv | arff | synthetic
     target: str = "class"
     positive_class: str = "ckd"
-    missing_tokens: tuple = ("?", "")
+    missing_tokens: list = field(default_factory=lambda: ["?", ""])
     delimiter: str = ","
     synthetic_rows: int = 400
     synthetic_seed: int = 7
@@ -68,7 +69,7 @@ class QuantizerConfig:
 @dataclass
 class ModelConfig:
     beta: float = 5.0
-    n_out: object = 3                 # scalar for all non-final layers, or full list
+    n_out: int | list = 3             # scalar for all non-final layers, or full list
     tol: float = 1e-8
     max_iter: int = 500
 
@@ -106,12 +107,17 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self):
+        _check_types(self)
         if self.model.beta <= 0:
             raise ConfigError("model.beta must be positive")
         if self.model.tol <= 0 or self.model.max_iter < 1:
             raise ConfigError("model.tol must be positive and max_iter >= 1")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.seed < 0 or self.dataset.synthetic_seed < 0:
+            raise ConfigError("seed and dataset.synthetic_seed must be >= 0")
+        if self.dataset.synthetic_rows < 1:
+            raise ConfigError("dataset.synthetic_rows must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.split.stratify not in ("none", "balanced"):
@@ -125,46 +131,55 @@ class ExperimentConfig:
         return self
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "quantizer": QuantizerConfig,
-    "model": ModelConfig,
-    "split": SplitConfig,
-    "prediction": PredictionConfig,
-    "outputs": OutputConfig,
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# the JSON value each field annotation admits: (description, test)
+_JSON_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a finite number",  # NaN fails the comparison; so does an int no float holds
+            lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: isinstance(v, str)),
+    int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
+    int | list: ("an integer or a list of integers",
+                 lambda v: _is_int(v) or (isinstance(v, list) and all(map(_is_int, v)))),
+    list: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
 }
 
 
-def _build_section(cls, data, where):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
+def _check_types(section, prefix=""):
+    """Raise ConfigError for the first field whose value its annotation does not admit."""
+    for name, hint in typing.get_type_hints(type(section)).items():
+        value = getattr(section, name)
+        if dataclasses.is_dataclass(hint):
+            _check_types(value, f"{name}.")
+            continue
+        what, admits = _JSON_TYPES[hint]
+        if not admits(value):
+            raise ConfigError(f"{prefix}{name} must be {what}, got {value!r}")
+
+
+def _build(cls, data: dict, where: str):
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    if cls is DatasetConfig and "missing_tokens" in data:
-        data = dict(data, missing_tokens=tuple(data["missing_tokens"]))
     return cls(**data)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    top_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - top_fields
-    if unknown:
-        raise ConfigError(f"unknown top-level config key(s) {sorted(unknown)}")
-    kwargs = {}
-    for name, value in raw.items():
-        if name in _SECTIONS:
-            if not isinstance(value, dict):
+    kwargs = dict(raw)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        if dataclasses.is_dataclass(hint) and name in kwargs:
+            if not isinstance(kwargs[name], dict):
                 raise ConfigError(f"section {name!r} must be an object")
-            kwargs[name] = _build_section(_SECTIONS[name], value, name)
-        else:
-            kwargs[name] = value
-    return ExperimentConfig(**kwargs).validate()
+            kwargs[name] = _build(hint, kwargs[name], name)
+    return _build(ExperimentConfig, kwargs, "the top level").validate()
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["dataset"]["missing_tokens"] = list(d["dataset"]["missing_tokens"])
-    return d
+    return dataclasses.asdict(cfg)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -264,12 +279,16 @@ def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=())
     specs = []
     for i, name in enumerate(train.feature_names):
         override = qcfg.overrides.get(name, {})
-        unknown = set(override) - {"kind", "levels"}
-        if unknown:
-            raise ConfigError(f"quantizer override for {name!r}: unknown key(s) {sorted(unknown)}")
+        if not (isinstance(override, dict) and set(override) <= {"kind", "levels"}
+                and override.get("kind") in (None, CATEGORICAL, CONTINUOUS)
+                and (override.get("levels") is None or _is_int(override["levels"]))):
+            raise ConfigError(
+                f"quantizer override for {name!r} must be an object with an optional "
+                f"kind ({CATEGORICAL!r} or {CONTINUOUS!r}) and levels (an integer), "
+                f"got {override!r}")
         kind = override.get("kind")
         if kind is None and train.kinds[i] == "nominal":
-            kind = "categorical"
+            kind = CATEGORICAL
         spec = fit_quantizer(
             train.columns[i],
             requested_levels=override.get("levels", qcfg.default_levels),
@@ -281,15 +300,6 @@ def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=())
             spec = dataclasses.replace(spec, has_missing=True)
         specs.append(spec)
     return specs
-
-
-def quantize_with(specs, data: RawDataset) -> QuantizedDataset:
-    return QuantizedDataset(
-        columns=tuple(apply_quantizer(s, col) for s, col in zip(specs, data.columns)),
-        cardinalities=tuple(s.cardinality for s in specs),
-        labels=data.label_indices(),
-        n_class=len(data.classes),
-    )
 
 
 def resolve_n_out(n_out_setting, n_layers: int, n_class: int):
@@ -326,9 +336,8 @@ def evaluate_on(model, data: RawDataset, cfg: ExperimentConfig, seed: int) -> di
     return compute_metrics(data.label_indices(), preds, positive)
 
 
-def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
-               keep_model: bool = False):
-    """One split -> train -> evaluate cycle with fully derived seeds."""
+def split_for_run(cfg: ExperimentConfig, data: RawDataset, run_index: int):
+    """Run ``run_index``'s seed and its (train, test) split of the table."""
     run_seed = derive_seed(cfg.seed, _RUN_TAG, run_index)
     positive = cfg.dataset.positive_class if cfg.split.stratify == "balanced" else None
     train, test = split(
@@ -337,6 +346,13 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
         positive_fraction=cfg.split.positive_fraction,
         positive_label=positive,
     )
+    return run_seed, train, test
+
+
+def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
+               keep_model: bool = False):
+    """One split -> train -> evaluate cycle with fully derived seeds."""
+    run_seed, train, test = split_for_run(cfg, data, run_index)
     # a test row may hold a feature's only missing cells: reserve the symbol
     with_missing = {name for name, col in zip(data.feature_names, data.columns)
                     if None in col}
@@ -357,7 +373,7 @@ def _run_indexed(cfg: ExperimentConfig, data: RawDataset, run_index: int):
     try:
         return run_single(cfg, data, run_index)
     except DinetError as exc:
-        raise DinetError(f"run {run_index} failed: {exc}") from exc
+        raise type(exc)(f"run {run_index} failed: {exc}") from exc
 
 
 _worker_job = None  # (config, table) of a pool worker process, set by _pool_init
@@ -427,6 +443,13 @@ def _progress_printer(args):
     return emit
 
 
+def _write_mi_flow(model, rows: RawDataset, path) -> MIFlowReport:
+    flow = mi_flow(model, quantize_with(model.quantizers, rows))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    flow.to_csv(path)
+    return flow
+
+
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     data = prepare_dataset(cfg)
     result = run_single(cfg, data, run_index=0, keep_model=True)
@@ -434,10 +457,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     train_rows, _ = result["splits"]
     save_model(model, args.model_out or cfg.outputs.model)
     _write(args.metrics_out or cfg.outputs.metrics, report_json(result["train"]))
-    flow = mi_flow(model, quantize_with(model.quantizers, train_rows))
-    flow_path = Path(args.miflow_out or cfg.outputs.mi_flow)
-    flow_path.parent.mkdir(parents=True, exist_ok=True)
-    flow.to_csv(flow_path)
+    _write_mi_flow(model, train_rows, args.miflow_out or cfg.outputs.mi_flow)
     print(report_json(result["train"]), end="")
     return 0
 
@@ -445,19 +465,9 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     model = load_model(args.model)
     data = prepare_dataset(cfg)
-    run_seed = derive_seed(cfg.seed, _RUN_TAG, 0)
-    if args.split == "all":
-        rows, tag = data, _PRED_TEST_TAG
-    else:
-        positive = cfg.dataset.positive_class if cfg.split.stratify == "balanced" else None
-        train, test = split(
-            data, cfg.split.n_train, seed=derive_seed(run_seed, _SPLIT_TAG),
-            stratify=cfg.split.stratify,
-            positive_fraction=cfg.split.positive_fraction,
-            positive_label=positive,
-        )
-        rows = train if args.split == "train" else test
-        tag = _PRED_TRAIN_TAG if args.split == "train" else _PRED_TEST_TAG
+    run_seed, train, test = split_for_run(cfg, data, 0)
+    rows, tag = {"train": (train, _PRED_TRAIN_TAG), "test": (test, _PRED_TEST_TAG),
+                 "all": (data, _PRED_TEST_TAG)}[args.split]
     metrics = evaluate_on(model, rows, cfg, derive_seed(run_seed, tag))
     if args.out:
         _write(args.out, report_json(metrics))
@@ -477,13 +487,9 @@ def cmd_experiment(cfg: ExperimentConfig, args) -> int:
 
 def cmd_inspect(cfg: ExperimentConfig, args) -> int:
     model = load_model(args.model)
-    data = prepare_dataset(cfg)
-    flow = mi_flow(model, quantize_with(model.quantizers, data))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    flow.to_csv(out)
+    flow = _write_mi_flow(model, prepare_dataset(cfg), args.out)
     print(json.dumps({"nodes": len(flow.nodes), "muxes": len(flow.muxes),
-                      "csv": str(out)}, sort_keys=True))
+                      "csv": str(Path(args.out))}, sort_keys=True))
     return 0
 
 
@@ -553,14 +559,10 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             return cmd_inspect(cfg, args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DatasetFormatError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
     except DinetError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, DatasetFormatError)) else 1
 
 
 if __name__ == "__main__":

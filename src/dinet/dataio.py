@@ -100,15 +100,6 @@ def _clean_cell(raw: str, missing_tokens):
     return None if v in missing_tokens else v
 
 
-def _first_appearance(values):
-    seen, out = set(), []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
-
-
 def _load_csv(path, target, missing_tokens, delimiter=","):
     import csv as _csv
 
@@ -212,10 +203,7 @@ def load_dataset(path, format: str = "csv", target: str = "class",
         raise ConfigError(f"unknown dataset format {format!r}")
 
     n_col = len(header)
-    columns = [[] for _ in range(n_col)]
-    for r_idx, row in enumerate(table):
-        for c_idx in range(n_col):
-            columns[c_idx].append(row[c_idx])
+    columns = [[row[c_idx] for row in table] for c_idx in range(n_col)]
     target_vals = columns[t_idx]
     if any(v is None for v in target_vals):
         bad = next(i for i, v in enumerate(target_vals) if v is None)
@@ -248,7 +236,7 @@ def load_dataset(path, format: str = "csv", target: str = "class",
         columns=tuple(feat_cols),
         target_name=target,
         target=tuple(target_vals),
-        classes=_first_appearance(target_vals),
+        classes=tuple(dict.fromkeys(target_vals)),
         kinds=tuple(feat_kinds),
     )
 
@@ -376,18 +364,29 @@ def save_model(model: DINModel, path) -> None:
         fh.write("\n")
 
 
+_NUMBER = (int, float)
+
 # top-level payload keys and the JSON types their values must have
-_PAYLOAD_TYPES = {
-    "beta": (int, float),
-    "seed": int,
-    "feature_names": list,
-    "class_names": list,
-    "class_alignment": list,
-    "layers": list,
-    "mux_groups": list,
-    "quantizers": list,
-    "nodes": list,
-}
+_PAYLOAD_TYPES = dict(beta=_NUMBER, seed=int, feature_names=list, class_names=list,
+                      class_alignment=list, layers=list, mux_groups=list, quantizers=list,
+                      nodes=list)
+
+# per-node keys and the JSON types their values must have
+_NODE_TYPES = dict(layer=int, position=int, n_in=int, n_out=int, channel=list,
+                   iterations=int, converged=bool, mi_in_y=_NUMBER, mi_out_y=_NUMBER,
+                   i_in_out=_NUMBER, i_y_out=_NUMBER)
+
+
+def _check_types(obj, types: dict, where: str) -> None:
+    """Every key present with a value of its JSON type (a bool is not a number)."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} is not an object")
+    for key, kind in types.items():
+        if key not in obj:
+            raise ModelFormatError(f"{where} lacks key {key!r}")
+        value = obj[key]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ModelFormatError(f"{where} key {key!r} has type {type(value).__name__}")
 
 
 def load_model(path) -> DINModel:
@@ -408,15 +407,9 @@ def load_model(path) -> DINModel:
     if digest != doc.get("sha256"):
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
 
-    if not isinstance(payload, dict):
-        raise ModelFormatError(f"{path}: payload is not an object")
-    for key, kind in _PAYLOAD_TYPES.items():
-        if key not in payload:
-            raise ModelFormatError(f"{path}: payload lacks key {key!r}")
-        value = payload[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ModelFormatError(
-                f"{path}: payload key {key!r} has type {type(value).__name__}")
+    _check_types(payload, _PAYLOAD_TYPES, f"{path}: payload")
+    for i, node in enumerate(payload["nodes"]):
+        _check_types(node, _NODE_TYPES, f"{path}: payload node {i}")
     try:
         return _model_from_payload(payload)
     except KeyError as exc:

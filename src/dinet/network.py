@@ -15,6 +15,10 @@ is irrelevant on its own (the two inputs of an xor) would collapse to noise
 before the node that combines it with its sibling sees it.  The final node
 always solves its bottleneck, since its outputs must be aligned to classes.
 
+``walk`` is the one loop that moves symbols up the tree.  Its consumers
+differ only in the per-node hook: training solves and samples on the
+training stream, prediction and ``analysis.mi_flow`` sample on their own.
+
 Every random draw comes from a stream derived from (master seed, layer,
 position, purpose), so training and prediction are reproducible and nodes
 never share randomness.
@@ -36,7 +40,7 @@ from .ib import (
     solve_ib,
 )
 from .infotheory import ConditionalMatrix, mutual_information_raw
-from .quantizer import QuantizedDataset, apply_quantizer
+from .quantizer import QuantizedDataset, quantize_with
 
 # stream purposes for seed derivation
 _STREAM_IB = 1
@@ -304,25 +308,24 @@ def _align_classes(py_given_out: np.ndarray) -> tuple:
     return tuple(assign[j] for j in range(n))
 
 
-def _propagate(topology, channels, columns, rngs):
-    """Push symbol columns through the tree, sampling each node's output.
+def walk(topology: Topology, columns, node):
+    """Push symbol columns up the tree, one layer at a time.
 
-    ``rngs(layer, pos)`` must return the generator for that node's draw.
-    Returns the final node's raw output symbols.
+    ``node(layer, pos, symbols)`` maps a node's input symbols to its output
+    symbols; it is called in (layer, position) order.  After each layer the
+    walk yields ``(layer, inputs, outputs)`` and then muxes the outputs into
+    the next layer's inputs, so the caller sees a layer before the next one
+    is computed.
     """
-    current = [np.asarray(c, dtype=np.int64) for c in columns]
+    inputs = [np.asarray(c, dtype=np.int64) for c in columns]
     for layer_idx, layer in enumerate(topology.layers):
-        sampled = [
-            sample_channel(channels[(layer_idx, k)], current[k], rngs(layer_idx, k))
-            for k in range(layer.size)
-        ]
-        if layer_idx == topology.depth:
-            return sampled[0]
-        groups = topology.mux_groups[layer_idx]
-        current = [
-            mux_combine([sampled[m] for m in g], [layer.n_out[m] for m in g])
-            for g in groups
-        ]
+        outputs = [node(layer_idx, k, inputs[k]) for k in range(layer.size)]
+        yield layer_idx, inputs, outputs
+        if layer_idx < topology.depth:
+            inputs = [
+                mux_combine([outputs[m] for m in g], [layer.n_out[m] for m in g])
+                for g in topology.mux_groups[layer_idx]
+            ]
 
 
 def train_network(data: QuantizedDataset, topology: Topology, beta: float,
@@ -349,38 +352,31 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
         raise SchemaMismatchError(
             f"dataset has {data.n_class} classes, topology expects {topology.n_class}")
 
-    y = data.labels
     nodes = {}
-    channels = {}
-    current = [np.asarray(c, dtype=np.int64) for c in data.columns]
     final_solution = None
-    for layer_idx, layer in enumerate(topology.layers):
-        sampled = []
-        for k in range(layer.size):
-            px, py_x = estimate_empirical(current[k], y, layer.n_in[k], data.n_class)
-            problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out[k])
-            sol = solve_ib(problem, tol=tol, max_iter=max_iter,
-                           seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
-                           keep_input=layer_idx < topology.depth)
-            nodes[(layer_idx, k)] = TrainedNode(
-                channel=sol.channel,
-                n_in=layer.n_in[k],
-                n_out=layer.n_out[k],
-                diagnostics=sol.diagnostics,
-                mi_in_y=mutual_information_raw(px.probs, py_x.p),
-                mi_out_y=sol.diagnostics.i_y_out,
-            )
-            channels[(layer_idx, k)] = sol.channel.p
-            rng = stream_rng(seed, _STREAM_TRAIN_SAMPLE, layer_idx, k)
-            sampled.append(sample_channel(sol.channel.p, current[k], rng))
-            if layer_idx == topology.depth:
-                final_solution = sol
-        if layer_idx < topology.depth:
-            groups = topology.mux_groups[layer_idx]
-            current = [
-                mux_combine([sampled[m] for m in g], [layer.n_out[m] for m in g])
-                for g in groups
-            ]
+
+    def node(layer_idx, k, symbols):
+        nonlocal final_solution
+        layer = topology.layers[layer_idx]
+        px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
+        problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out[k])
+        sol = solve_ib(problem, tol=tol, max_iter=max_iter,
+                       seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
+                       keep_input=layer_idx < topology.depth)
+        nodes[(layer_idx, k)] = TrainedNode(
+            channel=sol.channel,
+            n_in=layer.n_in[k],
+            n_out=layer.n_out[k],
+            diagnostics=sol.diagnostics,
+            mi_in_y=mutual_information_raw(px.probs, py_x.p),
+            mi_out_y=sol.diagnostics.i_y_out,
+        )
+        final_solution = sol  # the walk ends on the final node
+        rng = stream_rng(seed, _STREAM_TRAIN_SAMPLE, layer_idx, k)
+        return sample_channel(sol.channel.p, symbols, rng)
+
+    for _ in walk(topology, data.columns, node):
+        pass
 
     alignment = _align_classes(final_solution.py_given_out.p)
     return DINModel(
@@ -406,12 +402,16 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     """
     if tuple(data.cardinalities) != tuple(model.topology.layers[0].n_in):
         raise SchemaMismatchError("dataset cardinalities do not match the model")
-    channels = {key: node.channel.p for key, node in model.nodes.items()}
     align = np.asarray(model.class_alignment, dtype=np.int64)
 
     def one_pass(r):
-        rngs = lambda layer, pos: stream_rng(seed, _STREAM_PREDICT, r, layer, pos)
-        return align[_propagate(model.topology, channels, data.columns, rngs)]
+        def node(layer, pos, symbols):
+            rng = stream_rng(seed, _STREAM_PREDICT, r, layer, pos)
+            return sample_channel(model.nodes[(layer, pos)].channel.p, symbols, rng)
+
+        for _, _, outputs in walk(model.topology, data.columns, node):
+            pass
+        return align[outputs[0]]
 
     if mode == "stochastic":
         return one_pass(0)
@@ -440,16 +440,7 @@ def quantize_features(model: DINModel, dataset) -> QuantizedDataset:
         raise SchemaMismatchError(
             f"dataset classes {list(dataset.classes)} do not match the model's "
             f"{list(model.class_names)}")
-    columns = [
-        apply_quantizer(spec, dataset.columns[i])
-        for i, spec in enumerate(model.quantizers)
-    ]
-    return QuantizedDataset(
-        columns=tuple(columns),
-        cardinalities=tuple(s.cardinality for s in model.quantizers),
-        labels=dataset.label_indices(),
-        n_class=len(model.class_names),
-    )
+    return quantize_with(model.quantizers, dataset)
 
 
 def predict(model: DINModel, dataset, seed: int = 0, mode: str = "stochastic",

@@ -103,12 +103,7 @@ def fit_quantizer(raw_column, requested_levels: int | None = None,
             kind = CONTINUOUS
 
     if kind == CATEGORICAL:
-        source = floats if floats is not None else present
-        seen, cats = set(), []
-        for v in source:
-            if v not in seen:
-                seen.add(v)
-                cats.append(v)
+        cats = dict.fromkeys(floats if floats is not None else present)
         return FeatureSpec(kind=CATEGORICAL, has_missing=has_missing,
                            name=name, categories=tuple(cats))
 
@@ -237,3 +232,13 @@ class QuantizedDataset:
     @property
     def n_features(self) -> int:
         return len(self.columns)
+
+
+def quantize_with(specs, data) -> QuantizedDataset:
+    """Quantize every feature column of a raw table with its fitted spec."""
+    return QuantizedDataset(
+        columns=tuple(apply_quantizer(s, col) for s, col in zip(specs, data.columns)),
+        cardinalities=tuple(s.cardinality for s in specs),
+        labels=data.label_indices(),
+        n_class=len(data.classes),
+    )

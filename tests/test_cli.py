@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinet.cli import (
     ExperimentConfig,
@@ -98,6 +100,32 @@ class TestConfig:
         assert specs["flag_15"].kind == "categorical"   # nominal hint from loader
         with pytest.raises(ConfigError, match="bins"):
             fit_quantizers(data, QuantizerConfig(overrides={"lab_1": {"bins": 3}}))
+
+
+def _leaf_keys(d, prefix=""):
+    for key, value in d.items():
+        if isinstance(value, dict) and key != "overrides":
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+KNOWN_KEYS = sorted(_leaf_keys(config_to_dict(ExperimentConfig()))) + [
+    "dataset", "model", "split"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KNOWN_KEYS), JSON_VALUES)
+def test_override_returns_a_config_or_raises_config_error(key, value):
+    try:
+        out = apply_overrides(ExperimentConfig(), [f"{key}={json.dumps(value)}"])
+    except ConfigError:
+        return
+    assert isinstance(out, ExperimentConfig)
 
 
 class TestMetrics:
@@ -314,6 +342,35 @@ class TestCommands:
                                 capsys=capsys)
         assert code == 2
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("override", [
+        "model.beta=abc", "runs=1.5", 'seed="x"', "split.n_train=abc",
+        "quantizer.default_levels=abc", "dataset.synthetic_rows=abc",
+        "model.beta=NaN", f"model.beta={10**400}", "model.max_iter=true", "seed=-1",
+        "dataset.synthetic_rows=0",
+        'dataset.missing_tokens="?"', "model.n_out=[3.0, 2]",
+    ])
+    def test_mistyped_override_exits_2(self, config_file, capsys, override):
+        code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
+                                "--set", override, capsys=capsys)
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("override", [
+        "model.n_out=[3]",
+        'quantizer.overrides={"lab_1": 3}',
+        'quantizer.overrides={"lab_1": {"levels": "abc"}}',
+        'quantizer.overrides={"lab_1": {"kind": "wavelet"}}',
+    ])
+    def test_run_failure_keeps_its_error_class(self, config_file, capsys, override):
+        code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
+                                "--set", override, capsys=capsys)
+        assert code == 2
+        record = json.loads(err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("run 0 failed: ")
 
     def test_config_file_not_found_exits_2(self, tmp_path, capsys):
         code, _, err = self.run("train", "--config", str(tmp_path / "nope.json"),

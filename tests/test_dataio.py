@@ -4,6 +4,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dinet import (
     DatasetFormatError,
@@ -296,6 +298,12 @@ class TestModelPersistence:
             load_model(path)
 
 
+NODE_KEYS = ("layer", "position", "n_in", "n_out", "channel", "mi_in_y", "mi_out_y",
+             "iterations", "converged", "i_in_out", "i_y_out")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
 PAYLOAD_KEYS = ("beta", "seed", "feature_names", "class_names", "class_alignment",
                 "layers", "mux_groups", "quantizers", "nodes")
 
@@ -340,6 +348,28 @@ class TestMalformedPayload:
         edit(doc["payload"])
         with pytest.raises(ModelFormatError):
             load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", "7"), ("converged", "yes"), ("mi_in_y", "x"), ("i_in_out", None),
+        ("iterations", 7.0), ("converged", 1), ("mi_out_y", True), ("layer", "0"),
+    ])
+    def test_node_field_type(self, model_doc, tmp_path, key, value):
+        doc = json.loads(json.dumps(model_doc))
+        doc["payload"]["nodes"][0][key] = value
+        with pytest.raises(ModelFormatError, match=f"node 0 key '{key}'"):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(NODE_KEYS), JSON_VALUES)
+    def test_mutated_node_loads_or_raises_model_format_error(self, model_doc, tmp_path,
+                                                            key, value):
+        doc = json.loads(json.dumps(model_doc))
+        doc["payload"]["nodes"][-1][key] = value
+        try:
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+        except ModelFormatError:
+            pass
 
     def test_nan_channel_entry(self, model_doc, tmp_path):
         doc = json.loads(json.dumps(model_doc))

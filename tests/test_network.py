@@ -16,8 +16,16 @@ from dinet import (
     predict_quantized,
     train_network,
 )
+from dinet.analysis import mi_flow
 from dinet.infotheory import ConditionalMatrix
-from dinet.network import derive_seed, sample_channel, stream_rng, tree_layer_sizes
+from dinet.network import (
+    _STREAM_MIFLOW,
+    _STREAM_PREDICT,
+    derive_seed,
+    sample_channel,
+    stream_rng,
+    tree_layer_sizes,
+)
 
 
 def toy_dataset(rng, n=300):
@@ -346,3 +354,149 @@ class TestSeedDerivation:
     def test_stable_values(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+
+
+def propagate_oracle(topology, channels, columns, rngs, record=None):
+    """The per-layer loop prediction used before ``walk``, kept as an oracle.
+
+    ``rngs(layer, pos)`` returns the generator for that node's draw.  When
+    ``record`` is a list, each layer's ``(inputs, outputs)`` is appended.
+    Returns the final node's raw output symbols.
+    """
+    current = [np.asarray(c, dtype=np.int64) for c in columns]
+    for layer_idx, layer in enumerate(topology.layers):
+        sampled = [
+            sample_channel(channels[(layer_idx, k)], current[k], rngs(layer_idx, k))
+            for k in range(layer.size)
+        ]
+        if record is not None:
+            record.append((current, sampled))
+        if layer_idx == topology.depth:
+            return sampled[0]
+        groups = topology.mux_groups[layer_idx]
+        current = [
+            mux_combine([sampled[m] for m in g], [layer.n_out[m] for m in g])
+            for g in groups
+        ]
+
+
+@st.composite
+def small_trees(draw):
+    """A model trained on random rows of a random tree of 1-7 features."""
+    D = draw(st.integers(1, 7))
+    n_class = draw(st.integers(2, 3))
+    n_rows = draw(st.integers(1, 30))
+    cards = draw(st.lists(st.integers(1, 4), min_size=D, max_size=D))
+    n_layers = len(tree_layer_sizes(D))
+    n_out = draw(st.lists(st.integers(1, 3), min_size=n_layers - 1,
+                          max_size=n_layers - 1)) + [n_class]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = QuantizedDataset(
+        columns=tuple(rng.integers(0, c, n_rows) for c in cards), cardinalities=tuple(cards),
+        labels=rng.integers(0, n_class, n_rows), n_class=n_class)
+    topo = build_topology(D, n_out, n_class, cards)
+    return train_network(data, topo, beta=5.0, max_iter=20, seed=draw(st.integers(0, 99))), data
+
+
+def plugin_mi(a, b):
+    """Plug-in I(a;b) in bits from paired symbol vectors."""
+    _, ia = np.unique(a, return_inverse=True)
+    _, ib = np.unique(b, return_inverse=True)
+    joint = np.zeros((ia.max() + 1, ib.max() + 1))
+    np.add.at(joint, (ia, ib), 1.0 / a.size)
+    pa, pb = joint.sum(axis=1), joint.sum(axis=0)
+    nz = joint > 0
+    return float(np.sum(joint[nz] * np.log2(joint[nz] / np.outer(pa, pb)[nz])))
+
+
+def plugin_h(a):
+    p = np.unique(a, return_counts=True)[1] / a.size
+    return float(-np.sum(p * np.log2(p)))
+
+
+class TestWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees(), st.integers(0, 2**32 - 1))
+    def test_predict_matches_the_per_layer_loop(self, tree, seed):
+        model, data = tree
+        channels = {key: node.channel.p for key, node in model.nodes.items()}
+        align = np.asarray(model.class_alignment)
+
+        def oracle_pass(r):
+            rngs = lambda layer, pos: stream_rng(seed, _STREAM_PREDICT, r, layer, pos)
+            return align[propagate_oracle(model.topology, channels, data.columns, rngs)]
+
+        assert np.array_equal(predict_quantized(model, data, seed=seed), oracle_pass(0))
+        votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
+        for r in range(3):
+            votes[np.arange(data.n_rows), oracle_pass(r)] += 1
+        got = predict_quantized(model, data, seed=seed, mode="ensemble", repeats=3)
+        assert np.array_equal(got, votes.argmax(axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees())
+    def test_mi_flow_rows_are_plugin_values_of_the_loop_samples(self, tree):
+        model, data = tree
+        topo, y = model.topology, data.labels
+        channels = {key: node.channel.p for key, node in model.nodes.items()}
+        record = []
+        propagate_oracle(topo, channels, data.columns,
+                         lambda layer, pos: stream_rng(model.seed, _STREAM_MIFLOW, layer, pos),
+                         record)
+        report = mi_flow(model, data)
+
+        want_nodes = [(i, k, plugin_mi(inputs[k], y), plugin_mi(out, y), plugin_h(out))
+                      for i, (inputs, outputs) in enumerate(record)
+                      for k, out in enumerate(outputs)]
+        got_nodes = [(n.layer, n.position, n.mi_in_y, n.mi_out_y, n.h_out) for n in report.nodes]
+        want_muxes = []
+        for i, groups in enumerate(topo.mux_groups):
+            outputs, cards = record[i][1], topo.layers[i].n_out
+            for g_idx, g in enumerate(groups):
+                acc, acc_card = outputs[g[0]], cards[g[0]]
+                for stage, m in enumerate(g[1:]):
+                    pair = acc + acc_card * outputs[m]
+                    i_a, i_b = plugin_mi(acc, y), plugin_mi(outputs[m], y)
+                    want_muxes.append((i, g_idx, stage, max(i_a, i_b), plugin_mi(pair, y),
+                                       min(i_a + plugin_h(outputs[m]), i_b + plugin_h(acc))))
+                    acc, acc_card = pair, acc_card * cards[m]
+                # the chained digits are the next layer's input
+                assert np.array_equal(acc, record[i + 1][0][g_idx])
+        got_muxes = [(m.layer, m.position, m.stage, m.lower_bound, m.observed, m.upper_bound)
+                     for m in report.muxes]
+
+        for got, want, n_keys in ((got_nodes, want_nodes, 2), (got_muxes, want_muxes, 3)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g[:n_keys] == w[:n_keys]
+                assert g[n_keys:] == pytest.approx(w[n_keys:], abs=1e-12)
+
+    def test_train_solves_and_samples_each_node_once_in_order(self, monkeypatch):
+        from dinet import network
+
+        calls = []
+        solve, sample = network.solve_ib, network.sample_channel
+
+        def recording_solve(problem, **kwargs):
+            calls.append(("solve", kwargs["seed"]))
+            return solve(problem, **kwargs)
+
+        def recording_sample(channel, symbols, rng):
+            calls.append(("sample", channel))
+            return sample(channel, symbols, rng)
+
+        monkeypatch.setattr(network, "solve_ib", recording_solve)
+        monkeypatch.setattr(network, "sample_channel", recording_sample)
+        rng = np.random.default_rng(10)
+        cards = [2, 3, 4, 2, 3]
+        y = rng.integers(0, 2, 80)
+        data = QuantizedDataset(columns=tuple(rng.integers(0, c, 80) for c in cards),
+                                cardinalities=tuple(cards), labels=y, n_class=2)
+        topo = build_topology(5, [3, 3, 2], 2, cards)
+        model = train_network(data, topo, beta=5.0, seed=4)
+
+        slots = [(i, k) for i, size in enumerate(topo.layer_sizes) for k in range(size)]
+        assert len(calls) == 2 * len(slots)
+        for (i, k), (solved, sampled) in zip(slots, zip(calls[::2], calls[1::2])):
+            assert solved == ("solve", derive_seed(4, network._STREAM_IB, i, k))
+            assert sampled[0] == "sample" and sampled[1] is model.nodes[(i, k)].channel.p
