@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SchemaMismatchError, ValidationError
 from .infotheory import ConditionalMatrix, entropy_raw, joint_mi_raw
-from .network import DINModel, _STREAM_MIFLOW, mux_combine, sample_channel, stream_rng, walk
+from .network import DINModel, _STREAM_MIFLOW, mux_combine, sample_channel, stream_rngs, walk
 from .quantizer import QuantizedDataset
 
 DEFAULT_STATE_CAP = 1 << 20
@@ -128,9 +128,10 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
     def mi_with_y(v, card):
         return joint_mi_raw(_plugin_joint(v, y, card, card_y))
 
+    rngs = dict(zip(topo.slots, stream_rngs((base, _STREAM_MIFLOW), topo.slots)))
+
     def node(layer, pos, symbols):
-        rng = stream_rng(base, _STREAM_MIFLOW, layer, pos)
-        return sample_channel(model.nodes[(layer, pos)].channel.p, symbols, rng)
+        return sample_channel(model.nodes[(layer, pos)].channel.p, symbols, rngs[(layer, pos)])
 
     nodes = []
     muxes = []

@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import typing
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -386,7 +388,28 @@ def _pool_init(cfg_dict, data):
 
 def _pool_run(run_index):
     cfg, data = _worker_job
-    return run_index, _run_indexed(cfg, data, run_index)
+    return _run_indexed(cfg, data, run_index)
+
+
+def _pool_results(cfg: ExperimentConfig, data: RawDataset, n_workers: int):
+    """Run results in run order from a process pool.
+
+    At most two runs per worker wait in the queue, so memory does not grow
+    with ``cfg.runs``; runs still queued when one fails are cancelled.
+    """
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
+                             initargs=(config_to_dict(cfg), data)) as pool:
+        queued = deque()
+        try:
+            for r in range(cfg.runs):
+                queued.append(pool.submit(_pool_run, r))
+                if len(queued) > 2 * n_workers:
+                    yield queued.popleft().result()
+            while queued:
+                yield queued.popleft().result()
+        finally:
+            for future in queued:
+                future.cancel()
 
 
 def run_experiment(cfg: ExperimentConfig, data: RawDataset,
@@ -394,21 +417,19 @@ def run_experiment(cfg: ExperimentConfig, data: RawDataset,
     """Repeat split/train/evaluate ``cfg.runs`` times and aggregate.
 
     Per-run seeds derive from (master seed, run index), so the worker count
-    never changes the numbers.  Any per-run failure aborts, naming the run.
+    never changes the numbers; at most one process per run and per CPU is
+    started.  Any per-run failure aborts, naming the run.
     """
-    results = [None] * cfg.runs
-    if cfg.workers == 1:
-        for r in range(cfg.runs):
-            results[r] = _run_indexed(cfg, data, r)
-            if progress:
-                progress(results[r])
+    n_workers = min(cfg.workers, cfg.runs, os.cpu_count() or 1)
+    if n_workers == 1:
+        outcomes = (_run_indexed(cfg, data, r) for r in range(cfg.runs))
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_pool_init,
-                                 initargs=(config_to_dict(cfg), data)) as pool:
-            for idx, out in pool.map(_pool_run, range(cfg.runs)):
-                results[idx] = out
-                if progress:
-                    progress(out)
+        outcomes = _pool_results(cfg, data, n_workers)
+    results = []
+    for out in outcomes:
+        results.append(out)
+        if progress:
+            progress(out)
     return {
         "runs": cfg.runs,
         "seed": cfg.seed,
@@ -425,6 +446,9 @@ def report_json(report: dict) -> str:
 # commands
 
 def _write(path, text):
+    """Write ``text`` to ``path``; as for every output, an empty path means "do not write"."""
+    if not path:
+        return
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(text, encoding="utf-8")
@@ -445,8 +469,9 @@ def _progress_printer(args):
 
 def _write_mi_flow(model, rows: RawDataset, path) -> MIFlowReport:
     flow = mi_flow(model, quantize_with(model.quantizers, rows))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    flow.to_csv(path)
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        flow.to_csv(path)
     return flow
 
 
@@ -455,7 +480,9 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     result = run_single(cfg, data, run_index=0, keep_model=True)
     model = result["model"]
     train_rows, _ = result["splits"]
-    save_model(model, args.model_out or cfg.outputs.model)
+    model_path = args.model_out or cfg.outputs.model
+    if model_path:
+        save_model(model, model_path)
     _write(args.metrics_out or cfg.outputs.metrics, report_json(result["train"]))
     _write_mi_flow(model, train_rows, args.miflow_out or cfg.outputs.mi_flow)
     print(report_json(result["train"]), end="")
@@ -469,8 +496,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     rows, tag = {"train": (train, _PRED_TRAIN_TAG), "test": (test, _PRED_TEST_TAG),
                  "all": (data, _PRED_TEST_TAG)}[args.split]
     metrics = evaluate_on(model, rows, cfg, derive_seed(run_seed, tag))
-    if args.out:
-        _write(args.out, report_json(metrics))
+    _write(args.out, report_json(metrics))
     print(report_json(metrics), end="")
     return 0
 
@@ -479,8 +505,7 @@ def cmd_experiment(cfg: ExperimentConfig, args) -> int:
     data = prepare_dataset(cfg)
     report = run_experiment(cfg, data, progress=_progress_printer(args))
     text = report_json(report)
-    if args.out or cfg.outputs.metrics:
-        _write(args.out or cfg.outputs.metrics, text)
+    _write(args.out or cfg.outputs.metrics, text)
     print(text, end="")
     return 0
 
@@ -489,7 +514,7 @@ def cmd_inspect(cfg: ExperimentConfig, args) -> int:
     model = load_model(args.model)
     flow = _write_mi_flow(model, prepare_dataset(cfg), args.out)
     print(json.dumps({"nodes": len(flow.nodes), "muxes": len(flow.muxes),
-                      "csv": str(Path(args.out))}, sort_keys=True))
+                      "csv": str(Path(args.out)) if args.out else None}, sort_keys=True))
     return 0
 
 

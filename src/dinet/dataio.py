@@ -376,17 +376,33 @@ _NODE_TYPES = dict(layer=int, position=int, n_in=int, n_out=int, channel=list,
                    iterations=int, converged=bool, mi_in_y=_NUMBER, mi_out_y=_NUMBER,
                    i_in_out=_NUMBER, i_y_out=_NUMBER)
 
+# per-layer and per-quantizer-spec keys and their JSON types
+_LAYER_TYPES = dict(n_in=list, n_out=list)
+_SPEC_TYPES = dict(kind=str, has_missing=bool, name=str, levels=(int, type(None)),
+                   vmin=(*_NUMBER, type(None)), vmax=(*_NUMBER, type(None)), categories=list)
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance`` for JSON values, where a bool is not a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
 
 def _check_types(obj, types: dict, where: str) -> None:
-    """Every key present with a value of its JSON type (a bool is not a number)."""
+    """Every key present with a value of its JSON type."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} is not an object")
     for key, kind in types.items():
         if key not in obj:
             raise ModelFormatError(f"{where} lacks key {key!r}")
-        value = obj[key]
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ModelFormatError(f"{where} key {key!r} has type {type(value).__name__}")
+        if not _is_a(obj[key], kind):
+            raise ModelFormatError(f"{where} key {key!r} has type {type(obj[key]).__name__}")
+
+
+def _check_items(values, kind, where: str) -> None:
+    """Every entry of a JSON list is of one JSON type."""
+    for value in values:
+        if not _is_a(value, kind):
+            raise ModelFormatError(f"{where} holds a {type(value).__name__}")
 
 
 def load_model(path) -> DINModel:
@@ -410,6 +426,19 @@ def load_model(path) -> DINModel:
     _check_types(payload, _PAYLOAD_TYPES, f"{path}: payload")
     for i, node in enumerate(payload["nodes"]):
         _check_types(node, _NODE_TYPES, f"{path}: payload node {i}")
+    for i, layer in enumerate(payload["layers"]):
+        _check_types(layer, _LAYER_TYPES, f"{path}: payload layer {i}")
+        for key in _LAYER_TYPES:
+            _check_items(layer[key], int, f"{path}: payload layer {i} {key}")
+    _check_items(payload["mux_groups"], list, f"{path}: payload mux_groups")
+    for i, stage in enumerate(payload["mux_groups"]):
+        _check_items(stage, list, f"{path}: payload mux stage {i}")
+        for group in stage:
+            _check_items(group, int, f"{path}: payload mux stage {i} group")
+    for i, spec in enumerate(payload["quantizers"]):
+        _check_types(spec, _SPEC_TYPES, f"{path}: payload quantizer {i}")
+        _check_items(spec["categories"], (str, *_NUMBER),
+                     f"{path}: payload quantizer {i} categories")
     try:
         return _model_from_payload(payload)
     except KeyError as exc:

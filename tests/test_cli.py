@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from dinet.cli import (
     run_experiment,
     run_single,
 )
-from dinet.errors import ConfigError
+from dinet import cli
+from dinet.errors import ConfigError, ValidationError
 
 SYNTH_CONFIG = {
     "dataset": {"format": "synthetic", "positive_class": "sick",
@@ -230,6 +232,36 @@ class TestPipeline:
         par = run_experiment(cfg2, data)
         assert seq == par
 
+    @pytest.mark.parametrize("cpus, started", [(8, [3]), (2, [2]), (1, [])])
+    def test_pool_starts_at_most_one_process_per_run_and_cpu(self, cfg, monkeypatch,
+                                                             cpus, started):
+        class InlinePool:
+            """Records the pool size and runs each submitted run in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        sizes = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_worker_job", None)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        data = prepare_dataset(cfg)
+        report = run_experiment(apply_overrides(cfg, ["workers=1000000", "runs=3"]), data)
+        assert sizes == started
+        assert report == run_experiment(apply_overrides(cfg, ["runs=3"]), data)
+
 
 class TestCommands:
     def run(self, *argv, capsys=None):
@@ -273,6 +305,42 @@ class TestCommands:
         metrics = json.loads(metrics_out.read_text())
         assert metrics["accuracy"] >= 0.9
         assert json.loads(out) == metrics
+
+    @pytest.mark.parametrize("empty", ["model", "metrics", "mi_flow"])
+    def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty):
+        paths = {key: str(tmp_path / f"{key}.out") for key in ("model", "metrics", "mi_flow")}
+        paths[empty] = ""
+        sets = [arg for key, path in paths.items()
+                for arg in ("--set", f"outputs.{key}={json.dumps(path)}")]
+        code, out, err = self.run("train", "--config", str(config_file), "--quiet", *sets,
+                                  capsys=capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["accuracy"] >= 0.9
+        written = sorted(p.name for p in tmp_path.glob("*.out"))
+        assert written == sorted(f"{key}.out" for key in paths if key != empty)
+
+    def test_inspect_skips_an_empty_output_path(self, config_file, tmp_path, capsys):
+        model_out = tmp_path / "model.json"
+        self.run("train", "--config", str(config_file), "--quiet",
+                 "--model-out", str(model_out), capsys=capsys)
+        code, out, _ = self.run("inspect", "--config", str(config_file), "--quiet",
+                                "--model", str(model_out), "--out", "", capsys=capsys)
+        assert code == 0
+        assert json.loads(out) == {"nodes": 46, "muxes": 23, "csv": None}
+
+    def test_huge_run_count_fails_on_its_first_run(self, config_file, capsys, monkeypatch):
+        def fail(cfg, data, run_index):
+            raise ValidationError(f"run {run_index} failed: stop")
+
+        monkeypatch.setattr(cli, "_run_indexed", fail)
+        code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
+                                "--set", f"runs={10**20}", "--set", "workers=1",
+                                capsys=capsys)
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError",
+                                        "message": "run 0 failed: stop"}
 
     def test_evaluate_matches_experiment_run_zero(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"

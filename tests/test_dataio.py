@@ -341,8 +341,12 @@ class TestMalformedPayload:
         lambda p: p["nodes"][0].update(channel="not a matrix"),
         lambda p: p["layers"][0].update(n_in=None),
         lambda p: p["quantizers"][0].update(kind="wavelet"),
+        lambda p: p["quantizers"][0].update(categories=[[1]]),
+        lambda p: p["layers"][0].update(n_out=[]),
+        lambda p: p["mux_groups"].__setitem__(0, 3),
     ], ids=["beta-string", "seed-bool", "layers-int", "nodes-object", "node-no-channel",
-            "channel-string", "n_in-null", "quantizer-kind"])
+            "channel-string", "n_in-null", "quantizer-kind", "category-list", "n_out-short",
+            "mux-stage-int"])
     def test_wrong_shape_or_type(self, model_doc, tmp_path, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"])
@@ -366,6 +370,27 @@ class TestMalformedPayload:
                                                             key, value):
         doc = json.loads(json.dumps(model_doc))
         doc["payload"]["nodes"][-1][key] = value
+        try:
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+        except ModelFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(("layers", "mux_groups", "quantizers")), JSON_VALUES, st.data())
+    def test_mutated_topology_or_quantizer_loads_or_raises_model_format_error(
+            self, model_doc, tmp_path, section, value, data):
+        doc = json.loads(json.dumps(model_doc))
+        container = doc["payload"][section]
+        while True:  # walk down to one entry and replace it
+            key = data.draw(st.sampled_from(
+                sorted(container) if isinstance(container, dict) else range(len(container))))
+            child = container[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                container = child
+                continue
+            container[key] = value
+            break
         try:
             load_model(write_resigned(doc, tmp_path / "model.json"))
         except ModelFormatError:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dinet import (
@@ -21,11 +21,17 @@ from dinet.infotheory import ConditionalMatrix
 from dinet.network import (
     _STREAM_MIFLOW,
     _STREAM_PREDICT,
+    _STREAM_TRAIN_SAMPLE,
     derive_seed,
     sample_channel,
-    stream_rng,
+    stream_rngs,
     tree_layer_sizes,
 )
+
+
+def numpy_stream(*parts):
+    """A node's stream as numpy builds it, the oracle ``stream_rngs`` must match."""
+    return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
 def toy_dataset(rng, n=300):
@@ -174,13 +180,13 @@ class TestSampling:
 
     def test_deterministic_rows_pass_through(self):
         chan = np.eye(3)
-        rng = stream_rng(0)
+        rng = numpy_stream(0)
         x = np.array([2, 0, 1, 1])
         assert np.array_equal(sample_channel(chan, x, rng), x)
 
     def test_marginal_frequencies(self):
         chan = np.array([[0.8, 0.2], [0.1, 0.9]])
-        rng = stream_rng(1)
+        rng = numpy_stream(1)
         x = np.zeros(20000, dtype=int)
         out = sample_channel(chan, x, rng)
         assert out.mean() == pytest.approx(0.2, abs=0.01)
@@ -356,6 +362,59 @@ class TestSeedDerivation:
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
 
 
+# one value per word count: 1, 1, 2, 2, 2, 3 and 4 words
+EDGE_PARTS = (0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64, 2**96 + 7)
+
+
+@st.composite
+def stream_requests(draw):
+    """(parts, keys) whose assembled entropy is 1 to 7 uint32 words."""
+    parts = draw(st.lists(st.sampled_from(EDGE_PARTS) | st.integers(0, 2**70), max_size=3))
+    # keys share one word-count profile: a key position holds 1-word or 2-word values
+    widths = draw(st.lists(st.sampled_from((1, 2)), max_size=3))
+    span = {1: st.integers(0, 2**32 - 1), 2: st.integers(2**32, 2**64 - 1)}
+    keys = draw(st.lists(st.tuples(*(span[w] for w in widths)), max_size=6))
+    n_words = sum(max(1, (p.bit_length() + 31) // 32) for p in parts) + sum(widths)
+    assume(1 <= n_words <= 7)
+    return parts, keys
+
+
+class TestStreamRngs:
+    @settings(max_examples=200, deadline=None)
+    @given(stream_requests())
+    def test_each_stream_is_numpys(self, request):
+        parts, keys = request
+        got = stream_rngs(parts, keys)
+        assert len(got) == len(keys)
+        for key, rng in zip(keys, got):
+            want = numpy_stream(*parts, *key)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.random(3), want.random(3))
+            assert np.array_equal(rng.integers(0, 2**63, 3), want.integers(0, 2**63, 3))
+
+    def test_walk_keys(self):
+        keys = [(r, i, k) for r in range(3) for i, size in enumerate((4, 2, 1))
+                for k in range(size)]
+        for rng, key in zip(stream_rngs((2**64 - 1, _STREAM_PREDICT), keys), keys):
+            want = numpy_stream(2**64 - 1, _STREAM_PREDICT, *key)
+            assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_no_keys(self):
+        assert stream_rngs((1, 2), []) == []
+
+    @pytest.mark.parametrize("parts, keys", [((-1,), [(0,)]), ((1,), [(0, -3)]),
+                                             ((1,), [(0.5,)])])
+    def test_negative_or_non_integer_parts_rejected(self, parts, keys):
+        with pytest.raises(ValidationError):
+            stream_rngs(parts, keys)
+
+    def test_keys_must_share_a_word_count(self):
+        with pytest.raises(ValidationError, match="word count"):
+            stream_rngs((1,), [(0, 1), (0, 2**40)])
+        with pytest.raises(ValidationError, match="word count"):
+            stream_rngs((1,), [(0, 1), (0,)])
+
+
 def propagate_oracle(topology, channels, columns, rngs, record=None):
     """The per-layer loop prediction used before ``walk``, kept as an oracle.
 
@@ -423,7 +482,7 @@ class TestWalk:
         align = np.asarray(model.class_alignment)
 
         def oracle_pass(r):
-            rngs = lambda layer, pos: stream_rng(seed, _STREAM_PREDICT, r, layer, pos)
+            rngs = lambda layer, pos: numpy_stream(seed, _STREAM_PREDICT, r, layer, pos)
             return align[propagate_oracle(model.topology, channels, data.columns, rngs)]
 
         assert np.array_equal(predict_quantized(model, data, seed=seed), oracle_pass(0))
@@ -441,7 +500,7 @@ class TestWalk:
         channels = {key: node.channel.p for key, node in model.nodes.items()}
         record = []
         propagate_oracle(topo, channels, data.columns,
-                         lambda layer, pos: stream_rng(model.seed, _STREAM_MIFLOW, layer, pos),
+                         lambda layer, pos: numpy_stream(model.seed, _STREAM_MIFLOW, layer, pos),
                          record)
         report = mi_flow(model, data)
 
@@ -482,7 +541,7 @@ class TestWalk:
             return solve(problem, **kwargs)
 
         def recording_sample(channel, symbols, rng):
-            calls.append(("sample", channel))
+            calls.append(("sample", channel, rng.bit_generator.state))
             return sample(channel, symbols, rng)
 
         monkeypatch.setattr(network, "solve_ib", recording_solve)
@@ -500,3 +559,4 @@ class TestWalk:
         for (i, k), (solved, sampled) in zip(slots, zip(calls[::2], calls[1::2])):
             assert solved == ("solve", derive_seed(4, network._STREAM_IB, i, k))
             assert sampled[0] == "sample" and sampled[1] is model.nodes[(i, k)].channel.p
+            assert sampled[2] == numpy_stream(4, _STREAM_TRAIN_SAMPLE, i, k).bit_generator.state
