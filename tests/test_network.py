@@ -362,7 +362,7 @@ class TestSeedDerivation:
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
 
 
-# one value per word count: 1, 1, 2, 2, 2, 3 and 4 words
+# boundary values; they split into 1, 1, 2, 2, 2, 3 and 4 uint32 words
 EDGE_PARTS = (0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64, 2**96 + 7)
 
 
