@@ -9,6 +9,7 @@ from .errors import (
     DinetError,
     ModelFormatError,
     ModelVersionError,
+    ResourceError,
     SchemaMismatchError,
     ValidationError,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "ModelVersionError",
     "QuantizedDataset",
     "RawDataset",
+    "ResourceError",
     "SchemaMismatchError",
     "Topology",
     "TrainedNode",

@@ -11,6 +11,13 @@ the sandwich
 
 which holds exactly for plug-in estimates taken from one sample.
 Three-way muxes are checked by chaining two pairwise applications.
+
+Each statistic is computed once per vector: a node's I(out;y) and H(out)
+serve its own row and the bounds of the mux it feeds, and a group's last
+stage observes the next node's input, whose I(in;y) its row already holds.
+Only the intermediate pair of a three-way mux needs its own I(pair;y) and
+H(pair).  The same functions run on the same arrays, so the report does not
+depend on this reuse.
 """
 
 from __future__ import annotations
@@ -22,7 +29,15 @@ import numpy as np
 
 from .errors import SchemaMismatchError, ValidationError
 from .infotheory import ConditionalMatrix, entropy_raw, joint_mi_raw
-from .network import DINModel, _STREAM_MIFLOW, mux_combine, sample_channel, stream_rngs, walk
+from .network import (
+    DINModel,
+    _STREAM_MIFLOW,
+    channel_cdf,
+    mux_combine,
+    sample_channel,
+    stream_rngs,
+    walk,
+)
 from .quantizer import QuantizedDataset
 
 DEFAULT_STATE_CAP = 1 << 20
@@ -131,44 +146,44 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
     rngs = dict(zip(topo.slots, stream_rngs((base, _STREAM_MIFLOW), topo.slots)))
 
     def node(layer, pos, symbols):
-        return sample_channel(model.nodes[(layer, pos)].channel.p, symbols, rngs[(layer, pos)])
+        table = channel_cdf(model.nodes[(layer, pos)].channel.p)
+        return sample_channel(table.take(symbols, axis=1), rngs[(layer, pos)])
 
     nodes = []
     muxes = []
-    below = None  # outputs of the previous layer
+    below = below_mi = below_h = None  # outputs, I(out;y) and H(out) of the previous layer
     # layer i > 0 is fed by mux stage i - 1 and its inputs are the groups'
     # last-stage outputs, so only the first pair of a 3-way group is muxed here
     stages = ((),) + topo.mux_groups
     for (layer_idx, inputs, outputs), groups in zip(walk(topo, data.columns, node), stages):
         layer = topo.layers[layer_idx]
-        for k, out in enumerate(outputs):
-            nodes.append(NodeFlow(
-                layer=layer_idx,
-                position=k,
-                mi_in_y=mi_with_y(inputs[k], layer.n_in[k]),
-                mi_out_y=mi_with_y(out, layer.n_out[k]),
-                h_out=_entropy(out, layer.n_out[k]),
-            ))
-        for g_idx, (g, combined) in enumerate(zip(groups, inputs)):
+        mi_in = [mi_with_y(v, card) for v, card in zip(inputs, layer.n_in)]
+        mi_out = [mi_with_y(v, card) for v, card in zip(outputs, layer.n_out)]
+        h_out = [_entropy(v, card) for v, card in zip(outputs, layer.n_out)]
+        nodes.extend(NodeFlow(layer=layer_idx, position=k, mi_in_y=mi_in[k],
+                              mi_out_y=mi_out[k], h_out=h_out[k])
+                     for k in range(layer.size))
+        for g_idx, g in enumerate(groups):
             cards = topo.layers[layer_idx - 1].n_out
-            acc, acc_card = below[g[0]], cards[g[0]]
+            acc, acc_card, i_acc, h_acc = below[g[0]], cards[g[0]], below_mi[g[0]], below_h[g[0]]
             for stage, member in enumerate(g[1:]):
-                other, other_card = below[member], cards[member]
-                pair = (combined if stage == len(g) - 2
-                        else mux_combine([acc, other], [acc_card, other_card]))
-                i_acc = mi_with_y(acc, acc_card)
-                i_other = mi_with_y(other, other_card)
+                pair_card = acc_card * cards[member]
+                if stage < len(g) - 2:  # the intermediate pair of a 3-way group
+                    pair = mux_combine([acc, below[member]], [acc_card, cards[member]])
+                    i_pair, h_pair = mi_with_y(pair, pair_card), _entropy(pair, pair_card)
+                else:  # the last pair is this layer's input for the group
+                    pair, i_pair, h_pair = inputs[g_idx], mi_in[g_idx], None
+                i_other, h_other = below_mi[member], below_h[member]
                 muxes.append(MuxFlow(
                     layer=layer_idx - 1,
                     position=g_idx,
                     stage=stage,
                     lower_bound=max(i_acc, i_other),
-                    observed=mi_with_y(pair, acc_card * other_card),
-                    upper_bound=min(i_acc + _entropy(other, other_card),
-                                    i_other + _entropy(acc, acc_card)),
+                    observed=i_pair,
+                    upper_bound=min(i_acc + h_other, i_other + h_acc),
                 ))
-                acc, acc_card = pair, acc_card * other_card
-        below = outputs
+                acc, acc_card, i_acc, h_acc = pair, pair_card, i_pair, h_pair
+        below, below_mi, below_h = outputs, mi_out, h_out
     return MIFlowReport(nodes=tuple(nodes), muxes=tuple(muxes))
 
 

@@ -34,7 +34,7 @@ from .dataio import (
     save_model,
     split,
 )
-from .errors import ConfigError, DatasetFormatError, DinetError
+from .errors import ConfigError, DatasetFormatError, DinetError, naming_os_errors
 from .network import build_topology, derive_seed, predict, train_network, tree_layer_sizes
 from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError("seed and dataset.synthetic_seed must be >= 0")
         if self.dataset.synthetic_rows < 1:
             raise ConfigError("dataset.synthetic_rows must be >= 1")
+        if len(self.dataset.delimiter) != 1:
+            raise ConfigError("dataset.delimiter must be one character")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.split.stratify not in ("none", "balanced"):
@@ -188,9 +190,11 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+    with naming_os_errors("read", p):
+        text = p.read_bytes()
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
@@ -450,8 +454,9 @@ def _write(path, text):
     if not path:
         return
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text, encoding="utf-8")
+    with naming_os_errors("write", p):
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(text, encoding="utf-8")
 
 
 def _progress_printer(args):
@@ -470,8 +475,9 @@ def _progress_printer(args):
 def _write_mi_flow(model, rows: RawDataset, path) -> MIFlowReport:
     flow = mi_flow(model, quantize_with(model.quantizers, rows))
     if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        flow.to_csv(path)
+        with naming_os_errors("write", path):
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            flow.to_csv(path)
     return flow
 
 

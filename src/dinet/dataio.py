@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import urllib.request
+import re
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +28,7 @@ from .errors import (
     ModelFormatError,
     ModelVersionError,
     ValidationError,
+    naming_os_errors,
 )
 from .ib import IBDiagnostics
 from .infotheory import ConditionalMatrix
@@ -35,6 +36,7 @@ from .network import DINModel, LayerSpec, Topology, TrainedNode
 from .quantizer import FeatureSpec
 
 DEFAULT_MISSING_TOKENS = ("?", "")
+_LINE_END = re.compile("\r\n|\r|\n")  # the line ends the csv module and text files know
 
 MODEL_FORMAT = "dinet-model"
 MODEL_VERSION = 1
@@ -101,34 +103,53 @@ def _clean_cell(raw: str, missing_tokens):
 
 
 def _load_csv(path, target, missing_tokens, delimiter=","):
+    """Header, target index, cell table, kinds, and each table row's line number."""
     import csv as _csv
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh, delimiter=delimiter)
-        rows = list(reader)
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
+    with naming_os_errors("read", path):
+        raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_END.split(raw[:exc.start].decode("utf-8")))
+        raise DatasetFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    rows = []  # (first line, fields) of each non-blank record
+    reader = _csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    start = 1
+    try:
+        for row in reader:
+            if row and any(c.strip() for c in row):
+                rows.append((start, row))
+            start = reader.line_num + 1
+    except _csv.Error as exc:
+        raise DatasetFormatError(f"{path}: line {start}: {exc}") from None
     if not rows:
-        raise DatasetFormatError(f"{path}: no rows")
-    header = [h.strip().strip("'\"") for h in rows[0]]
+        raise DatasetFormatError(f"{path}: line 1: no header row")
+    header_line, header = rows[0]
+    header = [h.strip().strip("'\"") for h in header]
     if target not in header:
-        raise DatasetFormatError(f"{path}: target column {target!r} not in header {header}")
+        raise DatasetFormatError(
+            f"{path}: line {header_line}: target column {target!r} not in header {header}")
     t_idx = header.index(target)
-    table = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    table, lines = [], []
+    for line_no, row in rows[1:]:
         if len(row) == len(header) + 1 and row[-1].strip() == "":
             row = row[:-1]          # tolerate a trailing comma
         if len(row) != len(header):
             raise DatasetFormatError(
                 f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
         table.append([_clean_cell(c, missing_tokens) for c in row])
-    return header, t_idx, table, [None] * len(header)
+        lines.append(line_no)
+    return header, t_idx, table, [None] * len(header), lines
 
 
 def _parse_arff_attribute(line, line_no, path):
-    body = line.split(None, 1)[1].strip()
+    parts = line.split(None, 1)
+    body = parts[1].strip() if len(parts) == 2 else ""
     if body.startswith(("'", '"')):
-        quote = body[0]
-        end = body.index(quote, 1)
+        end = body.find(body[0], 1)
+        if end < 0:
+            raise DatasetFormatError(f"{path}: line {line_no}: unterminated attribute name")
         name = body[1:end]
         rest = body[end + 1:].strip()
     else:
@@ -148,16 +169,18 @@ def _parse_arff_attribute(line, line_no, path):
 
 
 def _load_arff(path, target, missing_tokens):
+    """Header, target index, cell table, kinds, and each table row's line number."""
     names, kinds = [], []
-    table = []
-    in_data = False
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    table, lines = [], []
+    data_line = None  # line of the @data marker
+    line_no = 1
+    with naming_os_errors("read", path), open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
             low = line.lower()
-            if not in_data:
+            if data_line is None:
                 if low.startswith("@relation"):
                     continue
                 if low.startswith("@attribute"):
@@ -166,7 +189,7 @@ def _load_arff(path, target, missing_tokens):
                     kinds.append(kind)
                     continue
                 if low.startswith("@data"):
-                    in_data = True
+                    data_line = line_no
                     continue
                 raise DatasetFormatError(f"{path}: line {line_no}: unexpected {line!r}")
             cells = [c for c in line.split(",")]
@@ -176,11 +199,14 @@ def _load_arff(path, target, missing_tokens):
                 raise DatasetFormatError(
                     f"{path}: line {line_no}: expected {len(names)} fields, got {len(cells)}")
             table.append([_clean_cell(c, missing_tokens) for c in cells])
-    if not in_data or not names:
-        raise DatasetFormatError(f"{path}: not a usable ARFF file (no @data section)")
+            lines.append(line_no)
+    if data_line is None or not names:
+        raise DatasetFormatError(f"{path}: line {line_no}: not a usable ARFF file "
+                                 "(it needs @attribute lines and a @data section)")
     if target not in names:
-        raise DatasetFormatError(f"{path}: target column {target!r} not among attributes {names}")
-    return names, names.index(target), table, kinds
+        raise DatasetFormatError(
+            f"{path}: line {data_line}: target column {target!r} not among attributes {names}")
+    return names, names.index(target), table, kinds, lines
 
 
 def load_dataset(path, format: str = "csv", target: str = "class",
@@ -196,9 +222,9 @@ def load_dataset(path, format: str = "csv", target: str = "class",
         raise DatasetFormatError(f"dataset file not found: {path}")
     tokens = set(missing_tokens)
     if format == "csv":
-        header, t_idx, table, kinds = _load_csv(path, target, tokens, delimiter)
+        header, t_idx, table, kinds, lines = _load_csv(path, target, tokens, delimiter)
     elif format == "arff":
-        header, t_idx, table, kinds = _load_arff(path, target, tokens)
+        header, t_idx, table, kinds, lines = _load_arff(path, target, tokens)
     else:
         raise ConfigError(f"unknown dataset format {format!r}")
 
@@ -207,7 +233,7 @@ def load_dataset(path, format: str = "csv", target: str = "class",
     target_vals = columns[t_idx]
     if any(v is None for v in target_vals):
         bad = next(i for i, v in enumerate(target_vals) if v is None)
-        raise DatasetFormatError(f"{path}: data row {bad + 1}: missing target value")
+        raise DatasetFormatError(f"{path}: line {lines[bad]}: missing target value")
 
     feat_names, feat_cols, feat_kinds = [], [], []
     for c_idx in range(n_col):
@@ -224,7 +250,7 @@ def load_dataset(path, format: str = "csv", target: str = "class",
                     parsed.append(float(v))
                 except ValueError:
                     raise DatasetFormatError(
-                        f"{path}: row {r_idx + 1}, column {header[c_idx]!r}: "
+                        f"{path}: line {lines[r_idx]}, column {header[c_idx]!r}: "
                         f"non-numeric value {v!r} in a numeric attribute") from None
             col = parsed
         feat_names.append(header[c_idx])
@@ -358,10 +384,11 @@ def save_model(model: DINModel, path) -> None:
         "sha256": hashlib.sha256(_canonical(payload)).hexdigest(),
         "payload": payload,
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    with naming_os_errors("write", path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+            fh.write("\n")
 
 
 _NUMBER = (int, float)
@@ -408,7 +435,7 @@ def _check_items(values, kind, where: str) -> None:
 def load_model(path) -> DINModel:
     """Read a model file back; a bad checksum, version or payload raises."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with naming_os_errors("read", path), open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
@@ -494,9 +521,12 @@ def fetch_ckd(dest_dir, url: str = CKD_URL, sha256: str | None = None) -> Path:
     the extracted table (400 rows, 24 features, two classes).  Returns the
     path of the preferred ('full') ARFF file.
     """
+    import urllib.request  # imported here: every command would pay for it at import
+
     dest = Path(dest_dir)
-    dest.mkdir(parents=True, exist_ok=True)
-    with urllib.request.urlopen(url, timeout=60) as resp:
+    with naming_os_errors("write", dest):
+        dest.mkdir(parents=True, exist_ok=True)
+    with naming_os_errors("download", url), urllib.request.urlopen(url, timeout=60) as resp:
         blob = resp.read()
     if sha256 is not None:
         digest = hashlib.sha256(blob).hexdigest()
@@ -504,12 +534,15 @@ def fetch_ckd(dest_dir, url: str = CKD_URL, sha256: str | None = None) -> Path:
             raise DatasetFormatError(
                 f"downloaded archive checksum {digest} does not match expected {sha256}")
     extracted = []
-    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
-        for info in zf.infolist():
-            if info.filename.lower().endswith(".arff"):
-                name = Path(info.filename).name
-                (dest / name).write_bytes(zf.read(info))
-                extracted.append(dest / name)
+    try:
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf, naming_os_errors("write", dest):
+            for info in zf.infolist():
+                if info.filename.lower().endswith(".arff"):
+                    name = Path(info.filename).name
+                    (dest / name).write_bytes(zf.read(info))
+                    extracted.append(dest / name)
+    except zipfile.BadZipFile as exc:
+        raise DatasetFormatError(f"{url}: not a readable zip archive ({exc})") from None
     if not extracted:
         raise DatasetFormatError("archive contained no ARFF files")
     preferred = [p for p in extracted if "full" in p.name.lower()] or extracted

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class DinetError(Exception):
     """Base class for all package errors."""
@@ -27,3 +29,18 @@ class ModelFormatError(DinetError, ValueError):
 
 class ModelVersionError(ModelFormatError):
     """A model file was written by an unsupported format version."""
+
+
+class ResourceError(DinetError):
+    """A file or URL could not be read or written; the message names it."""
+
+
+@contextmanager
+def naming_os_errors(action: str, target):
+    """Re-raise an ``OSError`` of the block as a ``ResourceError`` naming ``target``."""
+    try:
+        yield
+    except OSError as exc:
+        # a URLError carries its cause in ``reason``, a plain OSError in ``strerror``
+        reason = getattr(exc, "reason", None) or exc.strerror or exc
+        raise ResourceError(f"cannot {action} {target}: {reason}") from None

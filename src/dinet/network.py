@@ -19,6 +19,13 @@ always solves its bottleneck, since its outputs must be aligned to classes.
 differ only in the per-node hook: training solves and samples on the
 training stream, prediction and ``analysis.mi_flow`` sample on their own.
 
+Sampling is a table and a draw: ``channel_cdf`` turns a channel into its
+table of cumulative thresholds, the consumer gathers the columns of a
+node's input symbols, and ``sample_channel`` draws from them.  Prediction
+builds each node's table once per call, and since every ensemble repeat
+feeds layer 0 the same columns, it gathers the layer-0 thresholds once for
+all repeats.
+
 Every random draw comes from a stream keyed by (master seed, purpose,
 [repeat,] layer, position), so training and prediction are reproducible and
 nodes never share randomness.  Stream i is numpy's
@@ -302,6 +309,7 @@ def mux_combine(inputs, radices) -> np.ndarray:
     """Losslessly pack parallel symbol vectors into one mixed-radix vector.
 
     The first input is the low-order digit: out = v0 + r0*v1 + r0*r1*v2 + ...
+    Every symbol must lie in ``[0, r)`` of its radix.
     """
     if len(inputs) != len(radices):
         raise ValidationError("need one radix per input vector")
@@ -309,13 +317,15 @@ def mux_combine(inputs, radices) -> np.ndarray:
         raise ValidationError("a multiplexer combines at least two inputs")
     vecs = [np.asarray(v, dtype=np.int64) for v in inputs]
     n = vecs[0].size
-    out = np.zeros(n, dtype=np.int64)
-    scale = 1
     for v, r in zip(vecs, radices):
         if v.size != n:
             raise ValidationError("input vectors must share one length")
-        if v.size and (v.min() < 0 or v.max() >= r):
+        # viewed unsigned, a negative symbol is >= 2**63: one scan checks both ends
+        if n and v.view(np.uint64).max() >= r:
             raise ValidationError(f"symbol outside [0, {r})")
+    out = vecs[0].copy()
+    scale = int(radices[0])
+    for v, r in zip(vecs[1:], radices[1:]):
         out += scale * v
         scale *= int(r)
     return out
@@ -351,7 +361,7 @@ class TrainedNode:
 class DINModel:
     topology: Topology
     nodes: dict              # (layer, position) -> TrainedNode
-    quantizers: tuple        # FeatureSpec per feature ([] when trained on symbols)
+    quantizers: tuple        # FeatureSpec per layer-0 node, () when trained on symbols
     feature_names: tuple
     class_names: tuple
     class_alignment: tuple   # final output symbol -> class label index
@@ -370,6 +380,10 @@ class DINModel:
                 raise ValidationError(
                     f"node {key}: n_in/n_out ({node.n_in}, {node.n_out}) and channel "
                     f"shape {node.channel.p.shape} must match the topology's {shape}")
+        cards = tuple(spec.cardinality for spec in self.quantizers)
+        if cards and cards != layers[0].n_in:
+            raise ValidationError(
+                f"quantizer cardinalities {cards} must match layer 0's n_in {layers[0].n_in}")
         align = tuple(int(a) for a in self.class_alignment)
         if sorted(align) != list(range(self.topology.n_class)):
             raise ValidationError("class_alignment must be a bijection on the classes")
@@ -380,24 +394,32 @@ class DINModel:
         return self.topology.n_class
 
 
-def sample_channel(channel: np.ndarray, symbols: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Draw one output symbol per element, row ``symbols[n]`` of the channel.
+def channel_cdf(channel: np.ndarray) -> np.ndarray:
+    """The ``(n_out - 1, n_in)`` table of each row's cumulative thresholds.
 
-    Inverse-CDF sampling with one uniform draw ``u[n]`` per element: the
-    output is the number of the first ``n_out - 1`` cumulative thresholds
-    of the row that ``u[n]`` exceeds.  Channel entries are non-negative, so
-    each cumulative row is non-decreasing and the thresholds exceeded form
-    a prefix; counting only the first ``n_out - 1`` is therefore exactly
-    the full count clamped to ``n_out - 1``, which absorbs rows whose last
-    threshold rounds below 1.  The work is one gather and compare per
-    column over the whole symbol vector.
+    Column ``x`` holds the first ``n_out - 1`` partial sums of channel row
+    ``x``; the last sum is left out (see ``sample_channel``).  The table is
+    contiguous, so gathering the columns of a symbol vector with
+    ``take(symbols, axis=1)`` reads each threshold row in one pass.
     """
-    cum = np.cumsum(channel, axis=1)
-    u = rng.random(symbols.size)
-    out = np.zeros(symbols.size, dtype=np.int64)
-    for j in range(channel.shape[1] - 1):
-        out += u > cum[:, j].take(symbols)
+    return np.ascontiguousarray(np.cumsum(channel, axis=1)[:, :-1].T)
+
+
+def sample_channel(thresholds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one output symbol per column of a gathered threshold table.
+
+    ``thresholds`` is ``channel_cdf(channel).take(symbols, axis=1)``.
+    Inverse-CDF sampling with one uniform draw ``u[n]`` per column: the
+    output is the number of column ``n``'s thresholds that ``u[n]`` exceeds.
+    Channel entries are non-negative, so each cumulative row is
+    non-decreasing and the thresholds exceeded form a prefix; counting only
+    the first ``n_out - 1`` is therefore exactly the full count clamped to
+    ``n_out - 1``, which absorbs rows whose last threshold rounds below 1.
+    """
+    u = rng.random(thresholds.shape[1])
+    out = np.zeros(thresholds.shape[1], dtype=np.int64)
+    for row in thresholds:
+        out += u > row
     return out
 
 
@@ -486,7 +508,8 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
             mi_out_y=sol.diagnostics.i_y_out,
         )
         final_solution = sol  # the walk ends on the final node
-        return sample_channel(sol.channel.p, symbols, rngs[(layer_idx, k)])
+        return sample_channel(channel_cdf(sol.channel.p).take(symbols, axis=1),
+                              rngs[(layer_idx, k)])
 
     for _ in walk(topology, data.columns, node):
         pass
@@ -521,16 +544,21 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     if mode == "ensemble" and repeats < 1:
         raise ValidationError("ensemble needs repeats >= 1")
     passes = repeats if mode == "ensemble" else 1
-    keys = [(r, *slot) for r in range(passes) for slot in model.topology.slots]
+    topo = model.topology
+    keys = [(r, *slot) for r in range(passes) for slot in topo.slots]
     rngs = dict(zip(keys, stream_rngs((seed, _STREAM_PREDICT), keys)))
+    tables = {slot: channel_cdf(model.nodes[slot].channel.p) for slot in topo.slots}
+    # every repeat feeds layer 0 the same columns, so gather its thresholds once
+    first = [tables[(0, k)].take(np.asarray(c, dtype=np.int64), axis=1)
+             for k, c in enumerate(data.columns)]
     align = np.asarray(model.class_alignment, dtype=np.int64)
 
     def one_pass(r):
         def node(layer, pos, symbols):
-            return sample_channel(model.nodes[(layer, pos)].channel.p, symbols,
-                                  rngs[(r, layer, pos)])
+            gathered = first[pos] if layer == 0 else tables[(layer, pos)].take(symbols, axis=1)
+            return sample_channel(gathered, rngs[(r, layer, pos)])
 
-        for _, _, outputs in walk(model.topology, data.columns, node):
+        for _, _, outputs in walk(topo, data.columns, node):
             pass
         return align[outputs[0]]
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,7 +420,7 @@ class TestCommands:
         "quantizer.default_levels=abc", "dataset.synthetic_rows=abc",
         "model.beta=NaN", f"model.beta={10**400}", "model.max_iter=true", "seed=-1",
         "dataset.synthetic_rows=0",
-        'dataset.missing_tokens="?"', "model.n_out=[3.0, 2]",
+        'dataset.missing_tokens="?"', "model.n_out=[3.0, 2]", 'dataset.delimiter=""',
     ])
     def test_mistyped_override_exits_2(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
@@ -440,7 +444,72 @@ class TestCommands:
         assert record["error"] == "ConfigError"
         assert record["message"].startswith("run 0 failed: ")
 
+    def one_error_line(self, err):
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    @pytest.mark.parametrize("flag", ["--model-out", "--metrics-out", "--miflow-out"])
+    def test_unwritable_output_exits_1_naming_it(self, config_file, tmp_path, capsys, flag):
+        paths = {f: str(tmp_path / f"{f[2:]}.out")
+                 for f in ("--model-out", "--metrics-out", "--miflow-out")}
+        paths[flag] = str(tmp_path)  # a directory
+        code, out, err = self.run("train", "--config", str(config_file), "--quiet",
+                                  *[arg for item in paths.items() for arg in item],
+                                  capsys=capsys)
+        assert (code, out) == (1, "")
+        record = self.one_error_line(err)
+        assert record["error"] == "ResourceError"
+        assert record["message"].startswith(f"cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "inspect"])
+    def test_missing_model_exits_1_naming_it(self, config_file, tmp_path, capsys, command):
+        model = tmp_path / "missing.json"
+        code, out, err = self.run(command, "--config", str(config_file), "--quiet",
+                                  "--model", str(model), "--out", "", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert self.one_error_line(err) == {
+            "error": "ResourceError",
+            "message": f"cannot read {model}: No such file or directory"}
+
+    def test_unreadable_archive_exits_1_naming_it(self, tmp_path, capsys):
+        url = (tmp_path / "missing.zip").as_uri()
+        code, out, err = self.run("fetch-data", "--dest", str(tmp_path / "data"),
+                                  "--url", url, capsys=capsys)
+        assert (code, out) == (1, "")
+        record = self.one_error_line(err)
+        assert record["error"] == "ResourceError"
+        assert record["message"].startswith(f"cannot download {url}: ")
+
+    def test_directory_as_input_exits_1_naming_it(self, config_file, tmp_path, capsys):
+        code, _, err = self.run("train", "--config", str(tmp_path), capsys=capsys)
+        assert code == 1
+        assert self.one_error_line(err)["message"].startswith(f"cannot read {tmp_path}: ")
+        cfg = dict(SYNTH_CONFIG, dataset={"format": "csv", "path": str(tmp_path),
+                                          "positive_class": "ckd"})
+        config_file.write_text(json.dumps(cfg))
+        code, _, err = self.run("train", "--config", str(config_file), "--quiet",
+                                capsys=capsys)
+        assert code == 1
+        assert self.one_error_line(err) == {
+            "error": "ResourceError", "message": f"cannot read {tmp_path}: Is a directory"}
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'{"seed": "\xff"}')
+        code, _, err = self.run("train", "--config", str(p), capsys=capsys)
+        assert code == 2
+        assert self.one_error_line(err)["error"] == "ConfigError"
+
     def test_config_file_not_found_exits_2(self, tmp_path, capsys):
         code, _, err = self.run("train", "--config", str(tmp_path / "nope.json"),
                                 capsys=capsys)
         assert code == 2
+
+
+def test_importing_the_cli_leaves_urllib_request_unloaded():
+    # only fetch-data downloads; every other command should not pay for the import
+    src = Path(cli.__file__).resolve().parent.parent
+    check = "import sys, dinet.cli; sys.exit('urllib.request' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import re
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from dinet import (
     split,
 )
 from dinet.dataio import check_ckd_shape, fetch_ckd
-from dinet.errors import ConfigError
+from dinet.errors import ConfigError, ResourceError
 
 CSV_BODY = """age,grade,flag,class
 48,2,yes,ckd
@@ -162,6 +165,22 @@ class TestFetch:
         with pytest.raises(DatasetFormatError, match="checksum"):
             fetch_ckd(tmp_path / "data", url=archive.as_uri(), sha256="0" * 64)
 
+    def test_unreadable_url_names_it(self, tmp_path):
+        url = (tmp_path / "missing.zip").as_uri()
+        with pytest.raises(ResourceError, match=re.escape(f"cannot download {url}")):
+            fetch_ckd(tmp_path / "data", url=url)
+
+    def test_unwritable_destination_names_it(self, archive, tmp_path):
+        dest = archive / "data"  # below a file
+        with pytest.raises(ResourceError, match=re.escape(f"cannot write {dest}")):
+            fetch_ckd(dest, url=archive.as_uri())
+
+    def test_archive_that_is_no_zip(self, tmp_path):
+        blob = tmp_path / "ckd.zip"
+        blob.write_text("not a zip archive")
+        with pytest.raises(DatasetFormatError, match="zip"):
+            fetch_ckd(tmp_path / "data", url=blob.as_uri())
+
 
 class TestRealKidneyTable:
     """Sanity checks on the fetched UCI file (skipped until fetched)."""
@@ -291,6 +310,15 @@ class TestModelPersistence:
         with pytest.raises(ModelVersionError, match="999"):
             load_model(path)
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_file_names_it(self, tmp_path, name):
+        with pytest.raises(ResourceError, match=re.escape(f"cannot read {tmp_path / name}")):
+            load_model(tmp_path / name)
+
+    def test_unwritable_path_names_it(self, tmp_path):
+        with pytest.raises(ResourceError, match=re.escape(f"cannot write {tmp_path}")):
+            save_model(small_model(), tmp_path)
+
     def test_foreign_json_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": "world"}')
@@ -396,6 +424,16 @@ class TestMalformedPayload:
         except ModelFormatError:
             pass
 
+    @pytest.mark.parametrize("edit", [
+        lambda specs: next(s for s in specs if s["kind"] == "continuous").update(levels=15),
+        lambda specs: specs.pop(),
+    ], ids=["levels-raised", "spec-dropped"])
+    def test_quantizers_must_fit_layer_0(self, model_doc, tmp_path, edit):
+        doc = json.loads(json.dumps(model_doc))
+        edit(doc["payload"]["quantizers"])
+        with pytest.raises(ModelFormatError, match="quantizer cardinalities"):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
     def test_nan_channel_entry(self, model_doc, tmp_path):
         doc = json.loads(json.dumps(model_doc))
         doc["payload"]["nodes"][0]["channel"][0][0] = float("nan")
@@ -420,3 +458,72 @@ class TestMalformedPayload:
         doc = dict(model_doc, payload=[1, 2])
         with pytest.raises(ModelFormatError, match="object"):
             load_model(write_resigned(doc, tmp_path / "model.json"))
+
+
+# fragments that reach every branch of the two parsers, plus free text
+CELLS = (st.sampled_from(["", "?", "1", "2.5", "-3", "nan", "x", "y", "yes", "'q'", '"a,b"', '"',
+                          " 7 ", "\t", "class"])
+         | st.text(alphabet="ab1 ,'\"{}@%?\t\r", max_size=4))
+CSV_LINES = st.one_of(
+    st.sampled_from(["a,class", "class", "class,b,c", "'class',x", "", " , ", "a,b"]),
+    st.lists(CELLS, min_size=1, max_size=4).map(",".join),
+    st.text(max_size=8))
+ARFF_LINES = st.one_of(
+    st.sampled_from(["@relation r", "@attribute", "@attribute a numeric", "@attribute 'b c' {x,y}",
+                     "@attribute class {x,y}", "@attribute 'class' {x,y}", "@attribute c string",
+                     "@attribute 'q", "@attribute class {x", "@attribute \"n\"", "@data", "@DATA",
+                     "% note", "@Attribute d REAL", ""]),
+    st.lists(CELLS, min_size=1, max_size=4).map(",".join),
+    st.text(max_size=8))
+
+
+def error_line(path, message):
+    """The line number a parse error of ``path`` names after the path, or None."""
+    found = re.match(re.escape(f"{path}: line ") + r"(\d+)\b", message)
+    return int(found.group(1)) if found else None
+
+
+@pytest.mark.parametrize("fmt, text, line", [
+    ("csv", b"a,class\n\n1,x\n\n1,2,x\n", 5),
+    ("csv", b'\n"a\nb",class\n1,x,y\n', 4),
+    ("csv", b"a,class\r1,x\r\xff,y\r", 3),
+    ("arff", b"@relation r\n@attribute\n", 2),
+    ("arff", b"@relation r\n\n@attribute 'q numeric\n", 3),
+    ("arff", b"@attribute a numeric\n@attribute class {x}\n@data\n\nabc,x\n", 5),
+    ("arff", b"@attribute a numeric\n@data\n1\n", 2),
+], ids=["csv-after-blank-lines", "csv-after-a-multiline-header", "csv-not-utf8",
+        "arff-attribute-alone", "arff-unterminated-name", "arff-non-numeric", "arff-no-target"])
+def test_format_error_names_the_line(tmp_path, fmt, text, line):
+    path = tmp_path / f"table.{fmt}"
+    path.write_bytes(text)
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(path, format=fmt, target="class")
+    assert error_line(path, str(info.value)) == line
+
+
+class TestRandomText:
+    @pytest.mark.parametrize("fmt, lines", [("csv", CSV_LINES), ("arff", ARFF_LINES)],
+                             ids=["csv", "arff"])
+    def test_parses_or_names_a_line(self, fmt, lines):
+        @settings(max_examples=400, deadline=None)
+        @given(st.lists(lines, max_size=8), st.sampled_from(["\n", "\r\n"]),
+               st.sampled_from([b"", b"\xff", b"\xc3"]), st.floats(0, 1))
+        def check(rows, newline, junk, where):
+            text = newline.join(rows)
+            raw = text.encode("utf-8")
+            cut = int(where * len(raw))  # junk bytes make the file invalid UTF-8
+            blob = raw[:cut] + junk + raw[cut:]
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / f"table.{fmt}"
+                path.write_bytes(blob)
+                try:
+                    data = load_dataset(path, format=fmt, target="class")
+                except DatasetFormatError as exc:
+                    line = error_line(path, str(exc))
+                    # both parsers count "\r", "\n" and "\r\n" as line ends
+                    n_lines = len(re.split("\r\n|\r|\n", blob.decode("utf-8", "replace")))
+                    assert line is not None and 1 <= line <= n_lines, str(exc)
+                    return
+            assert data.n_rows == len(data.target)
+
+        check()

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dinet.network import (
     _STREAM_MIFLOW,
     _STREAM_PREDICT,
     _STREAM_TRAIN_SAMPLE,
+    channel_cdf,
     derive_seed,
     sample_channel,
     stream_rngs,
@@ -127,6 +129,41 @@ def test_mux_round_trip_any_radices(case):
         assert np.array_equal(orig, rec)
 
 
+DIGIT_DTYPES = (np.int64, np.int32, np.uint8, np.bool_)
+
+
+@st.composite
+def mux_inputs(draw):
+    """2-4 digit vectors of one length and mixed dtypes, with radices 0-10."""
+    n = draw(st.integers(0, 12))
+    vecs, radices = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        dtype = draw(st.sampled_from(DIGIT_DTYPES))
+        if dtype is np.bool_:
+            values = st.booleans()
+        else:
+            info = np.iinfo(dtype)
+            values = (st.integers(max(-2, int(info.min)), 12)
+                      | st.sampled_from([int(info.min), int(info.max)]))
+        vecs.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+        radices.append(draw(st.integers(0, 10)))
+    return vecs, radices
+
+
+@settings(max_examples=300, deadline=None)
+@given(mux_inputs())
+def test_mux_combine_checks_ranges_and_packs_like_python_ints(case):
+    vecs, radices = case
+    digits = [[int(d) for d in v] for v in vecs]
+    if any(not 0 <= d < r for column, r in zip(digits, radices) for d in column):
+        with pytest.raises(ValidationError, match="outside"):
+            mux_combine(vecs, radices)
+        return
+    got = mux_combine(vecs, radices)
+    want = [sum(d * math.prod(radices[:k]) for k, d in enumerate(row)) for row in zip(*digits)]
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def sample_channel_oracle(channel, symbols, rng):
     """The clamped inverse-CDF formula over the full (rows, n_out) comparison."""
     cum = np.cumsum(channel, axis=1)
@@ -159,7 +196,8 @@ class TestSampling:
     def test_matches_clamped_inverse_cdf(self, channel, data, seed):
         symbols = np.array(data.draw(st.lists(st.integers(0, channel.shape[0] - 1),
                                               max_size=40)), dtype=np.int64)
-        got = sample_channel(channel, symbols, np.random.default_rng(seed))
+        got = sample_channel(channel_cdf(channel).take(symbols, axis=1),
+                             np.random.default_rng(seed))
         want = sample_channel_oracle(channel, symbols, np.random.default_rng(seed))
         assert got.dtype == np.int64 and got.shape == symbols.shape
         assert np.array_equal(got, want)
@@ -174,7 +212,7 @@ class TestSampling:
                 return np.array([0.25, 0.5, 0.75, 1.0 - 1e-11])[:n]
 
         symbols = np.zeros(4, dtype=np.int64)
-        got = sample_channel(channel, symbols, FixedDraws())
+        got = sample_channel(channel_cdf(channel).take(symbols, axis=1), FixedDraws())
         assert got.tolist() == [0, 0, 1, 1]
         assert np.array_equal(got, sample_channel_oracle(channel, symbols, FixedDraws()))
 
@@ -182,13 +220,13 @@ class TestSampling:
         chan = np.eye(3)
         rng = numpy_stream(0)
         x = np.array([2, 0, 1, 1])
-        assert np.array_equal(sample_channel(chan, x, rng), x)
+        assert np.array_equal(sample_channel(channel_cdf(chan).take(x, axis=1), rng), x)
 
     def test_marginal_frequencies(self):
         chan = np.array([[0.8, 0.2], [0.1, 0.9]])
         rng = numpy_stream(1)
         x = np.zeros(20000, dtype=int)
-        out = sample_channel(chan, x, rng)
+        out = sample_channel(channel_cdf(chan).take(x, axis=1), rng)
         assert out.mean() == pytest.approx(0.2, abs=0.01)
 
 
@@ -425,7 +463,8 @@ def propagate_oracle(topology, channels, columns, rngs, record=None):
     current = [np.asarray(c, dtype=np.int64) for c in columns]
     for layer_idx, layer in enumerate(topology.layers):
         sampled = [
-            sample_channel(channels[(layer_idx, k)], current[k], rngs(layer_idx, k))
+            sample_channel(channel_cdf(channels[(layer_idx, k)]).take(current[k], axis=1),
+                           rngs(layer_idx, k))
             for k in range(layer.size)
         ]
         if record is not None:
@@ -534,17 +573,23 @@ class TestWalk:
         from dinet import network
 
         calls = []
-        solve, sample = network.solve_ib, network.sample_channel
+        tabled = []  # the channels handed to channel_cdf, in order
+        solve, cdf, sample = network.solve_ib, network.channel_cdf, network.sample_channel
 
         def recording_solve(problem, **kwargs):
             calls.append(("solve", kwargs["seed"]))
             return solve(problem, **kwargs)
 
-        def recording_sample(channel, symbols, rng):
-            calls.append(("sample", channel, rng.bit_generator.state))
-            return sample(channel, symbols, rng)
+        def recording_cdf(channel):
+            tabled.append(channel)
+            return cdf(channel)
+
+        def recording_sample(thresholds, rng):
+            calls.append(("sample", tabled[-1], rng.bit_generator.state))
+            return sample(thresholds, rng)
 
         monkeypatch.setattr(network, "solve_ib", recording_solve)
+        monkeypatch.setattr(network, "channel_cdf", recording_cdf)
         monkeypatch.setattr(network, "sample_channel", recording_sample)
         rng = np.random.default_rng(10)
         cards = [2, 3, 4, 2, 3]
@@ -556,6 +601,7 @@ class TestWalk:
 
         slots = [(i, k) for i, size in enumerate(topo.layer_sizes) for k in range(size)]
         assert len(calls) == 2 * len(slots)
+        assert len(tabled) == len(slots)
         for (i, k), (solved, sampled) in zip(slots, zip(calls[::2], calls[1::2])):
             assert solved == ("solve", derive_seed(4, network._STREAM_IB, i, k))
             assert sampled[0] == "sample" and sampled[1] is model.nodes[(i, k)].channel.p
