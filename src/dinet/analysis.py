@@ -23,10 +23,12 @@ depend on this reuse.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_text
 from .errors import SchemaMismatchError, ValidationError
 from .infotheory import ConditionalMatrix, entropy_raw, joint_mi_raw
 from .network import (
@@ -68,20 +70,21 @@ class MIFlowReport:
     muxes: tuple
 
     def to_csv(self, path) -> None:
-        """Flat CSV: one row per node or mux, quantities in bits."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kind", "layer", "position", "stage",
-                        "mi_in_y", "mi_out_y", "h_out",
-                        "lower_bound", "observed", "upper_bound"])
-            for n in self.nodes:
-                w.writerow(["node", n.layer, n.position, "",
-                            repr(n.mi_in_y), repr(n.mi_out_y), repr(n.h_out),
-                            "", "", ""])
-            for m in self.muxes:
-                w.writerow(["mux", m.layer, m.position, m.stage, "", "", "",
-                            repr(m.lower_bound), repr(m.observed),
-                            repr(m.upper_bound)])
+        """Write a flat CSV: one row per node or mux, quantities in bits, CRLF row ends."""
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["kind", "layer", "position", "stage",
+                    "mi_in_y", "mi_out_y", "h_out",
+                    "lower_bound", "observed", "upper_bound"])
+        for n in self.nodes:
+            w.writerow(["node", n.layer, n.position, "",
+                        repr(n.mi_in_y), repr(n.mi_out_y), repr(n.h_out),
+                        "", "", ""])
+        for m in self.muxes:
+            w.writerow(["mux", m.layer, m.position, m.stage, "", "", "",
+                        repr(m.lower_bound), repr(m.observed),
+                        repr(m.upper_bound)])
+        write_text(path, buf.getvalue())
 
 
 def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) -> ConditionalMatrix:

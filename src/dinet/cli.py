@@ -29,12 +29,15 @@ from .dataio import (
     CKD_URL,
     RawDataset,
     fetch_ckd,
+    is_finite_number,
     load_dataset,
     load_model,
+    read_text,
     save_model,
     split,
+    write_text,
 )
-from .errors import ConfigError, DatasetFormatError, DinetError, naming_os_errors
+from .errors import ConfigError, DatasetFormatError, DinetError
 from .network import build_topology, derive_seed, predict, train_network, tree_layer_sizes
 from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
@@ -124,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("dataset.delimiter must be one character")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not 0 <= self.split.positive_fraction <= 1:
+            raise ConfigError("split.positive_fraction must be in [0, 1]")
         if self.split.stratify not in ("none", "balanced"):
             raise ConfigError(f"unknown stratify mode {self.split.stratify!r}")
         if self.prediction.mode not in ("stochastic", "ensemble"):
@@ -142,8 +147,7 @@ def _is_int(v) -> bool:
 # the JSON value each field annotation admits: (description, test)
 _JSON_TYPES = {
     int: ("an integer", _is_int),
-    float: ("a finite number",  # NaN fails the comparison; so does an int no float holds
-            lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
+    float: ("a finite number", is_finite_number),
     str: ("a string", lambda v: isinstance(v, str)),
     int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
     int | list: ("an integer or a list of integers",
@@ -190,11 +194,9 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    with naming_os_errors("read", p):
-        text = p.read_bytes()
     try:
-        raw = json.loads(text.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raw = json.loads(read_text(p, ConfigError))
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
@@ -451,12 +453,8 @@ def report_json(report: dict) -> str:
 
 def _write(path, text):
     """Write ``text`` to ``path``; as for every output, an empty path means "do not write"."""
-    if not path:
-        return
-    p = Path(path)
-    with naming_os_errors("write", p):
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text, encoding="utf-8")
+    if path:
+        write_text(path, text)
 
 
 def _progress_printer(args):
@@ -475,9 +473,7 @@ def _progress_printer(args):
 def _write_mi_flow(model, rows: RawDataset, path) -> MIFlowReport:
     flow = mi_flow(model, quantize_with(model.quantizers, rows))
     if path:
-        with naming_os_errors("write", path):
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-            flow.to_csv(path)
+        flow.to_csv(path)
     return flow
 
 

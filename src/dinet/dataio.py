@@ -1,5 +1,10 @@
 """Dataset ingestion (CSV / minimal ARFF), splitting, model persistence.
 
+Every file is read by ``read_text`` (strict UTF-8: a bad byte is the
+caller's format error, naming its line) and written by ``write_text`` (UTF-8
+bytes, line ends as given on every platform, parent directory made on
+demand); a path that cannot be read or written raises ``ResourceError``.
+
 The ARFF support covers what the UCI Chronic Kidney Disease file needs:
 numeric and nominal attribute declarations, '%' comments, '?' missing
 cells, and the stray tabs/spaces that file is known for (every cell is
@@ -16,8 +21,9 @@ import hashlib
 import io
 import json
 import re
+import sys
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,22 +103,48 @@ class RawDataset:
         )
 
 
-def _clean_cell(raw: str, missing_tokens):
-    v = raw.strip().strip("'\"").strip()
-    return None if v in missing_tokens else v
+def read_text(path, error) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises ``error`` naming its line."""
+    path = Path(path)
+    with naming_os_errors("read", path):
+        raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_END.split(raw[:exc.start].decode("utf-8")))
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 bytes, line ends as given, making its directory."""
+    path = Path(path)
+    with naming_os_errors("write", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number a float holds: not a bool, NaN, an infinity or a larger int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _table_row(fields, n_fields, line_no, path, missing_tokens) -> list:
+    """A data row's cells, whitespace and quotes stripped, missing ones None."""
+    if len(fields) == n_fields + 1 and fields[-1].strip() == "":
+        fields = fields[:-1]          # tolerate a trailing comma
+    if len(fields) != n_fields:
+        raise DatasetFormatError(
+            f"{path}: line {line_no}: expected {n_fields} fields, got {len(fields)}")
+    cells = (f.strip().strip("'\"").strip() for f in fields)
+    return [None if c in missing_tokens else c for c in cells]
 
 
 def _load_csv(path, target, missing_tokens, delimiter=","):
     """Header, target index, cell table, kinds, and each table row's line number."""
     import csv as _csv
 
-    with naming_os_errors("read", path):
-        raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(_LINE_END.split(raw[:exc.start].decode("utf-8")))
-        raise DatasetFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    text = read_text(path, DatasetFormatError)
     rows = []  # (first line, fields) of each non-blank record
     reader = _csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     start = 1
@@ -133,12 +165,7 @@ def _load_csv(path, target, missing_tokens, delimiter=","):
     t_idx = header.index(target)
     table, lines = [], []
     for line_no, row in rows[1:]:
-        if len(row) == len(header) + 1 and row[-1].strip() == "":
-            row = row[:-1]          # tolerate a trailing comma
-        if len(row) != len(header):
-            raise DatasetFormatError(
-                f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-        table.append([_clean_cell(c, missing_tokens) for c in row])
+        table.append(_table_row(row, len(header), line_no, path, missing_tokens))
         lines.append(line_no)
     return header, t_idx, table, [None] * len(header), lines
 
@@ -173,33 +200,25 @@ def _load_arff(path, target, missing_tokens):
     names, kinds = [], []
     table, lines = [], []
     data_line = None  # line of the @data marker
-    line_no = 1
-    with naming_os_errors("read", path), open(path, encoding="utf-8", errors="replace") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
+    for line_no, raw in enumerate(_LINE_END.split(read_text(path, DatasetFormatError)), 1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        low = line.lower()
+        if data_line is None:
+            if low.startswith("@relation"):
                 continue
-            low = line.lower()
-            if data_line is None:
-                if low.startswith("@relation"):
-                    continue
-                if low.startswith("@attribute"):
-                    name, kind = _parse_arff_attribute(line, line_no, path)
-                    names.append(name)
-                    kinds.append(kind)
-                    continue
-                if low.startswith("@data"):
-                    data_line = line_no
-                    continue
-                raise DatasetFormatError(f"{path}: line {line_no}: unexpected {line!r}")
-            cells = [c for c in line.split(",")]
-            if len(cells) == len(names) + 1 and cells[-1].strip() == "":
-                cells = cells[:-1]
-            if len(cells) != len(names):
-                raise DatasetFormatError(
-                    f"{path}: line {line_no}: expected {len(names)} fields, got {len(cells)}")
-            table.append([_clean_cell(c, missing_tokens) for c in cells])
-            lines.append(line_no)
+            if low.startswith("@attribute"):
+                name, kind = _parse_arff_attribute(line, line_no, path)
+                names.append(name)
+                kinds.append(kind)
+                continue
+            if low.startswith("@data"):
+                data_line = line_no
+                continue
+            raise DatasetFormatError(f"{path}: line {line_no}: unexpected {line!r}")
+        table.append(_table_row(line.split(","), len(names), line_no, path, missing_tokens))
+        lines.append(line_no)
     if data_line is None or not names:
         raise DatasetFormatError(f"{path}: line {line_no}: not a usable ARFF file "
                                  "(it needs @attribute lines and a @data section)")
@@ -277,6 +296,8 @@ def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",
     """
     if not 0 < n_train < data.n_rows:
         raise ValidationError(f"n_train must be in (0, {data.n_rows}), got {n_train}")
+    if not 0 <= positive_fraction <= 1:
+        raise ValidationError(f"positive_fraction must be in [0, 1], got {positive_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.n_rows)
     if stratify == "none":
@@ -314,30 +335,6 @@ def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",
 # ---------------------------------------------------------------------------
 # model persistence
 
-def _spec_to_dict(spec: FeatureSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "has_missing": spec.has_missing,
-        "name": spec.name,
-        "levels": spec.levels,
-        "vmin": spec.vmin,
-        "vmax": spec.vmax,
-        "categories": list(spec.categories),
-    }
-
-
-def _spec_from_dict(d: dict) -> FeatureSpec:
-    return FeatureSpec(
-        kind=d["kind"],
-        has_missing=d["has_missing"],
-        name=d["name"],
-        levels=d["levels"],
-        vmin=d["vmin"],
-        vmax=d["vmax"],
-        categories=tuple(d["categories"]),
-    )
-
-
 def _model_payload(model: DINModel) -> dict:
     topo = model.topology
     return {
@@ -351,7 +348,7 @@ def _model_payload(model: DINModel) -> dict:
             for layer in topo.layers
         ],
         "mux_groups": [[list(g) for g in stage] for stage in topo.mux_groups],
-        "quantizers": [_spec_to_dict(s) for s in model.quantizers],
+        "quantizers": [asdict(s) for s in model.quantizers],
         "nodes": [
             {
                 "layer": layer,
@@ -384,11 +381,7 @@ def save_model(model: DINModel, path) -> None:
         "sha256": hashlib.sha256(_canonical(payload)).hexdigest(),
         "payload": payload,
     }
-    with naming_os_errors("write", path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+    write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 _NUMBER = (int, float)
@@ -410,8 +403,10 @@ _SPEC_TYPES = dict(kind=str, has_missing=bool, name=str, levels=(int, type(None)
 
 
 def _is_a(value, kind) -> bool:
-    """``isinstance`` for JSON values, where a bool is not a number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    """``isinstance`` for JSON values, where a bool is not a number and a number is finite."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) and (is_finite_number(value) or not isinstance(value, _NUMBER))
 
 
 def _check_types(obj, types: dict, where: str) -> None:
@@ -422,22 +417,21 @@ def _check_types(obj, types: dict, where: str) -> None:
         if key not in obj:
             raise ModelFormatError(f"{where} lacks key {key!r}")
         if not _is_a(obj[key], kind):
-            raise ModelFormatError(f"{where} key {key!r} has type {type(obj[key]).__name__}")
+            raise ModelFormatError(f"{where} key {key!r} holds {obj[key]!r:.40}")
 
 
 def _check_items(values, kind, where: str) -> None:
     """Every entry of a JSON list is of one JSON type."""
     for value in values:
         if not _is_a(value, kind):
-            raise ModelFormatError(f"{where} holds a {type(value).__name__}")
+            raise ModelFormatError(f"{where} holds {value!r:.40}")
 
 
 def load_model(path) -> DINModel:
     """Read a model file back; a bad checksum, version or payload raises."""
     try:
-        with naming_os_errors("read", path), open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(read_text(path, ModelFormatError))
+    except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
@@ -451,6 +445,8 @@ def load_model(path) -> DINModel:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
 
     _check_types(payload, _PAYLOAD_TYPES, f"{path}: payload")
+    if payload["beta"] <= 0 or payload["seed"] < 0:
+        raise ModelFormatError(f"{path}: payload needs beta > 0 and seed >= 0")
     for i, node in enumerate(payload["nodes"]):
         _check_types(node, _NODE_TYPES, f"{path}: payload node {i}")
     for i, layer in enumerate(payload["layers"]):
@@ -470,7 +466,7 @@ def load_model(path) -> DINModel:
         return _model_from_payload(payload)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: payload entry lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed payload ({exc})") from None
 
 
@@ -502,7 +498,8 @@ def _model_from_payload(payload: dict) -> DINModel:
     return DINModel(
         topology=topo,
         nodes=nodes,
-        quantizers=tuple(_spec_from_dict(d) for d in payload["quantizers"]),
+        quantizers=tuple(FeatureSpec(**{**d, "categories": tuple(d["categories"])})
+                         for d in payload["quantizers"]),
         feature_names=tuple(payload["feature_names"]),
         class_names=tuple(payload["class_names"]),
         class_alignment=tuple(payload["class_alignment"]),

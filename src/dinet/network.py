@@ -531,11 +531,11 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
                       mode: str = "stochastic", repeats: int = 25) -> np.ndarray:
     """Class label indices for already-quantized rows.
 
-    ``stochastic`` runs one sampled pass; ``ensemble`` repeats it and takes
-    a per-row majority vote (ties to the smaller label).  Repeat r samples
-    node (layer, pos) from the stream keyed (seed, r, layer, pos), and the
-    stochastic pass is repeat 0, so ensemble with repeats=1 reproduces
-    stochastic exactly.  All repeats' streams are seeded in one pass.
+    ``stochastic`` runs one sampled pass, ``ensemble`` ``repeats`` of them,
+    and each row takes its passes' majority vote (ties to the smaller
+    label).  Repeat r samples node (layer, pos) from the stream keyed
+    (seed, r, layer, pos), so ensemble with repeats=1 is stochastic exactly.
+    All repeats' streams are seeded in one pass.
     """
     if tuple(data.cardinalities) != tuple(model.topology.layers[0].n_in):
         raise SchemaMismatchError("dataset cardinalities do not match the model")
@@ -562,11 +562,9 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
             pass
         return align[outputs[0]]
 
-    if mode == "stochastic":
-        return one_pass(0)
     votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
     rows = np.arange(data.n_rows)
-    for r in range(repeats):
+    for r in range(passes):
         votes[rows, one_pass(r)] += 1
     return votes.argmax(axis=1)
 

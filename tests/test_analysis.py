@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dinet import (
     train_network,
 )
 from dinet.analysis import MIFlowReport, MuxFlow
+from dinet.errors import ResourceError
 from dinet.ib import IBDiagnostics
 from dinet.network import mux_combine
 
@@ -192,6 +194,15 @@ class TestMiFlow:
         assert len(rows) == len(rep.nodes) + len(rep.muxes)
         node0 = next(r for r in rows if r["kind"] == "node")
         assert float(node0["mi_in_y"]) >= 0.0
+
+    def test_csv_into_a_missing_directory_creates_it(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "flow.csv"
+        MIFlowReport(nodes=(), muxes=()).to_csv(out)
+        assert out.read_bytes().startswith(b"kind,layer,position,stage,")
+
+    def test_csv_into_a_directory_names_it(self, tmp_path):
+        with pytest.raises(ResourceError, match=re.escape(f"cannot write {tmp_path}")):
+            MIFlowReport(nodes=(), muxes=()).to_csv(tmp_path)
 
 
 class TestKidneyFlow:

@@ -421,6 +421,7 @@ class TestCommands:
         "model.beta=NaN", f"model.beta={10**400}", "model.max_iter=true", "seed=-1",
         "dataset.synthetic_rows=0",
         'dataset.missing_tokens="?"', "model.n_out=[3.0, 2]", 'dataset.delimiter=""',
+        "split.positive_fraction=1.5", "split.positive_fraction=-0.5",
     ])
     def test_mistyped_override_exits_2(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
@@ -499,7 +500,8 @@ class TestCommands:
         p.write_bytes(b'{"seed": "\xff"}')
         code, _, err = self.run("train", "--config", str(p), capsys=capsys)
         assert code == 2
-        assert self.one_error_line(err)["error"] == "ConfigError"
+        assert self.one_error_line(err) == {
+            "error": "ConfigError", "message": f"{p}: line 1: not UTF-8 text (invalid start byte)"}
 
     def test_config_file_not_found_exits_2(self, tmp_path, capsys):
         code, _, err = self.run("train", "--config", str(tmp_path / "nope.json"),

@@ -233,6 +233,12 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(data, 120, seed=0)
 
+    @pytest.mark.parametrize("fraction", [1.5, -0.5])
+    def test_positive_fraction_outside_unit_interval(self, data, fraction):
+        with pytest.raises(ValidationError, match="positive_fraction"):
+            split(data, 20, seed=0, stratify="balanced",
+                  positive_fraction=fraction, positive_label="sick")
+
 
 def small_model():
     from dinet import QuantizedDataset, build_topology, train_network
@@ -319,6 +325,12 @@ class TestModelPersistence:
         with pytest.raises(ResourceError, match=re.escape(f"cannot write {tmp_path}")):
             save_model(small_model(), tmp_path)
 
+    def test_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{\n "format": "dinet-model",\n "sha256": "\xff"}\n')
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: line 3: not UTF-8")):
+            load_model(path)
+
     def test_foreign_json_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": "world"}')
@@ -372,9 +384,17 @@ class TestMalformedPayload:
         lambda p: p["quantizers"][0].update(categories=[[1]]),
         lambda p: p["layers"][0].update(n_out=[]),
         lambda p: p["mux_groups"].__setitem__(0, 3),
+        lambda p: p["quantizers"][0].update(bins=3),
+        lambda p: p.update(beta=float("nan")),
+        lambda p: p.update(beta=float("inf")),
+        lambda p: p.update(beta=-3.0),
+        lambda p: p.update(seed=-1),
+        lambda p: p["nodes"][0].update(mi_in_y=float("-inf")),
+        lambda p: p["nodes"][0]["channel"][0].__setitem__(0, 10 ** 400),
     ], ids=["beta-string", "seed-bool", "layers-int", "nodes-object", "node-no-channel",
             "channel-string", "n_in-null", "quantizer-kind", "category-list", "n_out-short",
-            "mux-stage-int"])
+            "mux-stage-int", "quantizer-extra-key", "beta-nan", "beta-infinite",
+            "beta-negative", "seed-negative", "mi-infinite", "channel-entry-beyond-float"])
     def test_wrong_shape_or_type(self, model_doc, tmp_path, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"])
@@ -491,8 +511,10 @@ def error_line(path, message):
     ("arff", b"@relation r\n\n@attribute 'q numeric\n", 3),
     ("arff", b"@attribute a numeric\n@attribute class {x}\n@data\n\nabc,x\n", 5),
     ("arff", b"@attribute a numeric\n@data\n1\n", 2),
+    ("arff", b"@attribute a {x,y}\n@attribute class {x,y}\n@data\nx,x\n\xffy,y\n", 5),
 ], ids=["csv-after-blank-lines", "csv-after-a-multiline-header", "csv-not-utf8",
-        "arff-attribute-alone", "arff-unterminated-name", "arff-non-numeric", "arff-no-target"])
+        "arff-attribute-alone", "arff-unterminated-name", "arff-non-numeric", "arff-no-target",
+        "arff-not-utf8"])
 def test_format_error_names_the_line(tmp_path, fmt, text, line):
     path = tmp_path / f"table.{fmt}"
     path.write_bytes(text)
@@ -527,3 +549,60 @@ class TestRandomText:
             assert data.n_rows == len(data.target)
 
         check()
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def hand_built_model():
+    """A two-feature model whose every number is fixed by hand."""
+    from dinet import ConditionalMatrix, DINModel, FeatureSpec, TrainedNode, build_topology
+    from dinet.ib import IBDiagnostics
+
+    specs = (FeatureSpec(kind="continuous", has_missing=False, name="age", levels=2,
+                         vmin=0.1, vmax=2.5),
+             FeatureSpec(kind="categorical", has_missing=True, name="flag",
+                         categories=("yes", "nö")))
+    channels = {(0, 0): [[0.75, 0.25], [0.1, 0.9]],
+                (0, 1): [[1 / 3, 2 / 3], [0.5, 0.5], [1.0, 0.0]],
+                (1, 0): [[0.2, 0.8], [0.6, 0.4], [0.3, 0.7], [1.0, 0.0]]}
+    nodes = {slot: TrainedNode(channel=ConditionalMatrix(np.array(p)), n_in=len(p), n_out=2,
+                               diagnostics=IBDiagnostics(7 * i, 0.1 * i, 1 / 3, i != 1),
+                               mi_in_y=1 / 7, mi_out_y=0.125 * i)
+             for i, (slot, p) in enumerate(channels.items())}
+    return DINModel(topology=build_topology(2, [2, 2], 2, [2, 3]), nodes=nodes,
+                    quantizers=specs, feature_names=("age", "flag"),
+                    class_names=("ckd", "notckd"), class_alignment=(1, 0),
+                    beta=5.0, seed=2 ** 63 + 5)
+
+
+class TestWrittenBytes:
+    """Every writer emits the same bytes on every platform: UTF-8, line ends as given."""
+
+    def test_model_file(self, tmp_path):
+        model = hand_built_model()
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == (FIXTURES / "model.json").read_bytes()
+        back = load_model(tmp_path / "model.json")
+        assert back.quantizers == model.quantizers and back.seed == model.seed
+
+    def test_mi_flow_csv(self, tmp_path):
+        from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow
+
+        report = MIFlowReport(
+            nodes=(NodeFlow(0, 0, 0.5, 0.25, 1.0), NodeFlow(0, 1, 1 / 3, 0.1, 1e-17),
+                   NodeFlow(1, 0, 0.9, 0.8, 1.0)),
+            muxes=(MuxFlow(0, 0, 0, 0.25, 0.3, 1.25), MuxFlow(0, 0, 1, 0.3, 2 / 3, 2.0)))
+        report.to_csv(tmp_path / "flow.csv")
+        written = (tmp_path / "flow.csv").read_bytes()
+        assert written == (FIXTURES / "mi_flow.csv").read_bytes()
+        assert written.count(b"\r\n") == 6
+
+    def test_report_json_file(self, tmp_path):
+        from dinet.cli import _write, aggregate_metrics, compute_metrics, report_json
+
+        report = aggregate_metrics([compute_metrics([0, 1, 1, 0], [0, 1, 0, 0], 1),
+                                    compute_metrics([1, 1, 0], [1, 0, 0], 1)])
+        _write(tmp_path / "report.json", report_json(report))
+        assert ((tmp_path / "report.json").read_bytes()
+                == (FIXTURES / "report.json").read_bytes())
