@@ -29,7 +29,7 @@ from .dataio import (
     CKD_URL,
     RawDataset,
     fetch_ckd,
-    is_finite_number,
+    json_error,
     load_dataset,
     load_model,
     read_text,
@@ -38,7 +38,7 @@ from .dataio import (
     write_text,
 )
 from .errors import ConfigError, DatasetFormatError, DinetError
-from .network import build_topology, derive_seed, predict, train_network, tree_layer_sizes
+from .network import build_topology, derive_seed, predict, train_network
 from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
 
@@ -58,7 +58,7 @@ class DatasetConfig:
     format: str = "arff"              # csv | arff | synthetic
     target: str = "class"
     positive_class: str = "ckd"
-    missing_tokens: list = field(default_factory=lambda: ["?", ""])
+    missing_tokens: list[str] = field(default_factory=lambda: ["?", ""])
     delimiter: str = ","
     synthetic_rows: int = 400
     synthetic_seed: int = 7
@@ -74,7 +74,7 @@ class QuantizerConfig:
 @dataclass
 class ModelConfig:
     beta: float = 5.0
-    n_out: int | list = 3             # scalar for all non-final layers, or full list
+    n_out: int | list[int] = 3        # scalar for all non-final layers, or full list
     tol: float = 1e-8
     max_iter: int = 500
 
@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise ConfigError("model.tol must be positive and max_iter >= 1")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.quantizer.default_levels is not None and self.quantizer.default_levels < 2:
+            raise ConfigError("quantizer.default_levels must be null or >= 2")
+        if self.split.n_train < 1:
+            raise ConfigError("split.n_train must be >= 1")
         if self.seed < 0 or self.dataset.synthetic_seed < 0:
             raise ConfigError("seed and dataset.synthetic_seed must be >= 0")
         if self.dataset.synthetic_rows < 1:
@@ -140,33 +144,14 @@ class ExperimentConfig:
         return self
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# the JSON value each field annotation admits: (description, test)
-_JSON_TYPES = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", is_finite_number),
-    str: ("a string", lambda v: isinstance(v, str)),
-    int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
-    int | list: ("an integer or a list of integers",
-                 lambda v: _is_int(v) or (isinstance(v, list) and all(map(_is_int, v)))),
-    list: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
-    dict: ("an object", lambda v: isinstance(v, dict)),
-}
-
-
 def _check_types(section, prefix=""):
     """Raise ConfigError for the first field whose value its annotation does not admit."""
     for name, hint in typing.get_type_hints(type(section)).items():
         value = getattr(section, name)
         if dataclasses.is_dataclass(hint):
             _check_types(value, f"{name}.")
-            continue
-        what, admits = _JSON_TYPES[hint]
-        if not admits(value):
-            raise ConfigError(f"{prefix}{name} must be {what}, got {value!r}")
+        elif error := json_error(value, hint, prefix + name):
+            raise ConfigError(error)
 
 
 def _build(cls, data: dict, where: str):
@@ -284,15 +269,20 @@ def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=())
     Features named in ``reserve_missing`` get a missing symbol even when no
     training cell is missing; it then has zero training mass.
     """
+    unknown = set(qcfg.overrides) - set(train.feature_names)
+    if unknown:
+        raise ConfigError(f"quantizer overrides name unknown features {sorted(unknown)}")
     specs = []
     for i, name in enumerate(train.feature_names):
         override = qcfg.overrides.get(name, {})
+        levels = override.get("levels") if isinstance(override, dict) else None
         if not (isinstance(override, dict) and set(override) <= {"kind", "levels"}
                 and override.get("kind") in (None, CATEGORICAL, CONTINUOUS)
-                and (override.get("levels") is None or _is_int(override["levels"]))):
+                and json_error(levels, int | None, name) is None
+                and (levels is None or levels >= 2)):
             raise ConfigError(
                 f"quantizer override for {name!r} must be an object with an optional "
-                f"kind ({CATEGORICAL!r} or {CONTINUOUS!r}) and levels (an integer), "
+                f"kind ({CATEGORICAL!r} or {CONTINUOUS!r}) and levels (an int >= 2), "
                 f"got {override!r}")
         kind = override.get("kind")
         if kind is None and train.kinds[i] == "nominal":
@@ -310,23 +300,11 @@ def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=())
     return specs
 
 
-def resolve_n_out(n_out_setting, n_layers: int, n_class: int):
-    if isinstance(n_out_setting, (list, tuple)):
-        values = [int(v) for v in n_out_setting]
-        if len(values) != n_layers:
-            raise ConfigError(
-                f"model.n_out list has {len(values)} entries, tree has {n_layers} layers")
-        return values
-    return [int(n_out_setting)] * (n_layers - 1) + [n_class] if n_layers > 1 else [n_class]
-
-
 def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missing=()):
     """Fit quantizers on the training rows only, then train the tree."""
     specs = fit_quantizers(train, cfg.quantizer, reserve_missing)
     qtrain = quantize_with(specs, train)
-    n_layers = len(tree_layer_sizes(train.n_features))
-    n_out = resolve_n_out(cfg.model.n_out, n_layers, len(train.classes))
-    topo = build_topology(train.n_features, n_out, len(train.classes),
+    topo = build_topology(train.n_features, cfg.model.n_out, len(train.classes),
                           qtrain.cardinalities)
     model = train_network(
         qtrain, topo, beta=cfg.model.beta, tol=cfg.model.tol,

@@ -7,12 +7,14 @@ demand); a path that cannot be read or written raises ``ResourceError``.
 
 The ARFF support covers what the UCI Chronic Kidney Disease file needs:
 numeric and nominal attribute declarations, '%' comments, '?' missing
-cells, and the stray tabs/spaces that file is known for (every cell is
-whitespace-stripped before interpretation).
+cells, quoted cells that may hold commas, and the stray tabs/spaces that
+file is known for (every cell is whitespace-stripped before interpretation).
 
 Model files are versioned JSON with a SHA-256 checksum over the canonical
 payload; floats survive the round trip bit-exactly because they are
-written with shortest-repr encoding.
+written with shortest-repr encoding.  ``json_error`` is the one rule for
+which JSON value a field may hold, read from a type annotation; model
+payloads and config files are both checked with it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import io
 import json
 import re
 import sys
+import typing
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -123,10 +126,32 @@ def write_text(path, text: str) -> None:
         path.write_bytes(text.encode("utf-8"))
 
 
-def is_finite_number(value) -> bool:
-    """A JSON number a float holds: not a bool, NaN, an infinity or a larger int."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def json_error(value, kind, where: str) -> str | None:
+    """Why the JSON ``value`` at ``where`` is not of ``kind``, or None when it is.
+
+    ``kind`` is a type annotation: ``int``, ``float`` (a finite number; ints
+    too), ``bool``, ``str``, ``list``, ``dict``, ``None``, ``list[k]`` or a
+    union such as ``int | None``.  A bool is only a ``bool``.
+    """
+    if _admits(kind, value):
+        return None
+    name = str(kind) if typing.get_args(kind) else getattr(kind, "__name__", str(kind))
+    return f"{where} must be {name}, got {value!r:.40}"
+
+
+def _admits(kind, value) -> bool:
+    if kind is None or kind is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_admits(args[0], v) for v in value)
+    if args:  # a union
+        return any(_admits(k, value) for k in args)
+    return isinstance(value, kind)
 
 
 def _table_row(fields, n_fields, line_no, path, missing_tokens) -> list:
@@ -195,6 +220,23 @@ def _parse_arff_attribute(line, line_no, path):
         f"{path}: line {line_no}: unsupported attribute type {rest!r}")
 
 
+def _split_arff_row(line, line_no, path) -> list:
+    """A data row's comma-separated fields; one that opens with ' or " runs to its closing quote."""
+    fields, start, quote = [], 0, None
+    for i, ch in enumerate(line):
+        if quote:
+            if ch == quote:
+                quote = None
+        elif ch == ",":
+            fields.append(line[start:i])
+            start = i + 1
+        elif ch in "'\"" and not line[start:i].strip():
+            quote = ch
+    if quote:
+        raise DatasetFormatError(f"{path}: line {line_no}: unterminated {quote} quote")
+    return fields + [line[start:]]
+
+
 def _load_arff(path, target, missing_tokens):
     """Header, target index, cell table, kinds, and each table row's line number."""
     names, kinds = [], []
@@ -217,7 +259,8 @@ def _load_arff(path, target, missing_tokens):
                 data_line = line_no
                 continue
             raise DatasetFormatError(f"{path}: line {line_no}: unexpected {line!r}")
-        table.append(_table_row(line.split(","), len(names), line_no, path, missing_tokens))
+        fields = _split_arff_row(line, line_no, path)
+        table.append(_table_row(fields, len(names), line_no, path, missing_tokens))
         lines.append(line_no)
     if data_line is None or not names:
         raise DatasetFormatError(f"{path}: line {line_no}: not a usable ARFF file "
@@ -384,47 +427,33 @@ def save_model(model: DINModel, path) -> None:
     write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-_NUMBER = (int, float)
+# top-level payload keys and the JSON value each must hold
+_PAYLOAD_TYPES = dict(beta=float, seed=int, feature_names=list, class_names=list,
+                      class_alignment=list[int], layers=list, mux_groups=list[list[list[int]]],
+                      quantizers=list, nodes=list)
 
-# top-level payload keys and the JSON types their values must have
-_PAYLOAD_TYPES = dict(beta=_NUMBER, seed=int, feature_names=list, class_names=list,
-                      class_alignment=list, layers=list, mux_groups=list, quantizers=list,
-                      nodes=list)
-
-# per-node keys and the JSON types their values must have
-_NODE_TYPES = dict(layer=int, position=int, n_in=int, n_out=int, channel=list,
-                   iterations=int, converged=bool, mi_in_y=_NUMBER, mi_out_y=_NUMBER,
-                   i_in_out=_NUMBER, i_y_out=_NUMBER)
-
-# per-layer and per-quantizer-spec keys and their JSON types
-_LAYER_TYPES = dict(n_in=list, n_out=list)
-_SPEC_TYPES = dict(kind=str, has_missing=bool, name=str, levels=(int, type(None)),
-                   vmin=(*_NUMBER, type(None)), vmax=(*_NUMBER, type(None)), categories=list)
-
-
-def _is_a(value, kind) -> bool:
-    """``isinstance`` for JSON values, where a bool is not a number and a number is finite."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, kind) and (is_finite_number(value) or not isinstance(value, _NUMBER))
+# the keys of each entry of a payload list, and the JSON value each must hold
+_ENTRY_TYPES = {
+    "node": ("nodes", dict(layer=int, position=int, n_in=int, n_out=int, channel=list,
+                           iterations=int, converged=bool, mi_in_y=float, mi_out_y=float,
+                           i_in_out=float, i_y_out=float)),
+    "layer": ("layers", dict(n_in=list[int], n_out=list[int])),
+    "quantizer": ("quantizers", dict(kind=str, has_missing=bool, name=str, levels=int | None,
+                                     vmin=float | None, vmax=float | None,
+                                     categories=list[str | float])),
+}
 
 
-def _check_types(obj, types: dict, where: str) -> None:
-    """Every key present with a value of its JSON type."""
+def _check_keys(obj, types: dict, where: str) -> None:
+    """Every key of ``types`` present in the object, with a value of its annotation."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} is not an object")
     for key, kind in types.items():
         if key not in obj:
             raise ModelFormatError(f"{where} lacks key {key!r}")
-        if not _is_a(obj[key], kind):
-            raise ModelFormatError(f"{where} key {key!r} holds {obj[key]!r:.40}")
-
-
-def _check_items(values, kind, where: str) -> None:
-    """Every entry of a JSON list is of one JSON type."""
-    for value in values:
-        if not _is_a(value, kind):
-            raise ModelFormatError(f"{where} holds {value!r:.40}")
+        error = json_error(obj[key], kind, f"{where} key {key!r}")
+        if error:
+            raise ModelFormatError(error)
 
 
 def load_model(path) -> DINModel:
@@ -444,28 +473,14 @@ def load_model(path) -> DINModel:
     if digest != doc.get("sha256"):
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
 
-    _check_types(payload, _PAYLOAD_TYPES, f"{path}: payload")
+    _check_keys(payload, _PAYLOAD_TYPES, f"{path}: payload")
     if payload["beta"] <= 0 or payload["seed"] < 0:
         raise ModelFormatError(f"{path}: payload needs beta > 0 and seed >= 0")
-    for i, node in enumerate(payload["nodes"]):
-        _check_types(node, _NODE_TYPES, f"{path}: payload node {i}")
-    for i, layer in enumerate(payload["layers"]):
-        _check_types(layer, _LAYER_TYPES, f"{path}: payload layer {i}")
-        for key in _LAYER_TYPES:
-            _check_items(layer[key], int, f"{path}: payload layer {i} {key}")
-    _check_items(payload["mux_groups"], list, f"{path}: payload mux_groups")
-    for i, stage in enumerate(payload["mux_groups"]):
-        _check_items(stage, list, f"{path}: payload mux stage {i}")
-        for group in stage:
-            _check_items(group, int, f"{path}: payload mux stage {i} group")
-    for i, spec in enumerate(payload["quantizers"]):
-        _check_types(spec, _SPEC_TYPES, f"{path}: payload quantizer {i}")
-        _check_items(spec["categories"], (str, *_NUMBER),
-                     f"{path}: payload quantizer {i} categories")
+    for label, (section, types) in _ENTRY_TYPES.items():
+        for i, entry in enumerate(payload[section]):
+            _check_keys(entry, types, f"{path}: payload {label} {i}")
     try:
         return _model_from_payload(payload)
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: payload entry lacks key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed payload ({exc})") from None
 

@@ -268,7 +268,8 @@ def build_topology(D: int, n_out_per_layer, n_class: int,
                    feature_cardinalities) -> Topology:
     """Construct the standard tree for D features.
 
-    ``n_out_per_layer`` supplies one output cardinality per layer and its
+    ``n_out_per_layer`` is one integer for every non-final layer (the final
+    layer then gets ``n_class``), or one output cardinality per layer whose
     last entry must equal ``n_class``.
     """
     if D < 1:
@@ -280,6 +281,8 @@ def build_topology(D: int, n_out_per_layer, n_class: int,
         raise ConfigError("feature cardinalities must be >= 1")
 
     sizes = tree_layer_sizes(D)
+    if isinstance(n_out_per_layer, int):
+        n_out_per_layer = [n_out_per_layer] * (len(sizes) - 1) + [n_class]
     n_out = [int(v) for v in n_out_per_layer]
     if len(n_out) != len(sizes):
         raise ConfigError(

@@ -20,7 +20,6 @@ from dinet.cli import (
     load_config,
     main,
     prepare_dataset,
-    resolve_n_out,
     run_experiment,
     run_single,
 )
@@ -84,13 +83,6 @@ class TestConfig:
     def test_round_trips_through_dict(self, cfg):
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
-    def test_resolve_n_out(self):
-        assert resolve_n_out(3, 5, 2) == [3, 3, 3, 3, 2]
-        assert resolve_n_out([3, 2, 2], 3, 2) == [3, 2, 2]
-        assert resolve_n_out(4, 1, 2) == [2]
-        with pytest.raises(ConfigError):
-            resolve_n_out([3, 3], 3, 2)
-
     def test_quantizer_overrides_reach_the_specs(self):
         from dinet.cli import QuantizerConfig, fit_quantizers
         from dinet.synthetic import make_synthetic_ckd
@@ -106,6 +98,8 @@ class TestConfig:
         assert specs["flag_15"].kind == "categorical"   # nominal hint from loader
         with pytest.raises(ConfigError, match="bins"):
             fit_quantizers(data, QuantizerConfig(overrides={"lab_1": {"bins": 3}}))
+        with pytest.raises(ConfigError, match=r"unknown features \['lab0'\]"):
+            fit_quantizers(data, QuantizerConfig(overrides={"lab0": {}, "lab_1": {}}))
 
 
 def _leaf_keys(d, prefix=""):
@@ -422,6 +416,7 @@ class TestCommands:
         "dataset.synthetic_rows=0",
         'dataset.missing_tokens="?"', "model.n_out=[3.0, 2]", 'dataset.delimiter=""',
         "split.positive_fraction=1.5", "split.positive_fraction=-0.5",
+        "quantizer.default_levels=1", "split.n_train=0",
     ])
     def test_mistyped_override_exits_2(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
@@ -436,6 +431,8 @@ class TestCommands:
         'quantizer.overrides={"lab_1": 3}',
         'quantizer.overrides={"lab_1": {"levels": "abc"}}',
         'quantizer.overrides={"lab_1": {"kind": "wavelet"}}',
+        'quantizer.overrides={"lab_1": {"levels": 1}}',
+        'quantizer.overrides={"lab0": {"levels": 3}}',
     ])
     def test_run_failure_keeps_its_error_class(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",

@@ -21,7 +21,7 @@ from dinet import (
     save_model,
     split,
 )
-from dinet.dataio import check_ckd_shape, fetch_ckd
+from dinet.dataio import check_ckd_shape, fetch_ckd, json_error
 from dinet.errors import ConfigError, ResourceError
 
 CSV_BODY = """age,grade,flag,class
@@ -107,6 +107,22 @@ class TestARFF:
         p.write_text("@relation r\n@attribute a numeric\n@attribute class {x,y}\n"
                      "@data\n1,x\n1,2,3,x\n")
         with pytest.raises(DatasetFormatError, match="line 6"):
+            load_dataset(p, format="arff", target="class")
+
+    @pytest.mark.parametrize("quote", ["'", '"'])
+    def test_quoted_value_may_hold_a_comma(self, tmp_path, quote):
+        p = tmp_path / "quoted.arff"
+        p.write_text(f"@attribute a {{{quote}x,y{quote},z}}\n@attribute class {{p,q}}\n@data\n"
+                     f"{quote}x,y{quote},p\n z , q\n")
+        data = load_dataset(p, format="arff", target="class")
+        assert data.columns == (("x,y", "z"),)
+        assert data.target == ("p", "q")
+
+    @pytest.mark.parametrize("row", ["'x,y,p", ' "x,y, p', "z,'p"])
+    def test_unterminated_quote_names_its_line(self, tmp_path, row):
+        p = tmp_path / "open.arff"
+        p.write_text(f"@attribute a {{'x,y',z}}\n@attribute class {{p,q}}\n@data\nz,p\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=r": line 5: unterminated . quote"):
             load_dataset(p, format="arff", target="class")
 
     def test_no_data_section(self, tmp_path):
@@ -355,6 +371,36 @@ def model_doc(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+@pytest.mark.parametrize("value, kind, admitted", [
+    (True, bool, True), (True, int, False), (False, float, False), (1, bool, False),
+    (3, int, True), (3.0, int, False), (3, float, True), (2.5, float, True),
+    (float("nan"), float, False), (float("inf"), float, False),
+    pytest.param(10 ** 400, float, False, id="10**400-float-False"),
+    pytest.param(10 ** 400, int, True, id="10**400-int-True"),
+    ("3", int, False), ("a", str, True), (None, None, True), (0, None, False), ({}, dict, True), ([], dict, False), ([1, "a"], list, True),
+    ([1, 2], list[int], True), ([1, True], list[int], False), ([1.5], list[int], False),
+    ([[[0, 1]], [[2]]], list[list[list[int]]], True), ([[0, [1]]], list[list[int]], False),
+    ([[]], list[list[int]], True), ("ab", list[str], False),
+    (None, int | None, True), (4, int | None, True), (True, int | None, False),
+    (7, int | list[int], True), ([7, 8], int | list[int], True), ([7.0], int | list[int], False),
+    (["a", 1.5, 2], list[str | float], True), ([float("nan")], list[str | float], False),
+    ([None], list[str | float], False),
+])
+def test_json_error(value, kind, admitted):
+    assert (json_error(value, kind, "model.beta") is None) == admitted
+
+
+@pytest.mark.parametrize("value, kind, message", [
+    (True, int, "must be int, got True"),
+    ("a", int | None, "must be int | None, got 'a'"),
+    ([1.5], list[int], "must be list[int], got [1.5]"),
+    (0, None, "must be None, got 0"),
+    ("a" * 60, float, "must be float, got '" + "a" * 39),
+])
+def test_json_error_names_the_annotation(value, kind, message):
+    assert json_error(value, kind, "model.beta") == "model.beta " + message
+
+
 def write_resigned(doc, path):
     """Write a model document with its checksum recomputed over the payload."""
     canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
@@ -391,10 +437,12 @@ class TestMalformedPayload:
         lambda p: p.update(seed=-1),
         lambda p: p["nodes"][0].update(mi_in_y=float("-inf")),
         lambda p: p["nodes"][0]["channel"][0].__setitem__(0, 10 ** 400),
+        lambda p: p.update(class_alignment=[float(a) for a in p["class_alignment"]]),
     ], ids=["beta-string", "seed-bool", "layers-int", "nodes-object", "node-no-channel",
             "channel-string", "n_in-null", "quantizer-kind", "category-list", "n_out-short",
             "mux-stage-int", "quantizer-extra-key", "beta-nan", "beta-infinite",
-            "beta-negative", "seed-negative", "mi-infinite", "channel-entry-beyond-float"])
+            "beta-negative", "seed-negative", "mi-infinite", "channel-entry-beyond-float",
+            "alignment-floats"])
     def test_wrong_shape_or_type(self, model_doc, tmp_path, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"])

@@ -76,6 +76,16 @@ class TestBuildTopology:
         assert topo.layers[1].n_in == (9, 9)
         assert topo.layers[2].n_in == (4,)
 
+    def test_n_out_integer_or_per_layer(self):
+        def n_out(D, setting):
+            return [layer.n_out[0] for layer in build_topology(D, setting, 2, [4] * D).layers]
+
+        assert n_out(24, 3) == [3, 3, 3, 3, 2]
+        assert n_out(4, [3, 2, 2]) == [3, 2, 2]
+        assert n_out(1, 4) == [2]
+        with pytest.raises(ConfigError, match="2 entries but this tree has 3 layers"):
+            build_topology(4, [3, 3], 2, [4] * 4)
+
     def test_wrong_layer_count_rejected(self):
         with pytest.raises(ConfigError):
             build_topology(8, [3, 3, 2], 2, [4] * 8)
