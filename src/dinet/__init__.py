@@ -22,15 +22,7 @@ from .ib import (
     lagrangian,
     solve_ib,
 )
-from .infotheory import (
-    ConditionalMatrix,
-    DiscreteDistribution,
-    JointDistribution,
-    entropy,
-    joint_mutual_information,
-    kl_divergence,
-    mutual_information,
-)
+from .infotheory import ConditionalMatrix, DiscreteDistribution
 from .network import (
     DINModel,
     Topology,
@@ -58,7 +50,6 @@ __all__ = [
     "IBDiagnostics",
     "IBProblem",
     "IBSolution",
-    "JointDistribution",
     "MIFlowReport",
     "ModelFormatError",
     "ModelVersionError",
@@ -73,19 +64,15 @@ __all__ = [
     "build_topology",
     "check_bounds",
     "compose_full_matrix",
-    "entropy",
     "estimate_empirical",
     "fetch_ckd",
     "fit_quantizer",
     "ib_step",
-    "joint_mutual_information",
-    "kl_divergence",
     "lagrangian",
     "load_dataset",
     "load_model",
     "make_synthetic_ckd",
     "mi_flow",
-    "mutual_information",
     "mux_combine",
     "mux_split",
     "predict",

@@ -16,8 +16,9 @@ Each statistic is computed once per vector: a node's I(out;y) and H(out)
 serve its own row and the bounds of the mux it feeds, and a group's last
 stage observes the next node's input, whose I(in;y) its row already holds.
 Only the intermediate pair of a three-way mux needs its own I(pair;y) and
-H(pair).  The same functions run on the same arrays, so the report does not
-depend on this reuse.
+H(pair).  Each vector is counted once: one ``bincount`` of its pairs with the
+label is the plug-in joint, whose marginals give I(v;y) and whose integer row
+sums give H(v).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .dataio import write_text
 from .errors import SchemaMismatchError, ValidationError
-from .infotheory import ConditionalMatrix, entropy_raw, joint_mi_raw
+from .infotheory import ConditionalMatrix, entropy, joint_mutual_information
 from .network import (
     DINModel,
     _STREAM_MIFLOW,
@@ -121,15 +122,6 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
     return ConditionalMatrix(aligned)
 
 
-def _plugin_joint(a: np.ndarray, b: np.ndarray, card_a: int, card_b: int) -> np.ndarray:
-    counts = np.bincount(a * card_b + b, minlength=card_a * card_b)
-    return counts.reshape(card_a, card_b).astype(np.float64) / a.size
-
-
-def _entropy(v: np.ndarray, card: int) -> float:
-    return entropy_raw(np.bincount(v, minlength=card).astype(np.float64) / v.size)
-
-
 def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) -> MIFlowReport:
     """Re-propagate data through the model and report plug-in MI per node/mux.
 
@@ -143,8 +135,18 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
     y = data.labels
     card_y = data.n_class
 
-    def mi_with_y(v, card):
-        return joint_mi_raw(_plugin_joint(v, y, card, card_y))
+    def count(v, card):
+        """The pairs (v, y) counted by one bincount, one row per symbol of v."""
+        counts = np.bincount(v * card_y + y, minlength=card * card_y)
+        return counts.reshape(card, card_y).astype(np.float64)
+
+    def mi_y(counts):
+        """Plug-in I(v;y) in bits; the joint is counts / N."""
+        return joint_mutual_information(counts / y.size)
+
+    def h(counts):
+        """Plug-in H(v) in bits; the row sums are bincount(v) exactly."""
+        return entropy(counts.sum(axis=1) / y.size)
 
     rngs = dict(zip(topo.slots, stream_rngs((base, _STREAM_MIFLOW), topo.slots)))
 
@@ -160,9 +162,10 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
     stages = ((),) + topo.mux_groups
     for (layer_idx, inputs, outputs), groups in zip(walk(topo, data.columns, node), stages):
         layer = topo.layers[layer_idx]
-        mi_in = [mi_with_y(v, card) for v, card in zip(inputs, layer.n_in)]
-        mi_out = [mi_with_y(v, card) for v, card in zip(outputs, layer.n_out)]
-        h_out = [_entropy(v, card) for v, card in zip(outputs, layer.n_out)]
+        mi_in = [mi_y(count(v, card)) for v, card in zip(inputs, layer.n_in)]
+        out_counts = [count(v, card) for v, card in zip(outputs, layer.n_out)]
+        mi_out = [mi_y(c) for c in out_counts]
+        h_out = [h(c) for c in out_counts]
         nodes.extend(NodeFlow(layer=layer_idx, position=k, mi_in_y=mi_in[k],
                               mi_out_y=mi_out[k], h_out=h_out[k])
                      for k in range(layer.size))
@@ -173,7 +176,8 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
                 pair_card = acc_card * cards[member]
                 if stage < len(g) - 2:  # the intermediate pair of a 3-way group
                     pair = mux_combine([acc, below[member]], [acc_card, cards[member]])
-                    i_pair, h_pair = mi_with_y(pair, pair_card), _entropy(pair, pair_card)
+                    pair_counts = count(pair, pair_card)
+                    i_pair, h_pair = mi_y(pair_counts), h(pair_counts)
                 else:  # the last pair is this layer's input for the group
                     pair, i_pair, h_pair = inputs[g_idx], mi_in[g_idx], None
                 i_other, h_other = below_mi[member], below_h[member]

@@ -38,7 +38,7 @@ from .dataio import (
     write_text,
 )
 from .errors import ConfigError, DatasetFormatError, DinetError
-from .network import build_topology, derive_seed, predict, train_network
+from .network import build_topology, derive_seed, predict, quantize_features, train_network
 from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
 
@@ -449,7 +449,7 @@ def _progress_printer(args):
 
 
 def _write_mi_flow(model, rows: RawDataset, path) -> MIFlowReport:
-    flow = mi_flow(model, quantize_with(model.quantizers, rows))
+    flow = mi_flow(model, quantize_features(model, rows))
     if path:
         flow.to_csv(path)
     return flow

@@ -39,9 +39,8 @@ from .errors import ValidationError
 from .infotheory import (
     ConditionalMatrix,
     DiscreteDistribution,
-    entropy_raw,
-    joint_mi_raw,
-    mutual_information_raw,
+    joint_mutual_information,
+    mutual_information,
 )
 
 DEFAULT_TOL = 1e-8
@@ -213,8 +212,8 @@ def lagrangian(problem: IBProblem, channel: ConditionalMatrix) -> float:
     """Training objective I(in;out) - beta * I(y;out), in bits."""
     _check_channel(problem, channel)
     px, py_x = problem.px.probs, problem.py_given_x.p
-    i_in_out = mutual_information_raw(px, channel.p)
-    i_y_out = joint_mi_raw(_joint_out_y(px, py_x, channel.p))
+    i_in_out = mutual_information(px, channel.p)
+    i_y_out = joint_mutual_information(_joint_out_y(px, py_x, channel.p))
     return i_in_out - problem.beta * i_y_out
 
 
@@ -263,8 +262,8 @@ def solve_ib(problem: IBProblem, tol: float = DEFAULT_TOL,
 
     diagnostics = IBDiagnostics(
         iterations=iterations,
-        i_in_out=mutual_information_raw(src.px, channel),
-        i_y_out=joint_mi_raw(_joint_out_y(src.px, src.py_x, channel)),
+        i_in_out=mutual_information(src.px, channel),
+        i_y_out=joint_mutual_information(_joint_out_y(src.px, src.py_x, channel)),
         converged=converged,
     )
     return IBSolution(

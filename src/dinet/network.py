@@ -52,7 +52,7 @@ from .ib import (
     estimate_empirical,
     solve_ib,
 )
-from .infotheory import ConditionalMatrix, mutual_information_raw
+from .infotheory import ConditionalMatrix, mutual_information
 from .quantizer import QuantizedDataset, quantize_with
 
 # stream purposes for seed derivation
@@ -507,7 +507,7 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
             n_in=layer.n_in[k],
             n_out=layer.n_out[k],
             diagnostics=sol.diagnostics,
-            mi_in_y=mutual_information_raw(px.probs, py_x.p),
+            mi_in_y=mutual_information(px.probs, py_x.p),
             mi_out_y=sol.diagnostics.i_y_out,
         )
         final_solution = sol  # the walk ends on the final node

@@ -39,7 +39,7 @@ from dinet.cli import (
     run_experiment,
     train_on,
 )
-from dinet.infotheory import entropy_raw, mutual_information_raw
+from dinet.infotheory import entropy, mutual_information
 from tests.test_analysis import brute_force_compose, random_model
 
 
@@ -120,9 +120,9 @@ class TestCriterion3OfflineProperties:
             sol = solve_ib(prob, tol=tol, seed=t)
             chan = sol.channel.p
             assert np.abs(chan.sum(axis=1) - 1.0).max() < 1e-9
-            i_y_in = mutual_information_raw(prob.px.probs, prob.py_given_x.p)
+            i_y_in = mutual_information(prob.px.probs, prob.py_given_x.p)
             assert sol.diagnostics.i_y_out <= i_y_in + 1e-9
-            cap = min(entropy_raw(prob.px.probs), np.log2(prob.n_out))
+            cap = min(entropy(prob.px.probs), np.log2(prob.n_out))
             assert sol.diagnostics.i_in_out <= cap + 1e-9
             if sol.diagnostics.converged:
                 converged += 1

@@ -18,10 +18,17 @@ from dinet import (
     mi_flow,
     train_network,
 )
-from dinet.analysis import MIFlowReport, MuxFlow
+from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow
 from dinet.errors import ResourceError
 from dinet.ib import IBDiagnostics
-from dinet.network import mux_combine
+from dinet.network import (
+    _STREAM_MIFLOW,
+    channel_cdf,
+    mux_combine,
+    sample_channel,
+    stream_rngs,
+    walk,
+)
 
 
 def hand_model(channels_by_slot, topo, n_class=2, alignment=None):
@@ -181,6 +188,69 @@ class TestMiFlow:
         a = mi_flow(model, data)
         b = mi_flow(model, data)
         assert a == b
+
+    def test_values_are_exactly_the_plugin_formula(self):
+        """Every figure equals, bit for bit, the plug-in formula on the walk's samples.
+
+        The joint is bincount(v * card_y + y) / N and I = H(row sums) + H(column
+        sums) - H(joint); H(v) is the entropy of bincount(v) / N.  The CSV writes
+        repr() of each value, so a last-ulp change would change its bytes.
+        """
+        rng = np.random.default_rng(11)
+        cards = [2, 3, 4, 2, 3, 2, 3]
+        y = rng.integers(0, 2, 200)
+        columns = tuple(np.where(rng.random(200) < 0.6, y, rng.integers(0, c, 200))
+                        for c in cards)
+        data = QuantizedDataset(columns=columns, cardinalities=tuple(cards), labels=y,
+                                n_class=2)
+        topo = build_topology(7, [3, 3, 2], 2, cards)  # two 3-way groups
+        model = train_network(data, topo, beta=5.0, seed=3)
+
+        def h(p):
+            nz = p[p > 0]
+            return float(-(nz * np.log2(nz)).sum())
+
+        def mi(v, card):
+            joint = np.bincount(v * 2 + y, minlength=card * 2).reshape(card, 2)
+            joint = joint.astype(np.float64) / v.size
+            return h(joint.sum(axis=1)) + h(joint.sum(axis=0)) - h(joint.ravel())
+
+        def ent(v, card):
+            return h(np.bincount(v, minlength=card).astype(np.float64) / v.size)
+
+        rngs = dict(zip(topo.slots, stream_rngs((model.seed, _STREAM_MIFLOW), topo.slots)))
+
+        def node(layer, pos, symbols):
+            table = channel_cdf(model.nodes[(layer, pos)].channel.p)
+            return sample_channel(table.take(symbols, axis=1), rngs[(layer, pos)])
+
+        walked = [(list(inputs), list(outputs))
+                  for _, inputs, outputs in walk(topo, data.columns, node)]
+        want_nodes = [NodeFlow(layer=i, position=k, mi_in_y=mi(inputs[k], layer.n_in[k]),
+                               mi_out_y=mi(outputs[k], layer.n_out[k]),
+                               h_out=ent(outputs[k], layer.n_out[k]))
+                      for i, ((inputs, outputs), layer) in enumerate(zip(walked, topo.layers))
+                      for k in range(layer.size)]
+        want_muxes = []
+        for i, groups in enumerate(topo.mux_groups):
+            outputs, out_cards = walked[i][1], topo.layers[i].n_out
+            for g_idx, g in enumerate(groups):
+                acc, acc_card = outputs[g[0]], out_cards[g[0]]
+                for stage, m in enumerate(g[1:]):
+                    other, card = outputs[m], out_cards[m]
+                    pair = mux_combine([acc, other], [acc_card, card])
+                    i_acc, i_other = mi(acc, acc_card), mi(other, card)
+                    want_muxes.append(MuxFlow(
+                        layer=i, position=g_idx, stage=stage,
+                        lower_bound=max(i_acc, i_other),
+                        observed=mi(pair, acc_card * card),
+                        upper_bound=min(i_acc + ent(other, card), i_other + ent(acc, acc_card))))
+                    acc, acc_card = pair, acc_card * card
+
+        report = mi_flow(model, data)
+        assert sum(m.stage == 1 for m in report.muxes) == 2
+        assert report.nodes == tuple(want_nodes)
+        assert report.muxes == tuple(want_muxes)
 
     def test_csv_output(self, tmp_path):
         data, model = trained_toy(seed=7)

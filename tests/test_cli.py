@@ -25,6 +25,7 @@ from dinet.cli import (
 )
 from dinet import cli
 from dinet.errors import ConfigError, ValidationError
+from tests.test_dataio import write_resigned
 
 SYNTH_CONFIG = {
     "dataset": {"format": "synthetic", "positive_class": "sick",
@@ -366,6 +367,24 @@ class TestCommands:
         assert code == 0
         assert flow_out.exists()
         assert json.loads(out)["nodes"] == 46
+
+    @pytest.mark.parametrize("key", ["class_names", "feature_names"])
+    def test_inspect_refuses_a_table_the_model_does_not_name(self, config_file, tmp_path,
+                                                             capsys, key):
+        model_out = tmp_path / "model.json"
+        self.run("train", "--config", str(config_file), "--quiet",
+                 "--model-out", str(model_out), capsys=capsys)
+        doc = json.loads(model_out.read_text())
+        doc["payload"][key] = doc["payload"][key][::-1]
+        write_resigned(doc, model_out)
+        flow_out = tmp_path / "flow.csv"
+        for command in ("evaluate", "inspect"):
+            code, out, err = self.run(command, "--config", str(config_file), "--quiet",
+                                      "--model", str(model_out), "--out", str(flow_out),
+                                      capsys=capsys)
+            assert (code, out) == (1, "")
+            assert self.one_error_line(err)["error"] == "SchemaMismatchError"
+        assert not flow_out.exists()
 
     def test_missing_dataset_exits_2_naming_path(self, tmp_path, capsys):
         cfg = dict(SYNTH_CONFIG)

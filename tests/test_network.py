@@ -197,7 +197,7 @@ def channels(draw):
         if draw(st.booleans()) or w[i].sum() == 0:
             w[i] = 0.0
             w[i, draw(st.sampled_from(live))] = 1.0
-    return ConditionalMatrix.normalized(w).p
+    return ConditionalMatrix(w / w.sum(axis=1, keepdims=True)).p
 
 
 class TestSampling:
