@@ -95,7 +95,7 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
     (feature 0 = low-order digit); columns are class labels, i.e. the final
     node's outputs permuted by the model's class alignment.
     """
-    cards = model.topology.layers[0].n_in
+    cards = model.topology.cards
     n_states = int(np.prod([int(c) for c in cards], dtype=object))
     if n_states > max_states:
         raise ValidationError(
@@ -129,7 +129,7 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
     so the report is reproducible for a given model.
     """
     topo = model.topology
-    if tuple(data.cardinalities) != tuple(topo.layers[0].n_in):
+    if tuple(data.cardinalities) != topo.cards:
         raise SchemaMismatchError("dataset cardinalities do not match the model")
     base = model.seed if seed is None else seed
     y = data.labels

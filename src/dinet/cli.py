@@ -312,7 +312,7 @@ def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missin
         quantizers=specs, feature_names=train.feature_names,
         class_names=train.classes,
     )
-    return model, qtrain
+    return model
 
 
 def evaluate_on(model, data: RawDataset, cfg: ExperimentConfig, seed: int) -> dict:
@@ -342,8 +342,8 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
     # a test row may hold a feature's only missing cells: reserve the symbol
     with_missing = {name for name, col in zip(data.feature_names, data.columns)
                     if None in col}
-    model, _ = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG),
-                        reserve_missing=with_missing)
+    model = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG),
+                     reserve_missing=with_missing)
     result = {
         "run": run_index,
         "train": evaluate_on(model, train, cfg, derive_seed(run_seed, _PRED_TRAIN_TAG)),

@@ -14,7 +14,10 @@ Model files are versioned JSON with a SHA-256 checksum over the canonical
 payload; floats survive the round trip bit-exactly because they are
 written with shortest-repr encoding.  ``json_error`` is the one rule for
 which JSON value a field may hold, read from a type annotation; model
-payloads and config files are both checked with it.
+payloads and config files are both checked with it.  The tree is read from
+layer 0's ``n_in`` and each layer's ``n_out``; the rest of the topology and
+every node's shape are derived, so a payload loads only when the model
+rebuilt from it writes back the same JSON values.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
 )
 from .ib import IBDiagnostics
 from .infotheory import ConditionalMatrix
-from .network import DINModel, LayerSpec, Topology, TrainedNode
+from .network import DINModel, Topology, TrainedNode
 from .quantizer import FeatureSpec
 
 DEFAULT_MISSING_TOKENS = ("?", "")
@@ -396,8 +399,8 @@ def _model_payload(model: DINModel) -> dict:
             {
                 "layer": layer,
                 "position": pos,
-                "n_in": node.n_in,
-                "n_out": node.n_out,
+                "n_in": node.channel.rows,
+                "n_out": node.channel.cols,
                 "channel": node.channel.p.tolist(),
                 "mi_in_y": node.mi_in_y,
                 "mi_out_y": node.mi_out_y,
@@ -457,7 +460,12 @@ def _check_keys(obj, types: dict, where: str) -> None:
 
 
 def load_model(path) -> DINModel:
-    """Read a model file back; a bad checksum, version or payload raises."""
+    """Read a model file back; a bad checksum, version or payload raises.
+
+    A payload is good only when the model rebuilt from it writes back the
+    same JSON values, so a file loads exactly when ``save_model`` could
+    have written it, except that a float may be written as an integer.
+    """
     try:
         doc = json.loads(read_text(path, ModelFormatError))
     except json.JSONDecodeError as exc:
@@ -480,20 +488,22 @@ def load_model(path) -> DINModel:
         for i, entry in enumerate(payload[section]):
             _check_keys(entry, types, f"{path}: payload {label} {i}")
     try:
-        return _model_from_payload(payload)
+        model = _model_from_payload(payload)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed payload ({exc})") from None
+    written = json.loads(_canonical(_model_payload(model)))
+    if written != payload:
+        key = min(k for k in payload if k not in written or written[k] != payload[k])
+        raise ModelFormatError(
+            f"{path}: payload key {key!r} differs from what this model writes")
+    return model
 
 
 def _model_from_payload(payload: dict) -> DINModel:
-    layers = tuple(
-        LayerSpec(n_in=tuple(d["n_in"]), n_out=tuple(d["n_out"]))
-        for d in payload["layers"]
-    )
-    topo = Topology(
-        layers=layers,
-        mux_groups=tuple(tuple(tuple(g) for g in stage) for stage in payload["mux_groups"]),
-    )
+    layers = payload["layers"]
+    if not layers or not all(layer["n_out"] for layer in layers):
+        raise ModelFormatError("layers and each layer's n_out must not be empty")
+    topo = Topology(cards=layers[0]["n_in"], n_out=[layer["n_out"][0] for layer in layers])
     nodes = {}
     for nd in payload["nodes"]:
         diag = IBDiagnostics(
@@ -504,8 +514,6 @@ def _model_from_payload(payload: dict) -> DINModel:
         )
         nodes[(nd["layer"], nd["position"])] = TrainedNode(
             channel=ConditionalMatrix(np.array(nd["channel"], dtype=np.float64)),
-            n_in=nd["n_in"],
-            n_out=nd["n_out"],
             diagnostics=diag,
             mi_in_y=nd["mi_in_y"],
             mi_out_y=nd["mi_out_y"],

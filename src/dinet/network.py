@@ -3,7 +3,9 @@
 Layer 0 holds one node per feature.  Adjacent node outputs are merged two
 at a time by mixed-radix multiplexers (an odd layer ends with one 3-way
 merge) and the column count shrinks until a single node remains, whose
-output alphabet is the class alphabet.  Layers train in order: each node
+output alphabet is the class alphabet.  A ``Topology`` is fixed by the
+layer-0 alphabets and one output alphabet per layer; its layer shapes and
+mux groups are derived from them.  Layers train in order: each node
 solves its own bottleneck problem against the target, then stochastically
 emits the symbol stream the next layer trains on.
 
@@ -37,8 +39,9 @@ a few times per run, so it stays on numpy's own ``SeedSequence``.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -186,40 +189,47 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class Topology:
-    """Layer shapes plus the grouping of each layer's nodes into muxes.
+    """The standard tree over features of alphabet sizes ``cards``.
 
-    ``mux_groups[i][k]`` lists the layer-i node indices whose outputs are
-    combined into the input of node k at layer i+1 (first member is the
-    low-order digit).
+    Every node of layer i outputs ``n_out[i]`` symbols; the last entry is
+    the class count.  ``layers`` and ``mux_groups`` are derived from these
+    two inputs: ``mux_groups[i][k]`` lists the layer-i node indices whose
+    outputs are combined into the input of node k at layer i+1 (first
+    member is the low-order digit), and that input's alphabet is the
+    product of theirs.
     """
 
-    layers: tuple
-    mux_groups: tuple
+    cards: tuple         # layer-0 input cardinality, one per feature
+    n_out: tuple         # output cardinality of every node of each layer
+    layers: tuple = field(init=False, repr=False, compare=False)
+    mux_groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for i, layer in enumerate(self.layers):
-            if len(layer.n_in) != len(layer.n_out):
-                raise ValidationError(f"layer {i}: one input and one output cardinality "
-                                      "per node required")
-        if len(self.mux_groups) != len(self.layers) - 1:
-            raise ValidationError("need one mux stage between consecutive layers")
-        for i, groups in enumerate(self.mux_groups):
-            prev, nxt = self.layers[i], self.layers[i + 1]
-            if len(groups) != nxt.size:
-                raise ValidationError(f"layer {i + 1}: one group per node required")
-            covered = [m for g in groups for m in g]
-            if sorted(covered) != list(range(prev.size)):
-                raise ValidationError(f"layer {i}: groups must partition the layer")
-            for k, g in enumerate(groups):
-                expect = 1
-                for m in g:
-                    expect *= prev.n_out[m]
-                if expect != nxt.n_in[k]:
-                    raise ValidationError(
-                        f"node ({i + 1},{k}): input cardinality {nxt.n_in[k]} "
-                        f"!= product of feeding outputs {expect}")
-        if self.layers[-1].size != 1:
-            raise ValidationError("final layer must hold exactly one node")
+        cards = tuple(int(c) for c in self.cards)
+        n_out = tuple(int(v) for v in self.n_out)
+        if not cards:
+            raise ConfigError("need at least one feature, got 0")
+        if any(c < 1 for c in cards):
+            raise ConfigError("feature cardinalities must be >= 1")
+        sizes = tree_layer_sizes(len(cards))
+        if len(n_out) != len(sizes):
+            raise ConfigError(
+                f"n_out_per_layer has {len(n_out)} entries but this tree has "
+                f"{len(sizes)} layers (sizes {list(sizes)})")
+        if any(v < 1 for v in n_out):
+            raise ConfigError("n_out values must be >= 1")
+
+        layers = [LayerSpec(n_in=cards, n_out=(n_out[0],) * len(cards))]
+        mux_groups = []
+        for i in range(1, len(sizes)):
+            groups = _group_layer(sizes[i - 1])
+            n_in = tuple(math.prod(layers[-1].n_out[m] for m in g) for g in groups)
+            layers.append(LayerSpec(n_in=n_in, n_out=(n_out[i],) * sizes[i]))
+            mux_groups.append(groups)
+        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "n_out", n_out)
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "mux_groups", tuple(mux_groups))
 
     @property
     def depth(self) -> int:
@@ -244,7 +254,7 @@ class Topology:
 
     @property
     def n_class(self) -> int:
-        return self.layers[-1].n_out[0]
+        return self.n_out[-1]
 
 
 def _group_layer(size: int):
@@ -272,37 +282,16 @@ def build_topology(D: int, n_out_per_layer, n_class: int,
     layer then gets ``n_class``), or one output cardinality per layer whose
     last entry must equal ``n_class``.
     """
-    if D < 1:
-        raise ConfigError(f"need at least one feature, got {D}")
-    cards = tuple(int(c) for c in feature_cardinalities)
+    cards = tuple(feature_cardinalities)
     if len(cards) != D:
         raise ConfigError(f"{len(cards)} feature cardinalities for D={D}")
-    if any(c < 1 for c in cards):
-        raise ConfigError("feature cardinalities must be >= 1")
-
-    sizes = tree_layer_sizes(D)
     if isinstance(n_out_per_layer, int):
-        n_out_per_layer = [n_out_per_layer] * (len(sizes) - 1) + [n_class]
-    n_out = [int(v) for v in n_out_per_layer]
-    if len(n_out) != len(sizes):
+        n_out_per_layer = [n_out_per_layer] * (len(tree_layer_sizes(D)) - 1) + [n_class]
+    topology = Topology(cards=cards, n_out=tuple(n_out_per_layer))
+    if topology.n_class != n_class:
         raise ConfigError(
-            f"n_out_per_layer has {len(n_out)} entries but this tree has "
-            f"{len(sizes)} layers (sizes {list(sizes)})")
-    if any(v < 1 for v in n_out):
-        raise ConfigError("n_out values must be >= 1")
-    if n_out[-1] != n_class:
-        raise ConfigError(
-            f"final layer n_out must equal the class count {n_class}, got {n_out[-1]}")
-
-    layers = [LayerSpec(n_in=cards, n_out=(n_out[0],) * D)]
-    mux_groups = []
-    for i in range(1, len(sizes)):
-        groups = _group_layer(sizes[i - 1])
-        prev = layers[i - 1]
-        n_in = tuple(int(np.prod([prev.n_out[m] for m in g])) for g in groups)
-        layers.append(LayerSpec(n_in=n_in, n_out=(n_out[i],) * sizes[i]))
-        mux_groups.append(groups)
-    return Topology(layers=tuple(layers), mux_groups=tuple(mux_groups))
+            f"final layer n_out must equal the class count {n_class}, got {topology.n_class}")
+    return topology
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +341,7 @@ def mux_split(symbols, radices):
 
 @dataclass(frozen=True)
 class TrainedNode:
-    channel: ConditionalMatrix
-    n_in: int
-    n_out: int
+    channel: ConditionalMatrix   # n_in x n_out
     diagnostics: IBDiagnostics
     mi_in_y: float           # I(input; target) on the training estimates
     mi_out_y: float          # I(output; target) induced by the learned channel
@@ -378,15 +365,14 @@ class DINModel:
         if set(self.nodes) != set(slots):
             raise ValidationError("one trained node per topology slot required")
         for key, shape in slots.items():
-            node = self.nodes[key]
-            if (node.n_in, node.n_out) != shape or node.channel.p.shape != shape:
-                raise ValidationError(
-                    f"node {key}: n_in/n_out ({node.n_in}, {node.n_out}) and channel "
-                    f"shape {node.channel.p.shape} must match the topology's {shape}")
+            channel = self.nodes[key].channel
+            if (channel.rows, channel.cols) != shape:
+                raise ValidationError(f"node {key}: channel shape {(channel.rows, channel.cols)} "
+                                      f"must match the topology's {shape}")
         cards = tuple(spec.cardinality for spec in self.quantizers)
-        if cards and cards != layers[0].n_in:
-            raise ValidationError(
-                f"quantizer cardinalities {cards} must match layer 0's n_in {layers[0].n_in}")
+        if cards and cards != self.topology.cards:
+            raise ValidationError(f"quantizer cardinalities {cards} must match layer 0's "
+                                  f"n_in {self.topology.cards}")
         align = tuple(int(a) for a in self.class_alignment)
         if sorted(align) != list(range(self.topology.n_class)):
             raise ValidationError("class_alignment must be a bijection on the classes")
@@ -478,14 +464,14 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
     with ``n_in <= n_out`` keeps its input (see the module docstring).  A
     node that fails to converge is recorded in its diagnostics, not fatal.
     """
-    if data.n_features != topology.layers[0].size:
+    if data.n_features != len(topology.cards):
         raise SchemaMismatchError(
             f"dataset has {data.n_features} features, topology expects "
-            f"{topology.layers[0].size}")
-    if tuple(data.cardinalities) != tuple(topology.layers[0].n_in):
+            f"{len(topology.cards)}")
+    if tuple(data.cardinalities) != topology.cards:
         raise SchemaMismatchError(
             f"feature cardinalities {tuple(data.cardinalities)} do not match "
-            f"topology layer 0 {tuple(topology.layers[0].n_in)}")
+            f"topology layer 0 {topology.cards}")
     if data.n_class != topology.n_class:
         raise SchemaMismatchError(
             f"dataset has {data.n_class} classes, topology expects {topology.n_class}")
@@ -504,8 +490,6 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
                        keep_input=layer_idx < topology.depth)
         nodes[(layer_idx, k)] = TrainedNode(
             channel=sol.channel,
-            n_in=layer.n_in[k],
-            n_out=layer.n_out[k],
             diagnostics=sol.diagnostics,
             mi_in_y=mutual_information(px.probs, py_x.p),
             mi_out_y=sol.diagnostics.i_y_out,
@@ -540,7 +524,7 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     (seed, r, layer, pos), so ensemble with repeats=1 is stochastic exactly.
     All repeats' streams are seeded in one pass.
     """
-    if tuple(data.cardinalities) != tuple(model.topology.layers[0].n_in):
+    if tuple(data.cardinalities) != model.topology.cards:
         raise SchemaMismatchError("dataset cardinalities do not match the model")
     if mode not in ("stochastic", "ensemble"):
         raise ValidationError(f"unknown prediction mode {mode!r}")

@@ -36,8 +36,7 @@ def hand_model(channels_by_slot, topo, n_class=2, alignment=None):
     for (layer, pos), chan in channels_by_slot.items():
         chan = ConditionalMatrix(chan)
         nodes[(layer, pos)] = TrainedNode(
-            channel=chan, n_in=chan.rows, n_out=chan.cols,
-            diagnostics=IBDiagnostics(0, 0.0, 0.0, True),
+            channel=chan, diagnostics=IBDiagnostics(0, 0.0, 0.0, True),
             mi_in_y=0.0, mi_out_y=0.0)
     return DINModel(topology=topo, nodes=nodes, quantizers=(), feature_names=(),
                     class_names=tuple(str(i) for i in range(n_class)),
@@ -164,7 +163,7 @@ class TestMiFlow:
         # near-deterministic channels on identical columns: snap them exact
         nodes = {
             key: dataclasses.replace(node, channel=ConditionalMatrix(
-                np.eye(node.n_out)[node.channel.p.argmax(axis=1)]))
+                np.eye(node.channel.cols)[node.channel.p.argmax(axis=1)]))
             for key, node in model.nodes.items()
         }
         model = dataclasses.replace(model, nodes=nodes)
@@ -281,14 +280,15 @@ class TestKidneyFlow:
     def test_max_mux_information_grows_with_depth(self, ckd_arff):
         from dinet.cli import DatasetConfig, ExperimentConfig, train_on
         from dinet.dataio import load_dataset, split
+        from dinet.network import quantize_features
 
         cfg = ExperimentConfig()
         cfg.dataset = DatasetConfig(path=str(ckd_arff))
         data = load_dataset(ckd_arff, format="arff", target="class")
         train, _ = split(data, 200, seed=0, stratify="balanced",
                          positive_fraction=0.5, positive_label="ckd")
-        model, qtrain = train_on(train, cfg, seed=0)
-        rep = mi_flow(model, qtrain)
+        model = train_on(train, cfg, seed=0)
+        rep = mi_flow(model, quantize_features(model, train))
         per_layer_max = {}
         for mux in rep.muxes:
             per_layer_max[mux.layer] = max(per_layer_max.get(mux.layer, 0.0),

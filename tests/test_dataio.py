@@ -23,6 +23,7 @@ from dinet import (
 )
 from dinet.dataio import check_ckd_shape, fetch_ckd, json_error
 from dinet.errors import ConfigError, ResourceError
+from tests.test_network import small_trees
 
 CSV_BODY = """age,grade,flag,class
 48,2,yes,ckd
@@ -264,8 +265,7 @@ def small_model():
     cfg.dataset = DatasetConfig(format="synthetic", positive_class="sick")
     cfg.quantizer = QuantizerConfig(default_levels=6)
     data = make_synthetic_ckd(n_rows=150, seed=2)
-    model, _ = train_on(data, cfg, seed=4)
-    return model
+    return train_on(data, cfg, seed=4)
 
 
 class TestModelPersistence:
@@ -303,6 +303,21 @@ class TestModelPersistence:
             assert np.array_equal(back.nodes[(0, k)].channel.p, np.eye(n_in, 4))
             assert back.nodes[(0, k)].diagnostics.iterations == 0
         assert check_bounds(mi_flow(back, data), tol=1e-6) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_trees())
+    def test_round_trip_over_real_trees(self, tree):
+        model, _ = tree
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            save_model(model, first)
+            back = load_model(first)
+            save_model(back, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert back.topology == model.topology
+        for key, node in model.nodes.items():
+            assert np.array_equal(back.nodes[key].channel.p, node.channel.p)
+            assert back.nodes[key].diagnostics == node.diagnostics
 
     def test_tampered_payload_fails_checksum(self, tmp_path):
         model = small_model()
@@ -429,6 +444,7 @@ class TestMalformedPayload:
         lambda p: p["quantizers"][0].update(kind="wavelet"),
         lambda p: p["quantizers"][0].update(categories=[[1]]),
         lambda p: p["layers"][0].update(n_out=[]),
+        lambda p: p.update(layers=[]),
         lambda p: p["mux_groups"].__setitem__(0, 3),
         lambda p: p["quantizers"][0].update(bins=3),
         lambda p: p.update(beta=float("nan")),
@@ -440,9 +456,9 @@ class TestMalformedPayload:
         lambda p: p.update(class_alignment=[float(a) for a in p["class_alignment"]]),
     ], ids=["beta-string", "seed-bool", "layers-int", "nodes-object", "node-no-channel",
             "channel-string", "n_in-null", "quantizer-kind", "category-list", "n_out-short",
-            "mux-stage-int", "quantizer-extra-key", "beta-nan", "beta-infinite",
-            "beta-negative", "seed-negative", "mi-infinite", "channel-entry-beyond-float",
-            "alignment-floats"])
+            "layers-empty", "mux-stage-int", "quantizer-extra-key", "beta-nan",
+            "beta-infinite", "beta-negative", "seed-negative", "mi-infinite",
+            "channel-entry-beyond-float", "alignment-floats"])
     def test_wrong_shape_or_type(self, model_doc, tmp_path, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"])
@@ -521,6 +537,29 @@ class TestMalformedPayload:
         edit(doc["payload"]["nodes"])
         with pytest.raises(ModelFormatError):
             load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda p: p["nodes"].append(p["nodes"][0]), "nodes"),
+        (lambda p: p["nodes"].reverse(), "nodes"),
+        (lambda p: p["mux_groups"][0][0].reverse(), "mux_groups"),
+        (lambda p: p.update(comment="x"), "comment"),
+        (lambda p: p["nodes"][0].update(comment="x"), "nodes"),
+    ], ids=["node-twice", "nodes-reversed", "mux-digits-reversed", "extra-key",
+            "node-extra-key"])
+    def test_payload_save_model_would_not_write(self, model_doc, tmp_path, edit, key):
+        doc = json.loads(json.dumps(model_doc))
+        edit(doc["payload"])
+        with pytest.raises(ModelFormatError, match=f"payload key '{key}' differs"):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    def test_integer_channel_row_loads(self, tmp_path):
+        doc = json.loads((FIXTURES / "model.json").read_text())
+        rows = doc["payload"]["nodes"][1]["channel"]
+        assert rows[2] == [1.0, 0.0]
+        rows[2] = [1, 0]
+        back = load_model(write_resigned(doc, tmp_path / "model.json"))
+        assert np.array_equal(back.nodes[(0, 1)].channel.p,
+                              hand_built_model().nodes[(0, 1)].channel.p)
 
     def test_payload_not_an_object(self, model_doc, tmp_path):
         doc = dict(model_doc, payload=[1, 2])
@@ -614,7 +653,7 @@ def hand_built_model():
     channels = {(0, 0): [[0.75, 0.25], [0.1, 0.9]],
                 (0, 1): [[1 / 3, 2 / 3], [0.5, 0.5], [1.0, 0.0]],
                 (1, 0): [[0.2, 0.8], [0.6, 0.4], [0.3, 0.7], [1.0, 0.0]]}
-    nodes = {slot: TrainedNode(channel=ConditionalMatrix(np.array(p)), n_in=len(p), n_out=2,
+    nodes = {slot: TrainedNode(channel=ConditionalMatrix(np.array(p)),
                                diagnostics=IBDiagnostics(7 * i, 0.1 * i, 1 / 3, i != 1),
                                mi_in_y=1 / 7, mi_out_y=0.125 * i)
              for i, (slot, p) in enumerate(channels.items())}

@@ -10,6 +10,7 @@ from dinet import (
     ConfigError,
     QuantizedDataset,
     SchemaMismatchError,
+    Topology,
     ValidationError,
     build_topology,
     mux_combine,
@@ -93,6 +94,27 @@ class TestBuildTopology:
     def test_final_layer_must_match_classes(self):
         with pytest.raises(ConfigError):
             build_topology(4, [3, 3, 3], 2, [4] * 4)
+
+    def test_topology_is_its_inputs(self):
+        topo = Topology(cards=(2, 3, 4), n_out=(3, 2))
+        assert topo == build_topology(3, [3, 2], 2, [2, 3, 4])
+        assert topo.layers[1].n_in == (27,) and topo.mux_groups == (((0, 1, 2),),)
+        assert repr(topo) == "Topology(cards=(2, 3, 4), n_out=(3, 2))"
+
+    def test_huge_alphabets_do_not_wrap(self):
+        topo = build_topology(4, [2 ** 40, 2 ** 40, 2], 2, [4] * 4)
+        assert topo.layers[1].n_in == (2 ** 80, 2 ** 80)
+        assert topo.layers[2].n_in == (2 ** 80,)
+
+    @pytest.mark.parametrize("cards, n_out, message", [
+        ((), (2,), "need at least one feature"),
+        ((2, 0), (2, 2), "feature cardinalities must be >= 1"),
+        ((2, 2), (2,), "1 entries but this tree has 2 layers"),
+        ((2, 2), (0, 2), "n_out values must be >= 1"),
+    ], ids=["no-feature", "card-zero", "n_out-short", "n_out-zero"])
+    def test_topology_input_checks(self, cards, n_out, message):
+        with pytest.raises(ConfigError, match=message):
+            Topology(cards=cards, n_out=n_out)
 
 
 class TestMux:
