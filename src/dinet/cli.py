@@ -335,9 +335,23 @@ def split_for_run(cfg: ExperimentConfig, data: RawDataset, run_index: int):
     return run_seed, train, test
 
 
+def _solver_convergence(model) -> dict:
+    """Update evaluations and unconverged nodes of a trained model, summed per tree layer."""
+    depth = len(model.topology.layers)
+    iterations, nonconverged = [0] * depth, [0] * depth
+    for (layer, _), node in model.nodes.items():
+        iterations[layer] += node.diagnostics.iterations
+        nonconverged[layer] += not node.diagnostics.converged
+    return {"iterations": iterations, "nonconverged": nonconverged}
+
+
 def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
                keep_model: bool = False):
-    """One split -> train -> evaluate cycle with fully derived seeds."""
+    """One split -> train -> evaluate cycle with fully derived seeds.
+
+    The result holds the run index, the train and test metrics, and the
+    solver's per-layer ``iterations`` and ``nonconverged`` counts.
+    """
     run_seed, train, test = split_for_run(cfg, data, run_index)
     # a test row may hold a feature's only missing cells: reserve the symbol
     with_missing = {name for name, col in zip(data.feature_names, data.columns)
@@ -348,6 +362,7 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
         "run": run_index,
         "train": evaluate_on(model, train, cfg, derive_seed(run_seed, _PRED_TRAIN_TAG)),
         "test": evaluate_on(model, test, cfg, derive_seed(run_seed, _PRED_TEST_TAG)),
+        **_solver_convergence(model),
     }
     if keep_model:
         result["model"] = model
@@ -442,7 +457,9 @@ def _progress_printer(args):
     def emit(result):
         line = {"run": result["run"],
                 "train_accuracy": result["train"]["accuracy"],
-                "test_accuracy": result["test"]["accuracy"]}
+                "test_accuracy": result["test"]["accuracy"],
+                "iterations": result["iterations"],
+                "nonconverged": result["nonconverged"]}
         print(json.dumps(line, sort_keys=True), file=sys.stderr)
 
     return emit

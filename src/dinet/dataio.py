@@ -437,9 +437,9 @@ _PAYLOAD_TYPES = dict(beta=float, seed=int, feature_names=list, class_names=list
 
 # the keys of each entry of a payload list, and the JSON value each must hold
 _ENTRY_TYPES = {
-    "node": ("nodes", dict(layer=int, position=int, n_in=int, n_out=int, channel=list,
-                           iterations=int, converged=bool, mi_in_y=float, mi_out_y=float,
-                           i_in_out=float, i_y_out=float)),
+    "node": ("nodes", dict(layer=int, position=int, n_in=int, n_out=int,
+                           channel=list[list[float]], iterations=int, converged=bool,
+                           mi_in_y=float, mi_out_y=float, i_in_out=float, i_y_out=float)),
     "layer": ("layers", dict(n_in=list[int], n_out=list[int])),
     "quantizer": ("quantizers", dict(kind=str, has_missing=bool, name=str, levels=int | None,
                                      vmin=float | None, vmax=float | None,

@@ -24,6 +24,7 @@ from dinet.cli import (
     run_single,
 )
 from dinet import cli
+from dinet.network import tree_layer_sizes
 from dinet.errors import ConfigError, ValidationError
 from tests.test_dataio import write_resigned
 
@@ -289,7 +290,25 @@ class TestCommands:
         lines = [ln for ln in err.strip().splitlines() if ln]
         assert len(lines) == 2
         record = json.loads(lines[0])
-        assert set(record) == {"run", "train_accuracy", "test_accuracy"}
+        assert set(record) == {"run", "train_accuracy", "test_accuracy",
+                               "iterations", "nonconverged"}
+
+    def test_progress_lines_report_solver_convergence_per_layer(self, config_file, capsys):
+        errs = []
+        for workers in (1, 2):
+            code, _, err = self.run("experiment", "--config", str(config_file),
+                                    "--set", f"workers={workers}", capsys=capsys)
+            assert code == 0
+            errs.append(err)
+        assert errs[0] == errs[1]
+        data = prepare_dataset(load_config(config_file))
+        depth = len(tree_layer_sizes(len(data.feature_names)))
+        records = [json.loads(ln) for ln in errs[0].splitlines() if ln]
+        assert [r["run"] for r in records] == [0, 1]
+        for record in records:
+            assert len(record["iterations"]) == len(record["nonconverged"]) == depth
+            assert all(n >= 0 for n in record["iterations"] + record["nonconverged"])
+            assert sum(record["iterations"]) > 0
 
     def test_train_writes_artifacts(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"

@@ -521,7 +521,7 @@ class TestMalformedPayload:
     def test_nan_channel_entry(self, model_doc, tmp_path):
         doc = json.loads(json.dumps(model_doc))
         doc["payload"]["nodes"][0]["channel"][0][0] = float("nan")
-        with pytest.raises(ModelFormatError, match="non-finite"):
+        with pytest.raises(ModelFormatError, match=r"'channel' must be list\[list\[float\]\]"):
             load_model(write_resigned(doc, tmp_path / "model.json"))
 
     @pytest.mark.parametrize("edit", [
@@ -560,6 +560,14 @@ class TestMalformedPayload:
         back = load_model(write_resigned(doc, tmp_path / "model.json"))
         assert np.array_equal(back.nodes[(0, 1)].channel.p,
                               hand_built_model().nodes[(0, 1)].channel.p)
+
+    @pytest.mark.parametrize("row", [[True, False]], ids=["bool-row"])
+    def test_channel_row_of_non_numbers_is_refused(self, tmp_path, row):
+        # the row equals [1.0, 0.0] in Python, so only its JSON type tells
+        doc = json.loads((FIXTURES / "model.json").read_text())
+        doc["payload"]["nodes"][1]["channel"][2] = row
+        with pytest.raises(ModelFormatError, match="node 1 key 'channel' must be"):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
 
     def test_payload_not_an_object(self, model_doc, tmp_path):
         doc = dict(model_doc, payload=[1, 2])

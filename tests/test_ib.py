@@ -12,7 +12,7 @@ from dinet import (
     solve_ib,
 )
 from dinet.ib import DEFAULT_MAX_ITER, DEFAULT_TOL
-from dinet.infotheory import entropy, mutual_information
+from dinet.infotheory import entropy, joint_mutual_information, mutual_information
 
 
 def random_problem(rng, beta=5.0, n_in=None, n_class=None, n_out=None):
@@ -225,28 +225,89 @@ class TestLagrangian:
         )
         assert lagrangian(prob, ConditionalMatrix(np.eye(2))) == pytest.approx(-4.0)
 
+    def test_matches_the_information_kernels(self):
+        # the solver's single-pass objective against the plain definition,
+        # on channels with exact zeros and on sources with zero-mass symbols
+        rng = np.random.default_rng(15)
+        for t in range(20):
+            prob = random_problem(rng, beta=float(rng.choice([0.1, 5.0, 20.0])))
+            if t % 2:
+                px = prob.px.probs.copy()
+                px[rng.integers(prob.n_in)] = 0.0
+                prob = IBProblem(DiscreteDistribution(px / px.sum()), prob.py_given_x,
+                                 prob.beta, prob.n_out)
+            chan = rng.dirichlet(np.ones(prob.n_out), size=prob.n_in)
+            chan[chan < 0.1] = 0.0
+            chan[chan.sum(axis=1) == 0, 0] = 1.0
+            chan /= chan.sum(axis=1, keepdims=True)
+            px, pyx = prob.px.probs, prob.py_given_x.p
+            expect = (mutual_information(px, chan)
+                      - prob.beta * joint_mutual_information((chan * px[:, None]).T @ pyx))
+            assert lagrangian(prob, ConditionalMatrix(chan)) == pytest.approx(expect, abs=1e-12)
+
     def test_replayed_ib_step_matches_solve_ib(self):
-        # replay the solver's sweeps with the public ib_step from its seeded
-        # start: the objective never rises, and the replay ends on the same
-        # sweep with the same channel bits
+        # replay plain sweeps with the public ib_step from the solver's seeded
+        # start: the objective never rises, and the accelerated solver ends
+        # no higher than the plain iteration does
         rng = np.random.default_rng(8)
         for t in range(10):
             prob = random_problem(rng, beta=5.0)
             sol = solve_ib(prob, seed=t)
-            w = np.random.default_rng(t).random((prob.n_in, prob.n_out)) + 1e-12
-            chan = ConditionalMatrix(w / w.sum(axis=1, keepdims=True))
-            trace = []
-            for sweep in range(1, DEFAULT_MAX_ITER + 1):
-                new = ib_step(prob, chan)
-                trace.append(lagrangian(prob, new))
-                delta = np.abs(new.p - chan.p).max()
-                chan = new
-                if delta < DEFAULT_TOL:
-                    break
+            trace, _ = plain_sweeps(prob, seed=t)
             assert np.all(np.diff(trace) <= 1e-9)
-            assert sweep == sol.diagnostics.iterations
-            assert (delta < DEFAULT_TOL) == sol.diagnostics.converged
-            assert np.array_equal(chan.p, sol.channel.p)
+            assert lagrangian(prob, sol.channel) <= trace[-1] + 1e-9
+
+
+def plain_sweeps(prob, seed, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """The unaccelerated iteration from the solver's seeded start.
+
+    Returns the Lagrangian after each sweep, and whether the last sweep
+    moved the channel by less than ``tol``.
+    """
+    w = np.random.default_rng(seed).random((prob.n_in, prob.n_out)) + 1e-12
+    chan = ConditionalMatrix(w / w.sum(axis=1, keepdims=True))
+    trace = []
+    for _ in range(max_iter):
+        new = ib_step(prob, chan)
+        trace.append(lagrangian(prob, new))
+        delta = np.abs(new.p - chan.p).max()
+        chan = new
+        if delta < tol:
+            return trace, True
+    return trace, False
+
+
+# A layer-0 node of a smoke-config run (9 input symbols, 2 classes, 200 rows):
+# (count of class 0, count of class 1) per input symbol, and the node's seed.
+# Plain sweeps creep towards its fixed point and stop at 500 unconverged.
+SLOW_NODE_COUNTS = [[4, 14], [1, 4], [14, 5], [12, 21], [4, 2],
+                    [22, 11], [14, 33], [1, 4], [28, 6]]
+SLOW_NODE_SEED = 17378313634350461338
+
+
+class TestAcceleration:
+    def test_slow_node_converges_well_inside_the_cap(self):
+        counts = np.array(SLOW_NODE_COUNTS)
+        x = np.repeat(np.arange(counts.size) // 2, counts.ravel())
+        y = np.repeat(np.arange(counts.size) % 2, counts.ravel())
+        px, pyx = estimate_empirical(x, y, n_in=9, n_class=2)
+        prob = IBProblem(px=px, py_given_x=pyx, beta=5.0, n_out=3)
+        trace, plain_converged = plain_sweeps(prob, SLOW_NODE_SEED)
+        assert (len(trace), plain_converged) == (DEFAULT_MAX_ITER, False)
+        sol = solve_ib(prob, seed=SLOW_NODE_SEED)
+        assert sol.diagnostics.converged
+        assert sol.diagnostics.iterations < DEFAULT_MAX_ITER // 2
+        assert lagrangian(prob, sol.channel) <= trace[-1] + 1e-12
+
+    def test_one_evaluation_cap(self):
+        prob = random_problem(np.random.default_rng(14))
+        a = solve_ib(prob, max_iter=1, seed=3)
+        b = solve_ib(prob, max_iter=1, seed=3)
+        assert (a.diagnostics.iterations, a.diagnostics.converged) == (1, False)
+        assert np.array_equal(a.channel.p, b.channel.p)
+        assert np.array_equal(a.p_out.probs, b.p_out.probs)
+        assert np.array_equal(a.py_given_out.p, b.py_given_out.p)
+        assert a.diagnostics == b.diagnostics
 
 
 class TestSolverInvariants:
