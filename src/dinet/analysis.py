@@ -38,7 +38,6 @@ from .network import (
     channel_cdf,
     mux_combine,
     sample_channel,
-    stream_rngs,
     walk,
 )
 from .quantizer import QuantizedDataset
@@ -125,8 +124,9 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
 def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) -> MIFlowReport:
     """Re-propagate data through the model and report plug-in MI per node/mux.
 
-    Sampling streams derive from the model's stored seed unless overridden,
-    so the report is reproducible for a given model.
+    The nodes draw, in walk order, from one generator seeded by the model's
+    stored seed unless overridden, so the report is reproducible for a given
+    model.
     """
     topo = model.topology
     if tuple(data.cardinalities) != topo.cards:
@@ -148,11 +148,11 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
         """Plug-in H(v) in bits; the row sums are bincount(v) exactly."""
         return entropy(counts.sum(axis=1) / y.size)
 
-    rngs = dict(zip(topo.slots, stream_rngs((base, _STREAM_MIFLOW), topo.slots)))
+    rng = np.random.default_rng([base, _STREAM_MIFLOW])
 
     def node(layer, pos, symbols):
         table = channel_cdf(model.nodes[(layer, pos)].channel.p)
-        return sample_channel(table.take(symbols, axis=1), rngs[(layer, pos)])
+        return sample_channel(table.take(symbols, axis=1), rng)
 
     nodes = []
     muxes = []

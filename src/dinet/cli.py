@@ -37,7 +37,7 @@ from .dataio import (
     split,
     write_text,
 )
-from .errors import ConfigError, DatasetFormatError, DinetError
+from .errors import ConfigError, DatasetFormatError, DinetError, ResourceError
 from .network import build_topology, derive_seed, predict, quantize_features, train_network
 from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
@@ -581,7 +581,9 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             return cmd_inspect(cfg, args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except DinetError as exc:
+    except (DinetError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # also re-raised here from pool workers
+            exc = ResourceError(f"out of memory: {exc}")
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, DatasetFormatError)) else 1

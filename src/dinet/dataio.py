@@ -28,6 +28,7 @@ import json
 import re
 import sys
 import typing
+import warnings
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -199,6 +200,7 @@ def _load_csv(path, target, missing_tokens, delimiter=","):
 
 
 def _parse_arff_attribute(line, line_no, path):
+    """Name, kind and, for a nominal attribute, its declared values stripped as cells are."""
     parts = line.split(None, 1)
     body = parts[1].strip() if len(parts) == 2 else ""
     if body.startswith(("'", '"')):
@@ -216,9 +218,10 @@ def _parse_arff_attribute(line, line_no, path):
     if rest.startswith("{"):
         if not rest.endswith("}"):
             raise DatasetFormatError(f"{path}: line {line_no}: unterminated nominal set")
-        return name, "nominal"
+        values = _split_arff_row(rest[1:-1], line_no, path)
+        return name, "nominal", {v.strip().strip("'\"").strip() for v in values}
     if rest.lower() in ("numeric", "real", "integer"):
-        return name, "numeric"
+        return name, "numeric", None
     raise DatasetFormatError(
         f"{path}: line {line_no}: unsupported attribute type {rest!r}")
 
@@ -241,8 +244,12 @@ def _split_arff_row(line, line_no, path) -> list:
 
 
 def _load_arff(path, target, missing_tokens):
-    """Header, target index, cell table, kinds, and each table row's line number."""
-    names, kinds = [], []
+    """Header, target index, cell table, kinds, and each table row's line number.
+
+    A nominal value outside its declared set is loaded, with one warning per
+    column naming the first such value and its line.
+    """
+    names, kinds, declared = [], [], []
     table, lines = [], []
     data_line = None  # line of the @data marker
     for line_no, raw in enumerate(_LINE_END.split(read_text(path, DatasetFormatError)), 1):
@@ -254,9 +261,10 @@ def _load_arff(path, target, missing_tokens):
             if low.startswith("@relation"):
                 continue
             if low.startswith("@attribute"):
-                name, kind = _parse_arff_attribute(line, line_no, path)
+                name, kind, values = _parse_arff_attribute(line, line_no, path)
                 names.append(name)
                 kinds.append(kind)
+                declared.append(values)
                 continue
             if low.startswith("@data"):
                 data_line = line_no
@@ -271,6 +279,13 @@ def _load_arff(path, target, missing_tokens):
     if target not in names:
         raise DatasetFormatError(
             f"{path}: line {data_line}: target column {target!r} not among attributes {names}")
+    for name, values, cells in zip(names, declared, zip(*table)):
+        if values is None:
+            continue
+        bad = [(v, n) for v, n in zip(cells, lines) if v is not None and v not in values]
+        if bad:
+            warnings.warn(f"{path}: line {bad[0][1]}: column {name!r} holds {bad[0][0]!r}, "
+                          "which is not in its declared nominal set", stacklevel=3)
     return names, names.index(target), table, kinds, lines
 
 

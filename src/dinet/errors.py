@@ -32,7 +32,7 @@ class ModelVersionError(ModelFormatError):
 
 
 class ResourceError(DinetError):
-    """A file or URL could not be read or written; the message names it."""
+    """A file or URL could not be read or written, or memory ran out; the message says which."""
 
 
 @contextmanager

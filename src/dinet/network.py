@@ -28,23 +28,18 @@ builds each node's table once per call, and since every ensemble repeat
 feeds layer 0 the same columns, it gathers the layer-0 thresholds once for
 all repeats.
 
-Every random draw comes from a stream keyed by (master seed, purpose,
-[repeat,] layer, position), so training and prediction are reproducible and
-nodes never share randomness.  Stream i is numpy's
-``default_rng(SeedSequence([*parts, *key_i]))``; ``stream_rngs`` seeds all of
-a walk's streams in one vectorised pass of that hash, which numpy's
-stream-compatibility policy (NEP 19) keeps fixed.  ``derive_seed`` runs only
-a few times per run, so it stays on numpy's own ``SeedSequence``.
+Each sampling call draws from one generator, ``default_rng([seed,
+purpose])``, consumed in walk order: node after node, and in an ensemble
+pass after pass.  So training, prediction and ``mi_flow`` are reproducible
+and never share draws.  The solver's start seeds come from ``derive_seed``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, SchemaMismatchError, ValidationError
 from .ib import (
@@ -68,110 +63,6 @@ _STREAM_MIFLOW = 4
 def derive_seed(*parts: int) -> int:
     """Deterministically hash integer key parts into a fresh solver seed."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)[0])
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _int_words(value) -> list:
-    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"stream key parts must be integers, got {value!r}") from None
-    if n < 0:
-        raise ValidationError(f"stream key parts must be non-negative, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _key_words(keys) -> np.ndarray:
-    """One row of uint32 entropy words per key; every key must give as many."""
-    try:
-        small = np.asarray(keys)
-    except ValueError:  # ragged
-        small = np.empty(0, dtype=object)
-    if (small.ndim == 2 and small.dtype.kind in "iu"
-            and ((small >= 0) & (small <= _MASK32)).all()):
-        return small.astype(np.uint32)
-    rows = [[w for v in key for w in _int_words(v)] for key in keys]
-    if len({len(row) for row in rows}) > 1:
-        raise ValidationError("all stream keys of one call must have the same word count")
-    return np.array(rows, dtype=np.uint32)
-
-
-def _seed_states(entropy: list, n_keys: int) -> np.ndarray:
-    """``SeedSequence(e).generate_state(4, uint64)`` for every column of ``entropy``.
-
-    ``entropy`` lists the assembled words in order, each a uint32 array that
-    holds one value per key or one value shared by all ``n_keys``.  The hash
-    constants evolve independently of the data, so every step is one
-    elementwise op over all keys.
-    """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return out ^ (out >> 16)
-
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    state = np.empty((n_keys, 2 * _POOL_SIZE), dtype="<u4")
-    const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> 16)
-    return state.view("<u8").astype(np.uint64)
-
-
-class _StateWords(ISeedSequence):
-    """Hands PCG64 the four seeding words its constructor asks for."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def stream_rngs(parts, keys) -> list:
-    """One generator per key, stream i equal to numpy's
-    ``default_rng(SeedSequence([*parts, *keys[i]]))`` bit for bit.
-
-    The entropy hash runs once over all keys as uint32 vectors; numpy's
-    PCG64 then seeds each generator from its four hashed words.
-    """
-    if len(keys) == 0:
-        return []
-    head = [np.full(1, w, dtype=np.uint32) for p in parts for w in _int_words(p)]
-    tail = _key_words(keys)
-    states = _seed_states(head + list(np.ascontiguousarray(tail.T)), len(keys))
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in states]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +369,7 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
 
     nodes = {}
     final_solution = None
-    rngs = dict(zip(topology.slots, stream_rngs((seed, _STREAM_TRAIN_SAMPLE), topology.slots)))
+    rng = np.random.default_rng([seed, _STREAM_TRAIN_SAMPLE])
 
     def node(layer_idx, k, symbols):
         nonlocal final_solution
@@ -495,8 +386,7 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
             mi_out_y=sol.diagnostics.i_y_out,
         )
         final_solution = sol  # the walk ends on the final node
-        return sample_channel(channel_cdf(sol.channel.p).take(symbols, axis=1),
-                              rngs[(layer_idx, k)])
+        return sample_channel(channel_cdf(sol.channel.p).take(symbols, axis=1), rng)
 
     for _ in walk(topology, data.columns, node):
         pass
@@ -520,9 +410,9 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
 
     ``stochastic`` runs one sampled pass, ``ensemble`` ``repeats`` of them,
     and each row takes its passes' majority vote (ties to the smaller
-    label).  Repeat r samples node (layer, pos) from the stream keyed
-    (seed, r, layer, pos), so ensemble with repeats=1 is stochastic exactly.
-    All repeats' streams are seeded in one pass.
+    label).  All passes draw from one generator, each after the previous
+    one, so ensemble with repeats=1 is stochastic exactly and R repeats are
+    the first R passes of R + 1.
     """
     if tuple(data.cardinalities) != model.topology.cards:
         raise SchemaMismatchError("dataset cardinalities do not match the model")
@@ -532,27 +422,23 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
         raise ValidationError("ensemble needs repeats >= 1")
     passes = repeats if mode == "ensemble" else 1
     topo = model.topology
-    keys = [(r, *slot) for r in range(passes) for slot in topo.slots]
-    rngs = dict(zip(keys, stream_rngs((seed, _STREAM_PREDICT), keys)))
+    rng = np.random.default_rng([seed, _STREAM_PREDICT])
     tables = {slot: channel_cdf(model.nodes[slot].channel.p) for slot in topo.slots}
     # every repeat feeds layer 0 the same columns, so gather its thresholds once
     first = [tables[(0, k)].take(np.asarray(c, dtype=np.int64), axis=1)
              for k, c in enumerate(data.columns)]
     align = np.asarray(model.class_alignment, dtype=np.int64)
 
-    def one_pass(r):
-        def node(layer, pos, symbols):
-            gathered = first[pos] if layer == 0 else tables[(layer, pos)].take(symbols, axis=1)
-            return sample_channel(gathered, rngs[(r, layer, pos)])
-
-        for _, _, outputs in walk(topo, data.columns, node):
-            pass
-        return align[outputs[0]]
+    def node(layer, pos, symbols):
+        gathered = first[pos] if layer == 0 else tables[(layer, pos)].take(symbols, axis=1)
+        return sample_channel(gathered, rng)
 
     votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
     rows = np.arange(data.n_rows)
-    for r in range(passes):
-        votes[rows, one_pass(r)] += 1
+    for _ in range(passes):
+        for _, _, outputs in walk(topo, data.columns, node):
+            pass
+        votes[rows, align[outputs[0]]] += 1
     return votes.argmax(axis=1)
 
 

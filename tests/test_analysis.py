@@ -26,7 +26,6 @@ from dinet.network import (
     channel_cdf,
     mux_combine,
     sample_channel,
-    stream_rngs,
     walk,
 )
 
@@ -217,11 +216,11 @@ class TestMiFlow:
         def ent(v, card):
             return h(np.bincount(v, minlength=card).astype(np.float64) / v.size)
 
-        rngs = dict(zip(topo.slots, stream_rngs((model.seed, _STREAM_MIFLOW), topo.slots)))
+        rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
 
         def node(layer, pos, symbols):
             table = channel_cdf(model.nodes[(layer, pos)].channel.p)
-            return sample_channel(table.take(symbols, axis=1), rngs[(layer, pos)])
+            return sample_channel(table.take(symbols, axis=1), rng)
 
         walked = [(list(inputs), list(outputs))
                   for _, inputs, outputs in walk(topo, data.columns, node)]

@@ -508,6 +508,19 @@ class TestCommands:
             "error": "ResourceError",
             "message": f"cannot read {model}: No such file or directory"}
 
+    def test_out_of_memory_exits_1_as_one_line(self, config_file, tmp_path, capsys,
+                                               monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(cli, "train_network", exhausted)
+        code, out, err = self.run("train", "--config", str(config_file), "--quiet",
+                                  "--model-out", str(tmp_path / "m.json"), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert self.one_error_line(err) == {
+            "error": "ResourceError", "message": "out of memory: Unable to allocate 72.8 TiB"}
+
     def test_unreadable_archive_exits_1_naming_it(self, tmp_path, capsys):
         url = (tmp_path / "missing.zip").as_uri()
         code, out, err = self.run("fetch-data", "--dest", str(tmp_path / "data"),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tempfile
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -125,6 +126,22 @@ class TestARFF:
         p.write_text(f"@attribute a {{'x,y',z}}\n@attribute class {{p,q}}\n@data\nz,p\n{row}\n")
         with pytest.raises(DatasetFormatError, match=r": line 5: unterminated . quote"):
             load_dataset(p, format="arff", target="class")
+
+    def test_undeclared_nominal_values_warn_and_load(self, tmp_path):
+        p = tmp_path / "undeclared.arff"
+        p.write_text("@attribute a {x,y}\n@attribute class {p,q}\n@data\nw,p\nx,r\n")
+        with pytest.warns(UserWarning) as record:
+            data = load_dataset(p, format="arff", target="class")
+        assert [str(w.message) for w in record] == [
+            f"{p}: line 4: column 'a' holds 'w', which is not in its declared nominal set",
+            f"{p}: line 5: column 'class' holds 'r', which is not in its declared nominal set"]
+        assert data.columns == (("w", "x"),)
+        assert data.target == ("p", "r") and data.classes == ("p", "r")
+
+    def test_declared_values_do_not_warn(self, arff_file):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_dataset(arff_file, format="arff", target="class")
 
     def test_no_data_section(self, tmp_path):
         p = tmp_path / "empty.arff"
@@ -669,6 +686,22 @@ def hand_built_model():
                     quantizers=specs, feature_names=("age", "flag"),
                     class_names=("ckd", "notckd"), class_alignment=(1, 0),
                     beta=5.0, seed=2 ** 63 + 5)
+
+
+class TestPinnedDraws:
+    """Fixed channels, ``cumsum`` and PCG64 doubles make every platform draw alike."""
+
+    def test_predictions(self):
+        from dinet import QuantizedDataset, predict_quantized
+
+        model = hand_built_model()
+        data = QuantizedDataset(columns=(np.array([0, 1] * 6), np.array([0, 1, 2] * 4)),
+                                cardinalities=(2, 3), labels=np.zeros(12, dtype=np.int64),
+                                n_class=2)
+        got = predict_quantized(model, data, seed=model.seed)
+        assert got.tolist() == [1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0]
+        got = predict_quantized(model, data, seed=model.seed, mode="ensemble", repeats=3)
+        assert got.tolist() == [0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0]
 
 
 class TestWrittenBytes:
