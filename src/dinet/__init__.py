@@ -27,7 +27,6 @@ from .network import (
     DINModel,
     Topology,
     TrainedNode,
-    build_topology,
     mux_combine,
     mux_split,
     predict,
@@ -61,7 +60,6 @@ __all__ = [
     "TrainedNode",
     "ValidationError",
     "apply_quantizer",
-    "build_topology",
     "check_bounds",
     "compose_full_matrix",
     "estimate_empirical",

@@ -121,17 +121,15 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
     return ConditionalMatrix(aligned)
 
 
-def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) -> MIFlowReport:
+def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     """Re-propagate data through the model and report plug-in MI per node/mux.
 
     The nodes draw, in walk order, from one generator seeded by the model's
-    stored seed unless overridden, so the report is reproducible for a given
-    model.
+    stored seed, so the report is reproducible for a given model.
     """
     topo = model.topology
     if tuple(data.cardinalities) != topo.cards:
         raise SchemaMismatchError("dataset cardinalities do not match the model")
-    base = model.seed if seed is None else seed
     y = data.labels
     card_y = data.n_class
 
@@ -148,7 +146,7 @@ def mi_flow(model: DINModel, data: QuantizedDataset, seed: int | None = None) ->
         """Plug-in H(v) in bits; the row sums are bincount(v) exactly."""
         return entropy(counts.sum(axis=1) / y.size)
 
-    rng = np.random.default_rng([base, _STREAM_MIFLOW])
+    rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
 
     def node(layer, pos, symbols):
         table = channel_cdf(model.nodes[(layer, pos)].channel.p)

@@ -1,10 +1,11 @@
 """Command-line surface: train, evaluate, experiment, inspect, fetch-data.
 
 One declarative JSON config drives everything; every knob defaults to the
-kidney-disease reference setup (beta=5, three output symbols per node,
-200 balanced training rows, 1000 runs).  Dotted ``--set`` flags override
-single keys.  Progress streams to stderr as JSON lines; stdout carries
-only the final JSON report, so pipelines can consume it directly.
+kidney-disease reference setup (beta=5, three output symbols per node below
+the class node, 200 balanced training rows, 1000 runs).  Dotted ``--set``
+flags override single keys.  Progress streams to stderr as JSON lines;
+stdout carries only the final JSON report, so pipelines can consume it
+directly.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config/data error.
 """
@@ -38,7 +39,8 @@ from .dataio import (
     write_text,
 )
 from .errors import ConfigError, DatasetFormatError, DinetError, ResourceError
-from .network import build_topology, derive_seed, predict, quantize_features, train_network
+from .network import (Topology, derive_seed, predict, quantize_features, train_network,
+                      tree_layer_sizes)
 from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
 
@@ -47,6 +49,11 @@ _SPLIT_TAG = 1
 _TRAIN_TAG = 2
 _PRED_TRAIN_TAG = 3
 _PRED_TEST_TAG = 4
+
+# No config value may size an array beyond this many entries (8 TiB of
+# float64), so an absurd value is a ConfigError, never numpy's "array is too
+# big"; below it, an array that does not fit fails as out of memory.
+MAX_ARRAY_ENTRIES = 2 ** 40
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ class QuantizerConfig:
 @dataclass
 class ModelConfig:
     beta: float = 5.0
-    n_out: int | list[int] = 3        # scalar for all non-final layers, or full list
+    n_out: int = 3                    # output alphabet of every node below the class node
     tol: float = 1e-8
     max_iter: int = 500
 
@@ -117,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError("model.beta must be positive")
         if self.model.tol <= 0 or self.model.max_iter < 1:
             raise ConfigError("model.tol must be positive and max_iter >= 1")
+        if self.model.n_out < 1:
+            raise ConfigError("model.n_out must be >= 1")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.quantizer.default_levels is not None and self.quantizer.default_levels < 2:
@@ -125,8 +134,8 @@ class ExperimentConfig:
             raise ConfigError("split.n_train must be >= 1")
         if self.seed < 0 or self.dataset.synthetic_seed < 0:
             raise ConfigError("seed and dataset.synthetic_seed must be >= 0")
-        if self.dataset.synthetic_rows < 1:
-            raise ConfigError("dataset.synthetic_rows must be >= 1")
+        if not 1 <= self.dataset.synthetic_rows <= MAX_ARRAY_ENTRIES:
+            raise ConfigError(f"dataset.synthetic_rows must be in [1, {MAX_ARRAY_ENTRIES}]")
         if len(self.dataset.delimiter) != 1:
             raise ConfigError("dataset.delimiter must be one character")
         if self.workers < 1:
@@ -301,13 +310,23 @@ def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=())
 
 
 def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missing=()):
-    """Fit quantizers on the training rows only, then train the tree."""
+    """Fit quantizers on the training rows only, then train the tree.
+
+    Every node below the class node outputs ``cfg.model.n_out`` symbols; a
+    channel above ``MAX_ARRAY_ENTRIES`` entries is refused before any array.
+    """
     specs = fit_quantizers(train, cfg.quantizer, reserve_missing)
-    qtrain = quantize_with(specs, train)
-    topo = build_topology(train.n_features, cfg.model.n_out, len(train.classes),
-                          qtrain.cardinalities)
+    depth = len(tree_layer_sizes(train.n_features)) - 1
+    topo = Topology(cards=tuple(spec.cardinality for spec in specs),
+                    n_out=(cfg.model.n_out,) * depth + (len(train.classes),))
+    for i, layer in enumerate(topo.layers):
+        for n_in, n_out in zip(layer.n_in, layer.n_out):
+            if n_in * n_out > MAX_ARRAY_ENTRIES:
+                raise ConfigError(
+                    f"a layer-{i} node channel of {n_in} x {n_out} entries exceeds the "
+                    f"limit of {MAX_ARRAY_ENTRIES}; lower model.n_out or the quantizer levels")
     model = train_network(
-        qtrain, topo, beta=cfg.model.beta, tol=cfg.model.tol,
+        quantize_with(specs, train), topo, beta=cfg.model.beta, tol=cfg.model.tol,
         max_iter=cfg.model.max_iter, seed=seed,
         quantizers=specs, feature_names=train.feature_names,
         class_names=train.classes,

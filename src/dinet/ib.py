@@ -114,10 +114,11 @@ def estimate_empirical(x_symbols, y_labels, n_in: int, n_class: int):
         raise ValidationError(f"input symbols outside [0, {n_in})")
     if y.min() < 0 or y.max() >= n_class:
         raise ValidationError(f"labels outside [0, {n_class})")
-    counts_x = np.bincount(x, minlength=n_in).astype(np.float64)
     counts_xy = np.bincount(x * n_class + y, minlength=n_in * n_class)
     counts_xy = counts_xy.reshape(n_in, n_class).astype(np.float64)
-    prior = np.bincount(y, minlength=n_class).astype(np.float64) / y.size
+    # integer row and column sums: exact in float64
+    counts_x = counts_xy.sum(axis=1)
+    prior = counts_xy.sum(axis=0) / y.size
     py_x = np.where(counts_x[:, None] > 0,
                     counts_xy / np.maximum(counts_x[:, None], 1.0),
                     prior[None, :])
@@ -272,11 +273,8 @@ def _squarem(src: _Source, beta, channel, tol, max_iter):
             return x2, evaluations, done
         r = x1 - x0
         v = x2 - 2 * x1 + x0
-        vv = (v * v).sum()
-        if not vv > 0:
-            x0 = x2
-            continue
-        alpha = min(-np.sqrt((r * r).sum() / vv), -1.0)
+        # v == 0 makes alpha -inf and the proposal NaN, refused just below
+        alpha = min(-np.sqrt((r * r).sum() / (v * v).sum()), -1.0)
         proposal = _project(x0 - 2 * alpha * r + alpha * alpha * v, x2, src)
         if not np.isfinite(proposal).all():
             x0 = x2

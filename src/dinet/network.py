@@ -3,11 +3,12 @@
 Layer 0 holds one node per feature.  Adjacent node outputs are merged two
 at a time by mixed-radix multiplexers (an odd layer ends with one 3-way
 merge) and the column count shrinks until a single node remains, whose
-output alphabet is the class alphabet.  A ``Topology`` is fixed by the
-layer-0 alphabets and one output alphabet per layer; its layer shapes and
-mux groups are derived from them.  Layers train in order: each node
-solves its own bottleneck problem against the target, then stochastically
-emits the symbol stream the next layer trains on.
+output alphabet is the class alphabet.  ``Topology(cards, n_out)`` is the
+one way to build a tree: the layer-0 alphabets and one output alphabet per
+layer fix it, and its layer shapes and mux groups are derived from them.
+Layers train in order: each node solves its own bottleneck problem against
+the target, then stochastically emits the symbol stream the next layer
+trains on.
 
 A node below the final layer whose output alphabet can hold its input
 (``n_in <= n_out``) has nothing to compress and keeps its input, as a mux
@@ -105,7 +106,7 @@ class Topology:
         sizes = tree_layer_sizes(len(cards))
         if len(n_out) != len(sizes):
             raise ConfigError(
-                f"n_out_per_layer has {len(n_out)} entries but this tree has "
+                f"n_out has {len(n_out)} entries but this tree has "
                 f"{len(sizes)} layers (sizes {list(sizes)})")
         if any(v < 1 for v in n_out):
             raise ConfigError("n_out values must be >= 1")
@@ -131,17 +132,9 @@ class Topology:
         return tuple(layer.size for layer in self.layers)
 
     @property
-    def n_nodes(self) -> int:
-        return sum(self.layer_sizes)
-
-    @property
     def slots(self) -> tuple:
         """Every node's (layer, position), in walk order."""
         return tuple((i, k) for i, size in enumerate(self.layer_sizes) for k in range(size))
-
-    @property
-    def n_mixers(self) -> int:
-        return sum(len(g) for g in self.mux_groups)
 
     @property
     def n_class(self) -> int:
@@ -163,26 +156,6 @@ def tree_layer_sizes(D: int) -> tuple:
     while sizes[-1] > 1:
         sizes.append(len(_group_layer(sizes[-1])))
     return tuple(sizes)
-
-
-def build_topology(D: int, n_out_per_layer, n_class: int,
-                   feature_cardinalities) -> Topology:
-    """Construct the standard tree for D features.
-
-    ``n_out_per_layer`` is one integer for every non-final layer (the final
-    layer then gets ``n_class``), or one output cardinality per layer whose
-    last entry must equal ``n_class``.
-    """
-    cards = tuple(feature_cardinalities)
-    if len(cards) != D:
-        raise ConfigError(f"{len(cards)} feature cardinalities for D={D}")
-    if isinstance(n_out_per_layer, int):
-        n_out_per_layer = [n_out_per_layer] * (len(tree_layer_sizes(D)) - 1) + [n_class]
-    topology = Topology(cards=cards, n_out=tuple(n_out_per_layer))
-    if topology.n_class != n_class:
-        raise ConfigError(
-            f"final layer n_out must equal the class count {n_class}, got {topology.n_class}")
-    return topology
 
 
 # ---------------------------------------------------------------------------

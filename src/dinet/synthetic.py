@@ -14,14 +14,14 @@ import numpy as np
 from .dataio import RawDataset
 
 N_FEATURES = 24
+MISSING_RATE = 0.06          # share of missing cells in every column but lab_0
+POSITIVE_FRACTION = 0.625    # the real table's 250 sick of 400 rows
 
 
-def make_synthetic_ckd(n_rows: int = 400, seed: int = 0,
-                       missing_rate: float = 0.06,
-                       positive_fraction: float = 0.625) -> RawDataset:
-    """Generate a table; positive_fraction matches the real 250/400 split."""
+def make_synthetic_ckd(n_rows: int = 400, seed: int = 0) -> RawDataset:
+    """Generate a table of ``n_rows`` rows from ``seed``."""
     rng = np.random.default_rng(seed)
-    y = (rng.random(n_rows) < positive_fraction).astype(int)
+    y = (rng.random(n_rows) < POSITIVE_FRACTION).astype(int)
 
     columns = {}
     # deterministic separator: disjoint class-conditional ranges, no missing
@@ -49,17 +49,15 @@ def make_synthetic_ckd(n_rows: int = 400, seed: int = 0,
     names, cols, kinds = [], [], []
     for name, values in columns.items():
         cells = [float(v) for v in values]
-        if name != "lab_0" and missing_rate > 0:
-            mask = rng.random(n_rows) < missing_rate
+        if name != "lab_0":
+            mask = rng.random(n_rows) < MISSING_RATE
             cells = [None if m else v for v, m in zip(cells, mask)]
         names.append(name)
         cols.append(tuple(cells))
         kinds.append("numeric")
     for name, values in flags.items():
-        cells = [str(v) for v in values]
-        if missing_rate > 0:
-            mask = rng.random(n_rows) < missing_rate
-            cells = [None if m else v for v, m in zip(cells, mask)]
+        mask = rng.random(n_rows) < MISSING_RATE
+        cells = [None if m else v for v, m in zip(map(str, values), mask)]
         names.append(name)
         cols.append(tuple(cells))
         kinds.append("nominal")

@@ -17,7 +17,7 @@ from dinet import (
     DiscreteDistribution,
     IBProblem,
     QuantizedDataset,
-    build_topology,
+    Topology,
     check_bounds,
     compose_full_matrix,
     ib_step,
@@ -168,7 +168,7 @@ class TestCriterion3OfflineProperties:
             cols = (y.copy(), np.where(rng.random(300) < 0.7, y, rng.integers(0, 2, 300)))
             data = QuantizedDataset(columns=cols, cardinalities=(2, 2),
                                     labels=y, n_class=2)
-            topo = build_topology(2, [2, 2], 2, [2, 2])
+            topo = Topology(cards=(2, 2), n_out=(2, 2))
             model = train_network(data, topo, beta=10.0, seed=seed)
             assert check_bounds(mi_flow(model, data), tol=1e-6) == []
             checked += 1
@@ -214,7 +214,7 @@ class TestCriterion3OfflineProperties:
             y = x0 ^ x1
             data = QuantizedDataset(columns=(x0, x1), cardinalities=(2, 2),
                                     labels=y, n_class=2)
-            topo = build_topology(2, [2, 2], 2, [2, 2])
+            topo = Topology(cards=(2, 2), n_out=(2, 2))
             model = train_network(data, topo, beta=10.0, seed=seed)
             preds = predict_quantized(model, data, seed=seed, mode="ensemble",
                                       repeats=25)
@@ -256,10 +256,10 @@ class TestCriterion5TopologyCounts:
     def test_counts_and_layer_sizes(self):
         for D in (2, 4, 8, 16):
             layers = int(np.log2(D)) + 1
-            topo = build_topology(D, [3] * (layers - 1) + [2], 2, [4] * D)
-            assert topo.n_nodes == 2 * D - 1
-            assert topo.n_mixers == D - 1
-        topo24 = build_topology(24, [3, 3, 3, 3, 2], 2, [4] * 24)
+            topo = Topology(cards=[4] * D, n_out=[3] * (layers - 1) + [2])
+            assert sum(topo.layer_sizes) == 2 * D - 1
+            assert sum(map(len, topo.mux_groups)) == D - 1
+        topo24 = Topology(cards=[4] * 24, n_out=(3, 3, 3, 3, 2))
         ok = topo24.layer_sizes == (24, 12, 6, 3, 1)
         assert verdict(
             "5 topology counts",

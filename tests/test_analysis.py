@@ -10,9 +10,9 @@ from dinet import (
     ConditionalMatrix,
     DINModel,
     QuantizedDataset,
+    Topology,
     TrainedNode,
     ValidationError,
-    build_topology,
     check_bounds,
     compose_full_matrix,
     mi_flow,
@@ -46,7 +46,7 @@ def hand_model(channels_by_slot, topo, n_class=2, alignment=None):
 def random_model(D, rng, n_out=2, n_class=2):
     cards = [int(rng.integers(2, 4)) for _ in range(D)]
     n_layers = int(np.log2(D)) + 1
-    topo = build_topology(D, [n_out] * (n_layers - 1) + [n_class], n_class, cards)
+    topo = Topology(cards=cards, n_out=[n_out] * (n_layers - 1) + [n_class])
     channels = {}
     for li, layer in enumerate(topo.layers):
         for k in range(layer.size):
@@ -89,7 +89,7 @@ def brute_force_compose(model):
 
 class TestCompose:
     def test_identity_channels_compose_to_identity(self):
-        topo = build_topology(2, [2, 2], 2, [2, 2])
+        topo = Topology(cards=(2, 2), n_out=(2, 2))
         eye = np.eye(2)
         # root input is the mux pairing (low-order digit = node 0)
         root = np.zeros((4, 2))
@@ -122,7 +122,7 @@ class TestCompose:
             compose_full_matrix(model, max_states=2)
 
     def test_alignment_permutes_columns(self):
-        topo = build_topology(1, [2], 2, [2])
+        topo = Topology(cards=(2,), n_out=(2,))
         chan = np.array([[0.9, 0.1], [0.3, 0.7]])
         plain = hand_model({(0, 0): chan}, topo, alignment=(0, 1))
         flipped = hand_model({(0, 0): chan}, topo, alignment=(1, 0))
@@ -137,7 +137,7 @@ def trained_toy(seed=0, n=400):
     col1 = np.where(rng.random(n) < 0.75, y, rng.integers(0, 2, n))
     data = QuantizedDataset(columns=(col0, col1), cardinalities=(2, 2),
                             labels=y, n_class=2)
-    topo = build_topology(2, [2, 2], 2, [2, 2])
+    topo = Topology(cards=(2, 2), n_out=(2, 2))
     return data, train_network(data, topo, beta=10.0, seed=seed)
 
 
@@ -145,8 +145,8 @@ class TestMiFlow:
     def test_report_shape_and_nonnegativity(self):
         data, model = trained_toy()
         rep = mi_flow(model, data)
-        assert len(rep.nodes) == model.topology.n_nodes
-        assert len(rep.muxes) == model.topology.n_mixers
+        assert len(rep.nodes) == sum(model.topology.layer_sizes)
+        assert len(rep.muxes) == sum(map(len, model.topology.mux_groups))
         for node in rep.nodes:
             assert node.mi_in_y >= 0 and node.mi_out_y >= 0 and node.h_out >= 0
         for mux in rep.muxes:
@@ -157,7 +157,7 @@ class TestMiFlow:
         y = rng.integers(0, 2, 500)
         data = QuantizedDataset(columns=(y.copy(), y.copy()), cardinalities=(2, 2),
                                 labels=y, n_class=2)
-        topo = build_topology(2, [2, 2], 2, [2, 2])
+        topo = Topology(cards=(2, 2), n_out=(2, 2))
         model = train_network(data, topo, beta=10.0, seed=1)
         # near-deterministic channels on identical columns: snap them exact
         nodes = {
@@ -201,7 +201,7 @@ class TestMiFlow:
                         for c in cards)
         data = QuantizedDataset(columns=columns, cardinalities=tuple(cards), labels=y,
                                 n_class=2)
-        topo = build_topology(7, [3, 3, 2], 2, cards)  # two 3-way groups
+        topo = Topology(cards=cards, n_out=(3, 3, 2))  # two 3-way groups
         model = train_network(data, topo, beta=5.0, seed=3)
 
         def h(p):

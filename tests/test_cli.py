@@ -195,6 +195,23 @@ class TestPipeline:
         assert report["test"]["mean"]["accuracy"] == pytest.approx(
             sum(accs) / len(accs), abs=1e-12)
 
+    @pytest.mark.parametrize("n_out, expected", [(3, (3, 3, 3, 3, 2)), (2, (2, 2, 2, 2, 2))],
+                             ids=["n_out=3", "n_out=2"])
+    def test_integer_n_out_expands_below_the_class_layer(self, n_out, expected):
+        cfg = config_from_dict(dict(SYNTH_CONFIG, model={"n_out": n_out}))
+        model = cli.train_on(prepare_dataset(cfg), cfg, seed=0)
+        assert model.topology.n_out == expected
+
+    def test_channel_size_limit_is_exact(self, cfg, monkeypatch):
+        data = prepare_dataset(cfg)
+        model = cli.train_on(data, cfg, seed=0)
+        largest = max(node.channel.rows * node.channel.cols for node in model.nodes.values())
+        monkeypatch.setattr(cli, "MAX_ARRAY_ENTRIES", largest)
+        assert cli.train_on(data, cfg, seed=0).topology == model.topology
+        monkeypatch.setattr(cli, "MAX_ARRAY_ENTRIES", largest - 1)
+        with pytest.raises(ConfigError, match=f"exceeds the limit of {largest - 1};"):
+            cli.train_on(data, cfg, seed=0)
+
     def test_missing_cell_only_in_test_rows(self):
         # the split puts the table's only missing cell in the test rows; the
         # quantizer must still reserve a missing symbol for it
@@ -454,7 +471,7 @@ class TestCommands:
         "dataset.synthetic_rows=0",
         'dataset.missing_tokens="?"', "model.n_out=[3.0, 2]", 'dataset.delimiter=""',
         "split.positive_fraction=1.5", "split.positive_fraction=-0.5",
-        "quantizer.default_levels=1", "split.n_train=0",
+        "quantizer.default_levels=1", "split.n_train=0", "model.n_out=[3]", "model.n_out=0",
     ])
     def test_mistyped_override_exits_2(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
@@ -465,7 +482,6 @@ class TestCommands:
         assert json.loads(lines[0])["error"] == "ConfigError"
 
     @pytest.mark.parametrize("override", [
-        "model.n_out=[3]",
         'quantizer.overrides={"lab_1": 3}',
         'quantizer.overrides={"lab_1": {"levels": "abc"}}',
         'quantizer.overrides={"lab_1": {"kind": "wavelet"}}',
@@ -484,6 +500,21 @@ class TestCommands:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         return json.loads(lines[0])
+
+    @pytest.mark.parametrize("override", [
+        f"model.n_out={10**20}",
+        f"quantizer.default_levels={10**20}",
+        f'quantizer.overrides={{"lab_1": {{"levels": {10**20}}}}}',
+        f"dataset.synthetic_rows={10**20}",
+    ], ids=["n_out", "default_levels", "override-levels", "synthetic_rows"])
+    def test_array_size_beyond_the_limit_exits_2(self, config_file, capsys, override):
+        code, out, err = self.run("experiment", "--config", str(config_file), "--quiet",
+                                  "--set", "runs=1", "--set", 'outputs.metrics=""',
+                                  "--set", override, capsys=capsys)
+        assert (code, out) == (2, "")
+        record = self.one_error_line(err)
+        assert record["error"] == "ConfigError"
+        assert str(cli.MAX_ARRAY_ENTRIES) in record["message"]
 
     @pytest.mark.parametrize("flag", ["--model-out", "--metrics-out", "--miflow-out"])
     def test_unwritable_output_exits_1_naming_it(self, config_file, tmp_path, capsys, flag):

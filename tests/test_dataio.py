@@ -275,7 +275,6 @@ class TestSplit:
 
 
 def small_model():
-    from dinet import QuantizedDataset, build_topology, train_network
     from dinet.cli import DatasetConfig, ExperimentConfig, QuantizerConfig, train_on
 
     cfg = ExperimentConfig()
@@ -301,14 +300,14 @@ class TestModelPersistence:
             assert back.nodes[key].mi_in_y == node.mi_in_y
 
     def test_round_trip_keeps_pass_through_nodes(self, tmp_path):
-        from dinet import (QuantizedDataset, build_topology, check_bounds, mi_flow,
+        from dinet import (QuantizedDataset, Topology, check_bounds, mi_flow,
                            train_network)
 
         rng = np.random.default_rng(3)
         x0, x1 = rng.integers(0, 2, 200), rng.integers(0, 3, 200)
         data = QuantizedDataset(columns=(x0, x1), cardinalities=(2, 3),
                                 labels=(x0 + x1) % 2, n_class=2)
-        model = train_network(data, build_topology(2, [4, 2], 2, [2, 3]),
+        model = train_network(data, Topology(cards=(2, 3), n_out=(4, 2)),
                               beta=10.0, seed=1)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -668,7 +667,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def hand_built_model():
     """A two-feature model whose every number is fixed by hand."""
-    from dinet import ConditionalMatrix, DINModel, FeatureSpec, TrainedNode, build_topology
+    from dinet import ConditionalMatrix, DINModel, FeatureSpec, Topology, TrainedNode
     from dinet.ib import IBDiagnostics
 
     specs = (FeatureSpec(kind="continuous", has_missing=False, name="age", levels=2,
@@ -682,7 +681,7 @@ def hand_built_model():
                                diagnostics=IBDiagnostics(7 * i, 0.1 * i, 1 / 3, i != 1),
                                mi_in_y=1 / 7, mi_out_y=0.125 * i)
              for i, (slot, p) in enumerate(channels.items())}
-    return DINModel(topology=build_topology(2, [2, 2], 2, [2, 3]), nodes=nodes,
+    return DINModel(topology=Topology(cards=(2, 3), n_out=(2, 2)), nodes=nodes,
                     quantizers=specs, feature_names=("age", "flag"),
                     class_names=("ckd", "notckd"), class_alignment=(1, 0),
                     beta=5.0, seed=2 ** 63 + 5)

@@ -12,7 +12,6 @@ from dinet import (
     SchemaMismatchError,
     Topology,
     ValidationError,
-    build_topology,
     mux_combine,
     mux_split,
     predict_quantized,
@@ -44,59 +43,44 @@ class TestBuildTopology:
     @pytest.mark.parametrize("D", [2, 4, 8, 16])
     def test_power_of_two_counts(self, D):
         layers = int(np.log2(D)) + 1
-        topo = build_topology(D, [3] * (layers - 1) + [2], 2, [4] * D)
-        assert topo.n_nodes == 2 * D - 1
-        assert topo.n_mixers == D - 1
+        topo = Topology(cards=[4] * D, n_out=[3] * (layers - 1) + [2])
+        assert sum(topo.layer_sizes) == 2 * D - 1
+        assert sum(map(len, topo.mux_groups)) == D - 1
 
     def test_tree_layer_sizes(self):
         assert tree_layer_sizes(24) == (24, 12, 6, 3, 1)
         for D in (1, 2, 3):
             sizes = tree_layer_sizes(D)
-            topo = build_topology(D, [3] * (len(sizes) - 1) + [2], 2, [4] * D)
+            topo = Topology(cards=[4] * D, n_out=[3] * (len(sizes) - 1) + [2])
             assert topo.layer_sizes == sizes
 
     def test_24_feature_layout(self):
-        topo = build_topology(24, [3, 3, 3, 3, 2], 2, [5] * 24)
+        topo = Topology(cards=[5] * 24, n_out=(3, 3, 3, 3, 2))
         assert topo.layer_sizes == (24, 12, 6, 3, 1)
         # final 3-way merge: input alphabet is the cube of the feeding outputs
         assert topo.mux_groups[-1] == ((0, 1, 2),)
         assert topo.layers[-1].n_in == (27,)
 
     def test_single_feature_degenerates(self):
-        topo = build_topology(1, [2], 2, [4])
-        assert topo.n_nodes == 1 and topo.n_mixers == 0
+        topo = Topology(cards=(4,), n_out=(2,))
+        assert sum(topo.layer_sizes) == 1 and sum(map(len, topo.mux_groups)) == 0
 
     def test_mux_input_cardinality_is_product(self):
-        topo = build_topology(4, [3, 2, 2], 2, [7, 7, 7, 7])
+        topo = Topology(cards=(7, 7, 7, 7), n_out=(3, 2, 2))
         assert topo.layers[1].n_in == (9, 9)
         assert topo.layers[2].n_in == (4,)
 
-    def test_n_out_integer_or_per_layer(self):
-        def n_out(D, setting):
-            return [layer.n_out[0] for layer in build_topology(D, setting, 2, [4] * D).layers]
-
-        assert n_out(24, 3) == [3, 3, 3, 3, 2]
-        assert n_out(4, [3, 2, 2]) == [3, 2, 2]
-        assert n_out(1, 4) == [2]
-        with pytest.raises(ConfigError, match="2 entries but this tree has 3 layers"):
-            build_topology(4, [3, 3], 2, [4] * 4)
-
     def test_wrong_layer_count_rejected(self):
-        with pytest.raises(ConfigError):
-            build_topology(8, [3, 3, 2], 2, [4] * 8)
-
-    def test_final_layer_must_match_classes(self):
-        with pytest.raises(ConfigError):
-            build_topology(4, [3, 3, 3], 2, [4] * 4)
+        with pytest.raises(ConfigError, match="3 entries but this tree has 4 layers"):
+            Topology(cards=[4] * 8, n_out=(3, 3, 2))
 
     def test_topology_is_its_inputs(self):
         topo = Topology(cards=(2, 3, 4), n_out=(3, 2))
-        assert topo == build_topology(3, [3, 2], 2, [2, 3, 4])
         assert topo.layers[1].n_in == (27,) and topo.mux_groups == (((0, 1, 2),),)
         assert repr(topo) == "Topology(cards=(2, 3, 4), n_out=(3, 2))"
 
     def test_huge_alphabets_do_not_wrap(self):
-        topo = build_topology(4, [2 ** 40, 2 ** 40, 2], 2, [4] * 4)
+        topo = Topology(cards=[4] * 4, n_out=(2 ** 40, 2 ** 40, 2))
         assert topo.layers[1].n_in == (2 ** 80, 2 ** 80)
         assert topo.layers[2].n_in == (2 ** 80,)
 
@@ -262,7 +246,7 @@ class TestTrainNetwork:
         y = rng.integers(0, 2, 200)
         data = QuantizedDataset(columns=(y.copy(),), cardinalities=(2,),
                                 labels=y, n_class=2)
-        topo = build_topology(1, [2], 2, [2])
+        topo = Topology(cards=(2,), n_out=(2,))
         model = train_network(data, topo, beta=5.0, seed=0)
         preds = predict_quantized(model, data, seed=1)
         assert np.array_equal(preds, y)
@@ -270,7 +254,7 @@ class TestTrainNetwork:
     def test_informative_feature_dominates(self):
         rng = np.random.default_rng(1)
         data = toy_dataset(rng)
-        topo = build_topology(2, [2, 2], 2, [2, 3])
+        topo = Topology(cards=(2, 3), n_out=(2, 2))
         model = train_network(data, topo, beta=10.0, seed=0)
         preds = predict_quantized(model, data, seed=0)
         assert (preds == data.labels).mean() >= 0.95
@@ -278,7 +262,7 @@ class TestTrainNetwork:
     def test_training_is_reproducible(self):
         rng = np.random.default_rng(2)
         data = toy_dataset(rng)
-        topo = build_topology(2, [2, 2], 2, [2, 3])
+        topo = Topology(cards=(2, 3), n_out=(2, 2))
         a = train_network(data, topo, beta=5.0, seed=7)
         b = train_network(data, topo, beta=5.0, seed=7)
         for key in a.nodes:
@@ -288,7 +272,7 @@ class TestTrainNetwork:
     def test_per_node_relevance_never_grows(self):
         rng = np.random.default_rng(3)
         data = toy_dataset(rng)
-        topo = build_topology(2, [2, 2], 2, [2, 3])
+        topo = Topology(cards=(2, 3), n_out=(2, 2))
         model = train_network(data, topo, beta=5.0, seed=1)
         for node in model.nodes.values():
             assert node.mi_out_y <= node.mi_in_y + 1e-9
@@ -296,14 +280,14 @@ class TestTrainNetwork:
     def test_schema_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         data = toy_dataset(rng)
-        topo = build_topology(2, [2, 2], 2, [2, 4])  # wrong cardinality for col 1
+        topo = Topology(cards=(2, 4), n_out=(2, 2))  # wrong cardinality for col 1
         with pytest.raises(SchemaMismatchError):
             train_network(data, topo, beta=5.0, seed=0)
 
     def test_nonconverged_node_recorded_not_fatal(self):
         rng = np.random.default_rng(5)
         data = toy_dataset(rng)
-        topo = build_topology(2, [2, 2], 2, [2, 3])
+        topo = Topology(cards=(2, 3), n_out=(2, 2))
         model = train_network(data, topo, beta=5.0, seed=0, max_iter=1)
         assert any(not n.diagnostics.converged for n in model.nodes.values())
 
@@ -319,7 +303,7 @@ def xor_dataset(seed, n=200):
 class TestPassThrough:
     def test_xor_layer0_nodes_keep_their_input(self):
         data = xor_dataset(0)
-        model = train_network(data, build_topology(2, [2, 2], 2, [2, 2]),
+        model = train_network(data, Topology(cards=(2, 2), n_out=(2, 2)),
                               beta=10.0, seed=0)
         for k in range(2):
             node = model.nodes[(0, k)]
@@ -333,7 +317,7 @@ class TestPassThrough:
     def test_embedding_into_wider_alphabet_is_lossless(self):
         rng = np.random.default_rng(8)
         data = toy_dataset(rng)
-        model = train_network(data, build_topology(2, [4, 2], 2, [2, 3]),
+        model = train_network(data, Topology(cards=(2, 3), n_out=(4, 2)),
                               beta=5.0, seed=0)
         for k, n_in in enumerate((2, 3)):
             node = model.nodes[(0, k)]
@@ -346,12 +330,12 @@ class TestPassThrough:
         y = rng.integers(0, 2, 100)
         data = QuantizedDataset(columns=(y.copy(),), cardinalities=(2,),
                                 labels=y, n_class=2)
-        model = train_network(data, build_topology(1, [2], 2, [2]), beta=5.0, seed=0)
+        model = train_network(data, Topology(cards=(2,), n_out=(2,)), beta=5.0, seed=0)
         assert model.nodes[(0, 0)].diagnostics.iterations >= 1
 
     def test_dead_embedding_symbols_follow_zero_mass_rule(self):
         data = xor_dataset(1)
-        model = train_network(data, build_topology(2, [3, 2], 2, [2, 2]),
+        model = train_network(data, Topology(cards=(2, 2), n_out=(3, 2)),
                               beta=10.0, seed=0)
         # identity channels sample deterministically, so the layer-1 input is
         # the muxed features; symbols with a digit 2 are never emitted
@@ -368,7 +352,7 @@ class TestPredict:
     def trained(self):
         rng = np.random.default_rng(6)
         data = toy_dataset(rng)
-        topo = build_topology(2, [2, 2], 2, [2, 3])
+        topo = Topology(cards=(2, 3), n_out=(2, 2))
         return data, train_network(data, topo, beta=10.0, seed=0)
 
     def test_same_seed_same_output(self, trained):
@@ -386,7 +370,7 @@ class TestPredict:
         y = rng.integers(0, 2, 150)
         data = QuantizedDataset(columns=(y.copy(),), cardinalities=(2,),
                                 labels=y, n_class=2)
-        model = train_network(data, build_topology(1, [2], 2, [2]), beta=8.0, seed=0)
+        model = train_network(data, Topology(cards=(2,), n_out=(2,)), beta=8.0, seed=0)
         # force exact 0/1 entries: no randomness left anywhere
         nodes = {
             key: dataclasses.replace(node, channel=ConditionalMatrix(
@@ -464,7 +448,7 @@ def small_trees(draw):
     data = QuantizedDataset(
         columns=tuple(rng.integers(0, c, n_rows) for c in cards), cardinalities=tuple(cards),
         labels=rng.integers(0, n_class, n_rows), n_class=n_class)
-    topo = build_topology(D, n_out, n_class, cards)
+    topo = Topology(cards=cards, n_out=n_out)
     return train_network(data, topo, beta=5.0, max_iter=20, seed=draw(st.integers(0, 99))), data
 
 
@@ -570,7 +554,7 @@ class TestWalk:
         y = rng.integers(0, 2, 80)
         data = QuantizedDataset(columns=tuple(rng.integers(0, c, 80) for c in cards),
                                 cardinalities=tuple(cards), labels=y, n_class=2)
-        topo = build_topology(5, [3, 3, 2], 2, cards)
+        topo = Topology(cards=cards, n_out=(3, 3, 2))
         model = train_network(data, topo, beta=5.0, seed=4)
 
         slots = [(i, k) for i, size in enumerate(topo.layer_sizes) for k in range(size)]
