@@ -16,22 +16,25 @@ Each statistic is computed once per vector: a node's I(out;y) and H(out)
 serve its own row and the bounds of the mux it feeds, and a group's last
 stage observes the next node's input, whose I(in;y) its row already holds.
 Only the intermediate pair of a three-way mux needs its own I(pair;y) and
-H(pair).  Each vector is counted once: one ``bincount`` of its pairs with the
-label is the plug-in joint, whose marginals give I(v;y) and whose integer row
-sums give H(v).
+H(pair).  A layer's statistics come from one pass: each of its vectors is
+counted by its own ``bincount`` of (v, y) pairs into one shared buffer, the
+plug-in joints, their row and column sums and the integer row sums behind
+H(v) are all taken from that buffer, and ``infotheory.entropies`` computes
+every entropy in one call, bit for bit equal to ``entropy`` of each.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import write_text
 from .errors import SchemaMismatchError, ValidationError
-from .infotheory import ConditionalMatrix, entropy, joint_mutual_information
+from .infotheory import ConditionalMatrix, entropies
 from .network import (
     DINModel,
     _STREAM_MIFLOW,
@@ -121,6 +124,35 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
     return ConditionalMatrix(aligned)
 
 
+def _information(vectors, cards, y, n_class, n_h):
+    """Plug-in I(v;y) of every vector and H(v) of the first ``n_h``, in bits.
+
+    Vector i takes symbols in ``[0, cards[i])``.  Returns two lists of floats,
+    each value equal bit for bit to ``joint_mutual_information`` of the joint
+    ``bincount(v * n_class + y) / N`` and to ``entropy(bincount(v) / N)``.
+    """
+    sizes = [c * n_class for c in cards]
+    bounds = [0, *itertools.accumulate(sizes)]
+    counts = np.empty(bounds[-1])
+    for v, size, lo in zip(vectors, sizes, bounds):
+        counts[lo:lo + size] = np.bincount(v * n_class + y, minlength=size)
+    joint = counts / y.size
+    rows = joint.reshape(-1, n_class).sum(axis=1)  # P(v) of each vector, back to back
+    # column sums add a joint's rows in order; stacking joints of one size keeps that order
+    cols = np.empty((len(cards), n_class))
+    for card in set(cards):
+        same = [i for i, c in enumerate(cards) if c == card]
+        at = np.array([bounds[i] for i in same])[:, None] + np.arange(card * n_class)
+        cols[same] = joint[at].reshape(len(same), card, n_class).sum(axis=1)
+    # H(v) from the integer row sums, which are bincount(v) exactly
+    h_rows = counts[:bounds[n_h]].reshape(-1, n_class).sum(axis=1) / y.size
+    k = len(cards)
+    ent = entropies(np.concatenate((rows, cols.ravel(), joint, h_rows)),
+                    cards + [n_class] * k + sizes + cards[:n_h])
+    mi = ent[:k] + ent[k:2 * k] - ent[2 * k:3 * k]
+    return mi.tolist(), ent[3 * k:].tolist()
+
+
 def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     """Re-propagate data through the model and report plug-in MI per node/mux.
 
@@ -131,20 +163,8 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     if tuple(data.cardinalities) != topo.cards:
         raise SchemaMismatchError("dataset cardinalities do not match the model")
     y = data.labels
-    card_y = data.n_class
-
-    def count(v, card):
-        """The pairs (v, y) counted by one bincount, one row per symbol of v."""
-        counts = np.bincount(v * card_y + y, minlength=card * card_y)
-        return counts.reshape(card, card_y).astype(np.float64)
-
-    def mi_y(counts):
-        """Plug-in I(v;y) in bits; the joint is counts / N."""
-        return joint_mutual_information(counts / y.size)
-
-    def h(counts):
-        """Plug-in H(v) in bits; the row sums are bincount(v) exactly."""
-        return entropy(counts.sum(axis=1) / y.size)
+    if y.size == 0:
+        raise ValidationError("mi_flow needs at least one row, and the table has none")
 
     rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
 
@@ -160,24 +180,26 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     stages = ((),) + topo.mux_groups
     for (layer_idx, inputs, outputs), groups in zip(walk(topo, data.columns, node), stages):
         layer = topo.layers[layer_idx]
-        mi_in = [mi_y(count(v, card)) for v, card in zip(inputs, layer.n_in)]
-        out_counts = [count(v, card) for v, card in zip(outputs, layer.n_out)]
-        mi_out = [mi_y(c) for c in out_counts]
-        h_out = [h(c) for c in out_counts]
+        cards = topo.layers[layer_idx - 1].n_out if layer_idx else ()
+        triples = [g for g in groups if len(g) == 3]
+        pairs = [mux_combine([below[a], below[b]], [cards[a], cards[b]]) for a, b, _ in triples]
+        pair_cards = [cards[a] * cards[b] for a, b, _ in triples]
+        mi, h = _information(outputs + pairs + inputs,
+                             list(layer.n_out) + pair_cards + list(layer.n_in),
+                             y, data.n_class, n_h=layer.size + len(pairs))
+        mi_out, mi_pair, mi_in = mi[:layer.size], mi[layer.size:-layer.size], mi[-layer.size:]
+        h_out, h_pair = h[:layer.size], h[layer.size:]
         nodes.extend(NodeFlow(layer=layer_idx, position=k, mi_in_y=mi_in[k],
                               mi_out_y=mi_out[k], h_out=h_out[k])
                      for k in range(layer.size))
+        pair_stats = iter(zip(mi_pair, h_pair))
         for g_idx, g in enumerate(groups):
-            cards = topo.layers[layer_idx - 1].n_out
-            acc, acc_card, i_acc, h_acc = below[g[0]], cards[g[0]], below_mi[g[0]], below_h[g[0]]
+            i_acc, h_acc = below_mi[g[0]], below_h[g[0]]
             for stage, member in enumerate(g[1:]):
-                pair_card = acc_card * cards[member]
                 if stage < len(g) - 2:  # the intermediate pair of a 3-way group
-                    pair = mux_combine([acc, below[member]], [acc_card, cards[member]])
-                    pair_counts = count(pair, pair_card)
-                    i_pair, h_pair = mi_y(pair_counts), h(pair_counts)
+                    i_pair, h_pair = next(pair_stats)
                 else:  # the last pair is this layer's input for the group
-                    pair, i_pair, h_pair = inputs[g_idx], mi_in[g_idx], None
+                    i_pair, h_pair = mi_in[g_idx], None
                 i_other, h_other = below_mi[member], below_h[member]
                 muxes.append(MuxFlow(
                     layer=layer_idx - 1,
@@ -187,7 +209,7 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
                     observed=i_pair,
                     upper_bound=min(i_acc + h_other, i_other + h_acc),
                 ))
-                acc, acc_card, i_acc, h_acc = pair, pair_card, i_pair, h_pair
+                i_acc, h_acc = i_pair, h_pair
         below, below_mi, below_h = outputs, mi_out, h_out
     return MIFlowReport(nodes=tuple(nodes), muxes=tuple(muxes))
 

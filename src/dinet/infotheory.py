@@ -5,6 +5,10 @@ a model is built from: they validate on construction (finite, non-negative
 entries; sums within tolerance 1e-9), never renormalize, and are immutable
 afterwards.  The kernels take plain arrays and do not validate; callers
 pass probabilities they built themselves.  Convention: 0*log2(0) == 0.
+
+The array kernels are ``entropy``, ``entropies`` (the ``entropy`` of each
+of many vectors laid back to back, in one pass), ``mutual_information`` and
+``joint_mutual_information``.
 """
 
 from __future__ import annotations
@@ -80,10 +84,34 @@ class ConditionalMatrix:
 # array-level kernels (no validation)
 
 def entropy(p: np.ndarray) -> float:
-    """Shannon entropy -sum p*log2(p) in bits."""
+    """Shannon entropy -sum p*log2(p) in bits; 0.0, never -0.0, for a point mass."""
     p = np.asarray(p, dtype=np.float64)
     nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    # 0.0 - s equals -s for every non-zero s, and is 0.0 where -s is -0.0
+    return float(0.0 - (nz * np.log2(nz)).sum())
+
+
+def entropies(p: np.ndarray, sizes) -> np.ndarray:
+    """Entropy in bits of each consecutive segment of ``p``, ``sizes[i]`` entries long.
+
+    Entry i equals ``entropy`` of segment i bit for bit.  The positive terms
+    p*log2(p) of all segments with the same number of them are stacked as the
+    rows of one 2-D array, and numpy sums such a row in the order of a 1-D
+    ``.sum()``; ``np.add.reduceat`` sums in another order, which can change
+    the last bit.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    positive = p > 0
+    nz = p[positive]
+    terms = nz * np.log2(nz)
+    # positive entries before each segment boundary
+    before = np.concatenate(([0], np.cumsum(positive)))[np.concatenate(([0], np.cumsum(sizes)))]
+    first, count = before[:-1], np.diff(before)
+    sums = np.zeros(count.size)
+    for n in np.flatnonzero(np.bincount(count)[1:]) + 1:  # each positive count present
+        rows = np.flatnonzero(count == n)
+        sums[rows] = terms[first[rows, None] + np.arange(n)].sum(axis=1)
+    return 0.0 - sums
 
 
 def mutual_information(px: np.ndarray, cond: np.ndarray) -> float:

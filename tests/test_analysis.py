@@ -187,15 +187,17 @@ class TestMiFlow:
         b = mi_flow(model, data)
         assert a == b
 
-    def test_values_are_exactly_the_plugin_formula(self):
+    @pytest.mark.parametrize("cards", [[2, 3, 4, 2, 3, 2, 3], [10, 11, 10, 11, 10, 11, 10]],
+                             ids=["alphabets_2_to_4", "alphabets_10_to_11"])
+    def test_values_are_exactly_the_plugin_formula(self, cards):
         """Every figure equals, bit for bit, the plug-in formula on the walk's samples.
 
         The joint is bincount(v * card_y + y) / N and I = H(row sums) + H(column
         sums) - H(joint); H(v) is the entropy of bincount(v) / N.  The CSV writes
-        repr() of each value, so a last-ulp change would change its bytes.
+        repr() of each value, so a last-ulp change would change its bytes.  With
+        10-11 symbols every layer-0 joint has 20 or more entries, some of them zero.
         """
         rng = np.random.default_rng(11)
-        cards = [2, 3, 4, 2, 3, 2, 3]
         y = rng.integers(0, 2, 200)
         columns = tuple(np.where(rng.random(200) < 0.6, y, rng.integers(0, c, 200))
                         for c in cards)
@@ -249,6 +251,13 @@ class TestMiFlow:
         assert sum(m.stage == 1 for m in report.muxes) == 2
         assert report.nodes == tuple(want_nodes)
         assert report.muxes == tuple(want_muxes)
+
+    def test_empty_table_is_refused(self):
+        _, model = trained_toy()
+        empty = QuantizedDataset(columns=(np.zeros(0, int), np.zeros(0, int)),
+                                 cardinalities=(2, 2), labels=np.zeros(0, int), n_class=2)
+        with pytest.raises(ValidationError, match="the table has none"):
+            mi_flow(model, empty)
 
     def test_csv_output(self, tmp_path):
         data, model = trained_toy(seed=7)

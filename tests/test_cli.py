@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -340,6 +341,29 @@ class TestCommands:
         metrics = json.loads(metrics_out.read_text())
         assert metrics["accuracy"] >= 0.9
         assert json.loads(out) == metrics
+
+    def test_constant_feature_has_zero_output_entropy_not_minus_zero(self, tmp_path, capsys):
+        rows = ["const,x,class"]
+        for i in range(60):
+            x = (i * 7) % 13
+            rows.append(f"5,{x},{'ckd' if x > 5 else 'notckd'}")
+        data = tmp_path / "table.csv"
+        data.write_text("\n".join(rows) + "\n")
+        flow_out = tmp_path / "flow.csv"
+        cfg = dict(SYNTH_CONFIG, split={"n_train": 40, "stratify": "none"},
+                   outputs={"model": "", "metrics": "", "mi_flow": str(flow_out)})
+        cfg["dataset"] = {"format": "csv", "path": str(data), "target": "class",
+                          "positive_class": "ckd"}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        with pytest.warns(UserWarning, match="'const' is constant"):
+            code, _, _ = self.run("train", "--config", str(p), "--quiet", capsys=capsys)
+        assert code == 0
+        with open(flow_out, newline="") as fh:
+            node = next(csv.DictReader(fh))
+        # one bin, so node (0, 0) passes a point mass through
+        assert (node["kind"], node["layer"], node["position"]) == ("node", "0", "0")
+        assert (node["mi_in_y"], node["mi_out_y"], node["h_out"]) == ("0.0", "0.0", "0.0")
 
     @pytest.mark.parametrize("empty", ["model", "metrics", "mi_flow"])
     def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty):

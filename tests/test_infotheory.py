@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinet import ConditionalMatrix, DiscreteDistribution, ValidationError
-from dinet.infotheory import entropy, joint_mutual_information, mutual_information
+from dinet.infotheory import entropies, entropy, joint_mutual_information, mutual_information
 
 
 def dd(*p):
@@ -45,6 +47,7 @@ class TestEntropy:
 
     def test_deterministic(self):
         assert entropy([1.0, 0.0]) == pytest.approx(0.0)
+        assert repr(entropy([1.0, 0.0])) == "0.0"  # not -0.0
 
     def test_skewed(self):
         # -0.25*log2(0.25) - 0.75*log2(0.75)
@@ -58,6 +61,42 @@ class TestEntropy:
             for _ in range(20):
                 h = entropy(rng.dirichlet(np.ones(n)))
                 assert h <= h_max + 1e-12
+
+
+@st.composite
+def non_negative_vectors(draw):
+    """A vector of 1-300 entries: a point mass, a distribution, or one with zeros."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["point mass", "dense", "sparse", "counts"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "point mass":
+        v = np.zeros(n)
+        v[rng.integers(n)] = 1.0
+    elif kind == "counts":  # a plug-in estimate, as mi_flow makes
+        v = rng.integers(0, 4, n) / 200
+    else:
+        v = rng.dirichlet(np.full(n, 0.5))
+        if kind == "sparse":
+            v[rng.random(n) < 0.5] = 0.0
+    return v
+
+
+class TestEntropies:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(non_negative_vectors(), min_size=1, max_size=12))
+    def test_each_segment_is_entropy_bit_for_bit(self, vectors):
+        got = entropies(np.concatenate(vectors), [v.size for v in vectors]).tolist()
+        want = [entropy(v) for v in vectors]
+        assert got == want
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_segments_of_equal_length_and_empty_segments(self):
+        p = np.array([0.5, 0.5, 1.0, 0.0, 0.25, 0.75, 0.0, 0.5, 0.5])
+        got = entropies(p, [2, 0, 2, 2, 0, 3]).tolist()
+        want = [entropy(p[:2]), entropy([]), entropy(p[2:4]), entropy(p[4:6]),
+                entropy([]), entropy(p[6:])]
+        assert list(map(repr, got)) == list(map(repr, want)) == [
+            "1.0", "0.0", "0.0", repr(entropy([0.25, 0.75])), "0.0", "1.0"]
 
 
 class TestMutualInformation:
