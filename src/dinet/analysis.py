@@ -150,6 +150,7 @@ def _information(vectors, cards, y, n_class, n_h):
     ent = entropies(np.concatenate((rows, cols.ravel(), joint, h_rows)),
                     cards + [n_class] * k + sizes + cards[:n_h])
     mi = ent[:k] + ent[k:2 * k] - ent[2 * k:3 * k]
+    mi[mi <= 0] = 0.0  # as joint_mutual_information: rounding can read below 0
     return mi.tolist(), ent[3 * k:].tolist()
 
 

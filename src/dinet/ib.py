@@ -37,6 +37,7 @@ final one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,10 +130,11 @@ class _Source(NamedTuple):
     """The per-problem constants of the update, computed once per solve."""
 
     px: np.ndarray
+    px_col: np.ndarray       # px as a column, px[:, None]
     py_x: np.ndarray
     prior: np.ndarray        # class prior P(y)
     plogp: np.ndarray        # column of row sums  sum_y p(y|i) log2 p(y|i)
-    zero_mass: np.ndarray    # rows with px == 0
+    zero_mass: np.ndarray    # column, True on rows with px == 0
     any_zero_mass: bool
     h_in: float              # H(in)
     h_y: float               # H(y)
@@ -141,14 +143,33 @@ class _Source(NamedTuple):
 def _source(problem: IBProblem) -> _Source:
     px, py_x = problem.px.probs, problem.py_given_x.p
     plogp = np.where(py_x > 0, py_x * np.log2(np.where(py_x > 0, py_x, 1.0)), 0.0)
-    zero_mass = px == 0
+    px_col = px[:, None]
+    zero_mass = px_col == 0
     prior = px @ py_x
-    return _Source(px, py_x, prior, plogp.sum(axis=1)[:, None],
+    return _Source(px, px_col, py_x, prior, plogp.sum(axis=1)[:, None],
                    zero_mass, bool(zero_mass.any()), entropy(px), entropy(prior))
 
 
 # Every update runs under this: dead outputs divide 0 by 0, and exp2 underflows.
 _QUIET = {"invalid": "ignore", "divide": "ignore", "under": "ignore"}
+
+# The update, the guard and the extrapolation run on arrays of a few dozen
+# entries, where a numpy call costs more than its arithmetic.  So they call
+# the ufuncs and their reductions directly (``np.add.reduce`` is what
+# ``ndarray.sum`` runs), write into buffers they own and test rarely; every
+# value kept is the same floating-point operation, in the same order, as in
+# the plain expressions that tests/test_ib.py keeps as the reference.
+_sum = np.add.reduce
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+
+
+def _bayes(src: _Source, channel):
+    """Output marginal and class posterior; a zero-marginal output's row is NaN (0/0)."""
+    p_out = src.px @ channel
+    joint = np.multiply(src.px_col, channel)            # p(in, out)
+    np.divide(joint, p_out, out=joint)
+    return p_out, joint.T @ src.py_x
 
 
 def _posteriors(src: _Source, channel):
@@ -157,39 +178,49 @@ def _posteriors(src: _Source, channel):
     Outputs with zero marginal get the global class prior as posterior;
     the update gives them zero weight anyway.
     """
-    p_out = src.px @ channel
-    joint_out_in = (src.px[:, None] * channel).T        # p(out, in)
-    py_out = (joint_out_in / p_out[:, None]) @ src.py_x
-    if not p_out.min() > 0:
-        py_out[p_out == 0] = src.prior
+    p_out, py_out = _bayes(src, channel)
+    py_out[p_out == 0] = src.prior
     return p_out, py_out
 
 
 _NEG_HUGE = -1e300  # finite stand-in for log2(0): keeps 0*log terms at 0, not nan
 
 
-def _step(src: _Source, beta, channel):
-    """One self-consistent update; the errors of ``_QUIET`` must be ignored."""
-    p_out, py_out = _posteriors(src, channel)
-    if py_out.min() > 0:
-        log_q = np.log2(py_out)
-    else:
-        log_q = np.where(py_out > 0, np.log2(np.where(py_out > 0, py_out, 1.0)), _NEG_HUGE)
-    # d(i, j) = KL(P(y|in=i) || P(y|out=j)) in bits; support gaps become huge
-    d = src.plogp - src.py_x @ log_q.T
+def _weights(src: _Source, beta, p_out, log_q):
+    """The update's unnormalised rows p_out * 2^(-beta d), their sums, and d."""
+    # d(i, j) = KL(P(y|in=i) || P(y|out=j)) in bits; a support gap makes it huge or inf
+    d = src.py_x @ log_q.T
+    np.subtract(src.plogp, d, out=d)
     # cap at 0: float error can push d a hair below zero.  No lower cap is
     # needed: exp2 of anything below -1075 is exactly 0.
-    new = p_out * np.exp2(np.minimum(-beta * d, 0.0))
-    sums = new.sum(axis=1)
-    if not sums.min() > 0:
-        # whole row underflowed: hard-assign the least-distorted output
-        dead = sums <= 0
-        new[dead] = 0.0
-        new[dead, np.argmin(d[dead], axis=1)] = 1.0
-        sums[dead] = 1.0
-    new /= sums[:, None]
+    new = np.multiply(d, -beta)
+    np.minimum(new, 0.0, out=new)
+    np.exp2(new, out=new)
+    np.multiply(new, p_out, out=new)
+    return new, _sum(new, axis=1, keepdims=True), d
+
+
+def _step(src: _Source, beta, channel):
+    """One self-consistent update; the errors of ``_QUIET`` must be ignored."""
+    p_out, py_out = _bayes(src, channel)
+    # A posterior of 0 has log2 -inf, which zeroes each weight it meets, as
+    # the stand-in below does, except that against a P(y|in) of 0 it gives
+    # NaN; so does the NaN row of a zero-marginal output.  Any NaN fails the
+    # row-sum test, and the update is then taken again with the stand-in.
+    new, sums, d = _weights(src, beta, p_out, np.log2(py_out))
+    if not _min(sums, axis=None) > 0:
+        py_out[p_out == 0] = src.prior
+        log_q = np.where(py_out > 0, np.log2(np.where(py_out > 0, py_out, 1.0)), _NEG_HUGE)
+        new, sums, d = _weights(src, beta, p_out, log_q)
+        if not _min(sums, axis=None) > 0:
+            # whole row underflowed: hard-assign the least-distorted output
+            dead = sums[:, 0] <= 0
+            new[dead] = 0.0
+            new[dead, np.argmin(d[dead], axis=1)] = 1.0
+            sums[dead] = 1.0
+    np.divide(new, sums, out=new)
     if src.any_zero_mass:
-        new[src.zero_mass] = p_out
+        np.copyto(new, p_out, where=src.zero_mass)
     return new
 
 
@@ -210,15 +241,24 @@ def ib_step(problem: IBProblem, channel: ConditionalMatrix) -> ConditionalMatrix
 
 
 def _plogp(a) -> float:
-    """sum a*log2(a) over the positive entries of ``a``."""
+    """sum a*log2(a) over the positive entries of ``a``; needs ``_QUIET``.
+
+    Without a zero entry the whole array is those entries, so one dot over
+    it gives the same bits as over the positive entries alone; a zero makes
+    the dot NaN (0 * log2 0) and only then are they picked out.
+    """
+    a = a.ravel()
+    s = a @ np.log2(a)
+    if s == s:
+        return float(s)
     nz = a[a > 0]
     return float(nz @ np.log2(nz))
 
 
 def _information(src: _Source, channel):
     """I(in;out) and I(y;out) of a channel, in bits, from one joint P(in, out)."""
-    joint = src.px[:, None] * channel
-    p_out = joint.sum(axis=0)
+    joint = np.multiply(src.px_col, channel)
+    p_out = _sum(joint, axis=0)
     h_out = -_plogp(p_out)
     i_in_out = src.h_in + h_out + _plogp(joint)
     i_y_out = src.h_y + h_out + _plogp(joint.T @ src.py_x)
@@ -233,7 +273,8 @@ def _lagrangian(src: _Source, beta, channel) -> float:
 def lagrangian(problem: IBProblem, channel: ConditionalMatrix) -> float:
     """Training objective I(in;out) - beta * I(y;out), in bits."""
     _check_channel(problem, channel)
-    return _lagrangian(_source(problem), problem.beta, channel.p)
+    with np.errstate(**_QUIET):
+        return _lagrangian(_source(problem), problem.beta, channel.p)
 
 
 def _init_channel(n_in, n_out, rng):
@@ -242,11 +283,14 @@ def _init_channel(n_in, n_out, rng):
 
 
 def _project(proposal, fallback, src: _Source):
-    """The proposal clipped at 0 with rows renormalised; zero-mass rows from ``fallback``."""
-    x = np.maximum(proposal, 0.0)
-    x /= x.sum(axis=1, keepdims=True)
+    """The proposal clipped at 0 with rows renormalised, in place.
+
+    Zero-mass rows are taken from ``fallback``.
+    """
+    x = np.maximum(proposal, 0.0, out=proposal)
+    np.divide(x, _sum(x, axis=1, keepdims=True), out=x)
     if src.any_zero_mass:
-        x[src.zero_mass] = fallback[src.zero_mass]
+        np.copyto(x, fallback, where=src.zero_mass)
     return x
 
 
@@ -260,7 +304,8 @@ def _squarem(src: _Source, beta, channel, tol, max_iter):
         nonlocal evaluations
         evaluations += 1
         new = _step(src, beta, x)
-        return new, bool(np.abs(new - x).max() < tol)
+        diff = np.subtract(new, x)
+        return new, bool(_max(np.absolute(diff, out=diff), axis=None) < tol)
 
     evaluations = 0
     x0 = channel
@@ -271,12 +316,20 @@ def _squarem(src: _Source, beta, channel, tol, max_iter):
         x2, done = update(x1)
         if done or evaluations == max_iter:
             return x2, evaluations, done
-        r = x1 - x0
-        v = x2 - 2 * x1 + x0
+        r = np.subtract(x1, x0)
+        v = np.multiply(x1, 2)
+        np.subtract(x2, v, out=v)
+        np.add(v, x0, out=v)                          # x2 - 2 x1 + x0
         # v == 0 makes alpha -inf and the proposal NaN, refused just below
-        alpha = min(-np.sqrt((r * r).sum() / (v * v).sum()), -1.0)
-        proposal = _project(x0 - 2 * alpha * r + alpha * alpha * v, x2, src)
-        if not np.isfinite(proposal).all():
+        alpha = min(-math.sqrt(_sum(r * r, axis=None) / _sum(v * v, axis=None)), -1.0)
+        proposal = np.multiply(r, 2 * alpha, out=r)
+        np.subtract(x0, proposal, out=proposal)
+        np.multiply(v, alpha * alpha, out=v)
+        np.add(proposal, v, out=proposal)             # x0 - 2 alpha r + alpha^2 v
+        proposal = _project(proposal, x2, src)
+        # projected entries lie in [0, 1] or are NaN, so the sum is finite
+        # exactly when every entry is
+        if not math.isfinite(_sum(proposal, axis=None)):
             x0 = x2
             continue
         x3, done = update(proposal)

@@ -128,9 +128,14 @@ def mutual_information(px: np.ndarray, cond: np.ndarray) -> float:
 
 
 def joint_mutual_information(joint: np.ndarray) -> float:
-    """I(A;B) = H(A) + H(B) - H(A,B) in bits, from the joint matrix P(A, B)."""
+    """I(A;B) = H(A) + H(B) - H(A,B) in bits, from the joint matrix P(A, B).
+
+    Where the formula reads 0 or below, which rounding gives for independent
+    A and B, the result is 0.0 (never -0.0).
+    """
     joint = np.asarray(joint, dtype=np.float64)
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
-    return entropy(pa) + entropy(pb) - entropy(joint.ravel())
+    mi = entropy(pa) + entropy(pb) - entropy(joint.ravel())
+    return 0.0 if mi <= 0 else mi
 

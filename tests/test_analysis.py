@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
@@ -18,9 +19,10 @@ from dinet import (
     mi_flow,
     train_network,
 )
-from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow
+from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _information
 from dinet.errors import ResourceError
 from dinet.ib import IBDiagnostics
+from dinet.infotheory import entropy, joint_mutual_information
 from dinet.network import (
     _STREAM_MIFLOW,
     channel_cdf,
@@ -151,6 +153,25 @@ class TestMiFlow:
             assert node.mi_in_y >= 0 and node.mi_out_y >= 0 and node.h_out >= 0
         for mux in rep.muxes:
             assert mux.lower_bound >= 0 and mux.observed >= 0
+
+    def test_independent_vectors_read_plus_zero(self):
+        # every (v, y) pair once: the joint is uniform, so I(v;y) is exactly 0,
+        # and the formula H(v) + H(y) - H(v, y) reads a few ulp off it on some
+        below = 0
+        for n_class in (2, 3):
+            for card in range(1, 40):
+                joint = np.full((card, n_class), 1.0 / (card * n_class))
+                formula = (entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0))
+                           - entropy(joint.ravel()))
+                below += formula < 0
+                v = np.repeat(np.arange(card), n_class)
+                y = np.tile(np.arange(n_class), card)
+                (flow,), _ = _information([v], [card], y, n_class, n_h=0)
+                for mi in (joint_mutual_information(joint), flow):
+                    # copysign tells 0.0 from -0.0
+                    assert math.copysign(1.0, mi) == 1.0, (card, n_class, mi)
+                    assert mi == (formula if formula > 0 else 0.0), (card, n_class, mi)
+        assert below > 0
 
     def test_duplicated_feature_attains_lower_bound(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,12 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from dinet import (
     ConditionalMatrix,
     DiscreteDistribution,
+    IBDiagnostics,
     IBProblem,
     ValidationError,
     estimate_empirical,
@@ -25,6 +28,21 @@ def random_problem(rng, beta=5.0, n_in=None, n_class=None, n_out=None):
         beta=beta,
         n_out=n_out,
     )
+
+
+def empirical_problem(rng, n_in, n_rows, n_class, beta, n_out, concentration=0.5):
+    """A node problem as training builds one: frequencies of drawn (symbol, label) rows.
+
+    Each symbol has its own class distribution, Dirichlet with the given
+    concentration; a small one makes the label nearly a function of the
+    symbol.  With few rows per symbol, some symbols go unseen (zero-mass
+    rows) and many seen ones have a class posterior of exactly 0 or 1.
+    """
+    w = rng.dirichlet(np.full(n_class, concentration), size=n_in)
+    x = rng.integers(0, n_in, n_rows)
+    y = np.minimum((rng.random(n_rows)[:, None] > w[x].cumsum(axis=1)).sum(axis=1), n_class - 1)
+    px, py_x = estimate_empirical(x, y, n_in, n_class)
+    return IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=n_out)
 
 
 CLUSTER_PROBLEM = IBProblem(
@@ -314,8 +332,14 @@ class TestSolverInvariants:
     def test_random_problem_battery(self):
         rng = np.random.default_rng(9)
         betas = [0.1, 1.0, 5.0, 20.0]
-        for t in range(30):
-            prob = random_problem(rng, beta=betas[t % 4])
+        problems = [random_problem(rng, beta=betas[t % 4]) for t in range(30)]
+        # finebin-shaped layer-0 nodes: a bin per distinct value, n_out=2, and
+        # about 200 training rows, so about half of the symbols are unseen
+        problems += [empirical_problem(rng, n_in=int(rng.integers(200, 321)), n_rows=200,
+                                       n_class=2, beta=betas[t % 4], n_out=2)
+                     for t in range(8)]
+        assert sum((p.px.probs == 0).mean() > 0.3 for p in problems[30:]) >= 6
+        for t, prob in enumerate(problems):
             sol = solve_ib(prob, seed=t)
             chan = sol.channel.p
             assert np.abs(chan.sum(axis=1) - 1).max() < 1e-9
@@ -328,3 +352,209 @@ class TestSolverInvariants:
             if sol.diagnostics.converged:
                 resid = np.abs(ib_step(prob, sol.channel).p - chan).max()
                 assert resid < 10 * 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The solver's cycle as it was written before its numpy calls were cut down,
+# kept verbatim as the reference that ``solve_ib`` must match bit for bit.
+
+class _Source(NamedTuple):
+    """The per-problem constants of the update, computed once per solve."""
+
+    px: np.ndarray
+    py_x: np.ndarray
+    prior: np.ndarray        # class prior P(y)
+    plogp: np.ndarray        # column of row sums  sum_y p(y|i) log2 p(y|i)
+    zero_mass: np.ndarray    # rows with px == 0
+    any_zero_mass: bool
+    h_in: float              # H(in)
+    h_y: float               # H(y)
+
+
+def _source(problem: IBProblem) -> _Source:
+    px, py_x = problem.px.probs, problem.py_given_x.p
+    plogp = np.where(py_x > 0, py_x * np.log2(np.where(py_x > 0, py_x, 1.0)), 0.0)
+    zero_mass = px == 0
+    prior = px @ py_x
+    return _Source(px, py_x, prior, plogp.sum(axis=1)[:, None],
+                   zero_mass, bool(zero_mass.any()), entropy(px), entropy(prior))
+
+
+# Every update runs under this: dead outputs divide 0 by 0, and exp2 underflows.
+_QUIET = {"invalid": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _posteriors(src: _Source, channel):
+    """Output marginal and class posterior induced by a channel.
+
+    Outputs with zero marginal get the global class prior as posterior;
+    the update gives them zero weight anyway.
+    """
+    p_out = src.px @ channel
+    joint_out_in = (src.px[:, None] * channel).T        # p(out, in)
+    py_out = (joint_out_in / p_out[:, None]) @ src.py_x
+    if not p_out.min() > 0:
+        py_out[p_out == 0] = src.prior
+    return p_out, py_out
+
+
+_NEG_HUGE = -1e300  # finite stand-in for log2(0): keeps 0*log terms at 0, not nan
+
+
+def _step(src: _Source, beta, channel):
+    """One self-consistent update; the errors of ``_QUIET`` must be ignored."""
+    p_out, py_out = _posteriors(src, channel)
+    if py_out.min() > 0:
+        log_q = np.log2(py_out)
+    else:
+        log_q = np.where(py_out > 0, np.log2(np.where(py_out > 0, py_out, 1.0)), _NEG_HUGE)
+    # d(i, j) = KL(P(y|in=i) || P(y|out=j)) in bits; support gaps become huge
+    d = src.plogp - src.py_x @ log_q.T
+    # cap at 0: float error can push d a hair below zero.  No lower cap is
+    # needed: exp2 of anything below -1075 is exactly 0.
+    new = p_out * np.exp2(np.minimum(-beta * d, 0.0))
+    sums = new.sum(axis=1)
+    if not sums.min() > 0:
+        # whole row underflowed: hard-assign the least-distorted output
+        dead = sums <= 0
+        new[dead] = 0.0
+        new[dead, np.argmin(d[dead], axis=1)] = 1.0
+        sums[dead] = 1.0
+    new /= sums[:, None]
+    if src.any_zero_mass:
+        new[src.zero_mass] = p_out
+    return new
+
+
+def _plogp(a) -> float:
+    """sum a*log2(a) over the positive entries of ``a``."""
+    nz = a[a > 0]
+    return float(nz @ np.log2(nz))
+
+
+def _information(src: _Source, channel):
+    """I(in;out) and I(y;out) of a channel, in bits, from one joint P(in, out)."""
+    joint = src.px[:, None] * channel
+    p_out = joint.sum(axis=0)
+    h_out = -_plogp(p_out)
+    i_in_out = src.h_in + h_out + _plogp(joint)
+    i_y_out = src.h_y + h_out + _plogp(joint.T @ src.py_x)
+    return i_in_out, i_y_out
+
+
+def _lagrangian(src: _Source, beta, channel) -> float:
+    i_in_out, i_y_out = _information(src, channel)
+    return i_in_out - beta * i_y_out
+
+
+def _init_channel(n_in, n_out, rng):
+    w = rng.random((n_in, n_out)) + 1e-12
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _project(proposal, fallback, src: _Source):
+    """The proposal clipped at 0 with rows renormalised; zero-mass rows from ``fallback``."""
+    x = np.maximum(proposal, 0.0)
+    x /= x.sum(axis=1, keepdims=True)
+    if src.any_zero_mass:
+        x[src.zero_mass] = fallback[src.zero_mass]
+    return x
+
+
+def _squarem(src: _Source, beta, channel, tol, max_iter):
+    """Accelerated fixed-point iteration: (channel, update evaluations, converged).
+
+    Converged means a plain update moved its argument by less than ``tol``
+    (max-abs); the channel returned is that update's result.
+    """
+    def update(x):
+        nonlocal evaluations
+        evaluations += 1
+        new = _step(src, beta, x)
+        return new, bool(np.abs(new - x).max() < tol)
+
+    evaluations = 0
+    x0 = channel
+    while True:
+        x1, done = update(x0)
+        if done or evaluations == max_iter:
+            return x1, evaluations, done
+        x2, done = update(x1)
+        if done or evaluations == max_iter:
+            return x2, evaluations, done
+        r = x1 - x0
+        v = x2 - 2 * x1 + x0
+        # v == 0 makes alpha -inf and the proposal NaN, refused just below
+        alpha = min(-np.sqrt((r * r).sum() / (v * v).sum()), -1.0)
+        proposal = _project(x0 - 2 * alpha * r + alpha * alpha * v, x2, src)
+        if not np.isfinite(proposal).all():
+            x0 = x2
+            continue
+        x3, done = update(proposal)
+        if _lagrangian(src, beta, x3) <= _lagrangian(src, beta, x2):
+            if done:
+                return x3, evaluations, True
+            x0 = x3
+        else:
+            x0 = x2
+        if evaluations == max_iter:
+            return x0, evaluations, False
+
+
+def reference_solve(problem, tol, max_iter, seed):
+    """``solve_ib`` (without ``keep_input``) on the reference cycle."""
+    src = _source(problem)
+    with np.errstate(**_QUIET):
+        start = _init_channel(problem.n_in, problem.n_out, np.random.default_rng(seed))
+        channel, iterations, converged = _squarem(src, problem.beta, start, tol, max_iter)
+        p_out, py_out = _posteriors(src, channel)
+        i_in_out, i_y_out = _information(src, channel)
+        stepped = _step(src, problem.beta, channel)
+        objective = _lagrangian(src, problem.beta, channel)
+    return (channel, p_out, py_out, IBDiagnostics(iterations, i_in_out, i_y_out, converged),
+            stepped, objective)
+
+
+def reference_cases():
+    """Training-like node problems of every shape the two configs give, and then some."""
+    rng = np.random.default_rng(21)
+    for t in range(64):
+        n_in = int(rng.integers(200, 321)) if t % 4 == 3 else int(rng.integers(2, 13))
+        n_class = int(rng.integers(2, 4))
+        n_rows = int(rng.integers(n_in // 2 + 1, 3 * n_in + 20))
+        beta = float(rng.choice([0.1, 0.5, 2.0, 5.0, 20.0, 50.0]))
+        # every third node's label is nearly a function of its input, which
+        # gives outputs of zero marginal and rows that underflow whole
+        concentration = 0.01 if t % 3 == 2 else 0.5
+        prob = empirical_problem(rng, n_in, n_rows, n_class, beta, n_out=1 + t % 4,
+                                 concentration=concentration)
+        max_iter = DEFAULT_MAX_ITER if t % 8 == 7 else 1 + t % 7
+        yield prob, max_iter, 1000 + t
+
+
+class TestReferenceCycle:
+    def test_solve_ib_matches_the_reference_bit_for_bit(self):
+        seen = {"zero_mass": 0, "certain_posterior": 0, "zero_channel_entry": 0,
+                "converged": 0, "capped": 0, "wide": 0}
+        caps = set()
+        for prob, max_iter, seed in reference_cases():
+            sol = solve_ib(prob, max_iter=max_iter, seed=seed)
+            channel, p_out, py_out, diagnostics, stepped, objective = reference_solve(
+                prob, DEFAULT_TOL, max_iter, seed)
+            where = (prob.n_in, prob.n_class, prob.n_out, prob.beta, max_iter, seed)
+            assert np.array_equal(sol.channel.p, channel), where
+            assert np.array_equal(sol.p_out.probs, p_out), where
+            assert np.array_equal(sol.py_given_out.p, py_out), where
+            assert sol.diagnostics == diagnostics, where
+            assert np.array_equal(ib_step(prob, sol.channel).p, stepped), where
+            assert lagrangian(prob, sol.channel) == objective, where
+            seen["zero_mass"] += bool((prob.px.probs == 0).any())
+            seen["certain_posterior"] += bool(np.isin(prob.py_given_x.p, (0.0, 1.0)).any())
+            seen["zero_channel_entry"] += bool((channel == 0).any())
+            seen["converged"] += diagnostics.converged
+            seen["capped"] += not diagnostics.converged
+            seen["wide"] += prob.n_in >= 200
+            caps.add(max_iter)
+        # the cases reach every path the cycle has
+        assert min(seen.values()) >= 3, seen
+        assert caps == {*range(1, 8), DEFAULT_MAX_ITER}
