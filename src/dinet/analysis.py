@@ -38,7 +38,6 @@ from .infotheory import ConditionalMatrix, entropies
 from .network import (
     DINModel,
     _STREAM_MIFLOW,
-    channel_cdf,
     mux_combine,
     sample_channel,
     walk,
@@ -170,7 +169,7 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
 
     def node(layer, pos, symbols):
-        table = channel_cdf(model.nodes[(layer, pos)].channel.p)
+        table = model.nodes[(layer, pos)].thresholds
         return sample_channel(table.take(symbols, axis=1), rng)
 
     nodes = []

@@ -38,6 +38,7 @@ from .dataio import (
     split,
     write_text,
 )
+from . import network
 from .errors import ConfigError, DatasetFormatError, DinetError, ResourceError
 from .network import (Topology, derive_seed, predict, quantize_features, train_network,
                       tree_layer_sizes)
@@ -312,6 +313,7 @@ def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=())
 def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missing=()):
     """Fit quantizers on the training rows only, then train the tree.
 
+    Returns the model and the quantized training rows it was trained on.
     Every node below the class node outputs ``cfg.model.n_out`` symbols; a
     channel above ``MAX_ARRAY_ENTRIES`` entries is refused before any array.
     """
@@ -325,20 +327,24 @@ def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missin
                 raise ConfigError(
                     f"a layer-{i} node channel of {n_in} x {n_out} entries exceeds the "
                     f"limit of {MAX_ARRAY_ENTRIES}; lower model.n_out or the quantizer levels")
+    rows = quantize_with(specs, train)
     model = train_network(
-        quantize_with(specs, train), topo, beta=cfg.model.beta, tol=cfg.model.tol,
+        rows, topo, beta=cfg.model.beta, tol=cfg.model.tol,
         max_iter=cfg.model.max_iter, seed=seed,
         quantizers=specs, feature_names=train.feature_names,
         class_names=train.classes,
     )
-    return model
+    return model, rows
+
+
+def _scores(cfg: ExperimentConfig, classes, labels, preds) -> dict:
+    return compute_metrics(labels, preds, list(classes).index(cfg.dataset.positive_class))
 
 
 def evaluate_on(model, data: RawDataset, cfg: ExperimentConfig, seed: int) -> dict:
     preds = predict(model, data, seed=seed,
                     mode=cfg.prediction.mode, repeats=cfg.prediction.repeats)
-    positive = list(data.classes).index(cfg.dataset.positive_class)
-    return compute_metrics(data.label_indices(), preds, positive)
+    return _scores(cfg, data.classes, data.label_indices(), preds)
 
 
 def split_for_run(cfg: ExperimentConfig, data: RawDataset, run_index: int):
@@ -368,18 +374,26 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
                keep_model: bool = False):
     """One split -> train -> evaluate cycle with fully derived seeds.
 
-    The result holds the run index, the train and test metrics, and the
-    solver's per-layer ``iterations`` and ``nonconverged`` counts.
+    The training split is predicted from the quantized rows the tree was
+    trained on, so it is quantized once; the test split goes through
+    ``evaluate_on``.  The result holds the run index, the train and test
+    metrics, and the solver's per-layer ``iterations`` and ``nonconverged``
+    counts.
     """
     run_seed, train, test = split_for_run(cfg, data, run_index)
     # a test row may hold a feature's only missing cells: reserve the symbol
     with_missing = {name for name, col in zip(data.feature_names, data.columns)
                     if None in col}
-    model = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG),
-                     reserve_missing=with_missing)
+    model, train_rows = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG),
+                                 reserve_missing=with_missing)
+    # looked up on the module at call time, as ``predict`` does, so that a
+    # wrapper set on ``network.predict_quantized`` sees both splits
+    train_preds = network.predict_quantized(
+        model, train_rows, seed=derive_seed(run_seed, _PRED_TRAIN_TAG),
+        mode=cfg.prediction.mode, repeats=cfg.prediction.repeats)
     result = {
         "run": run_index,
-        "train": evaluate_on(model, train, cfg, derive_seed(run_seed, _PRED_TRAIN_TAG)),
+        "train": _scores(cfg, train.classes, train_rows.labels, train_preds),
         "test": evaluate_on(model, test, cfg, derive_seed(run_seed, _PRED_TEST_TAG)),
         **_solver_convergence(model),
     }

@@ -38,7 +38,8 @@ final one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -91,12 +92,29 @@ class IBDiagnostics:
 
 @dataclass(frozen=True)
 class IBSolution:
-    """Learned channel plus the marginal/posterior it induces."""
+    """Learned channel plus the marginal/posterior it induces.
+
+    ``p_out`` and ``py_given_out`` are built from the channel on first read
+    and kept: training reads them for the final node only.
+    """
 
     channel: ConditionalMatrix
-    p_out: DiscreteDistribution
-    py_given_out: ConditionalMatrix
     diagnostics: IBDiagnostics
+    _src: _Source = field(repr=False, compare=False)
+
+    @cached_property
+    def _induced(self):
+        with np.errstate(**_QUIET):
+            p_out, py_out = _posteriors(self._src, self.channel.p)
+        return DiscreteDistribution(p_out), ConditionalMatrix(py_out)
+
+    @property
+    def p_out(self) -> DiscreteDistribution:
+        return self._induced[0]
+
+    @property
+    def py_given_out(self) -> ConditionalMatrix:
+        return self._induced[1]
 
 
 def estimate_empirical(x_symbols, y_labels, n_in: int, n_class: int):
@@ -111,9 +129,10 @@ def estimate_empirical(x_symbols, y_labels, n_in: int, n_class: int):
         raise ValidationError("empty training vectors")
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("x_symbols and y_labels must be equal-length vectors")
-    if x.min() < 0 or x.max() >= n_in:
+    # viewed unsigned, a negative entry is >= 2**63: one scan checks both ends
+    if x.view(np.uint64).max() >= n_in:
         raise ValidationError(f"input symbols outside [0, {n_in})")
-    if y.min() < 0 or y.max() >= n_class:
+    if y.view(np.uint64).max() >= n_class:
         raise ValidationError(f"labels outside [0, {n_class})")
     counts_xy = np.bincount(x * n_class + y, minlength=n_in * n_class)
     counts_xy = counts_xy.reshape(n_in, n_class).astype(np.float64)
@@ -150,8 +169,11 @@ def _source(problem: IBProblem) -> _Source:
                    zero_mass, bool(zero_mass.any()), entropy(px), entropy(prior))
 
 
-# Every update runs under this: dead outputs divide 0 by 0, and exp2 underflows.
-_QUIET = {"invalid": "ignore", "divide": "ignore", "under": "ignore"}
+# Every update runs under this: dead outputs divide 0 by 0, and exp2
+# underflows.  At a large beta the stand-in distortion (about 1e300 times a
+# P(y|in)) times -beta leaves the float range; the -inf it gives has exp2 0,
+# the weight the cap gives such an output anyway.
+_QUIET = {"invalid": "ignore", "divide": "ignore", "under": "ignore", "over": "ignore"}
 
 # The update, the guard and the extrapolation run on arrays of a few dozen
 # entries, where a numpy call costs more than its arithmetic.  So they call
@@ -369,12 +391,10 @@ def solve_ib(problem: IBProblem, tol: float = DEFAULT_TOL,
         else:
             start = _init_channel(problem.n_in, problem.n_out, np.random.default_rng(seed))
             channel, iterations, converged = _squarem(src, problem.beta, start, tol, max_iter)
-        p_out, py_out = _posteriors(src, channel)
         i_in_out, i_y_out = _information(src, channel)
 
     return IBSolution(
         channel=ConditionalMatrix(channel),
-        p_out=DiscreteDistribution(p_out),
-        py_given_out=ConditionalMatrix(py_out),
         diagnostics=IBDiagnostics(iterations, i_in_out, i_y_out, converged),
+        _src=src,
     )

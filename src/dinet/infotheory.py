@@ -23,10 +23,12 @@ VALIDATION_TOL = 1e-9
 
 
 def _check_entries(a: np.ndarray, what: str) -> None:
-    # a NaN slips past both a sign test and a sum tolerance test
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what} has a non-finite entry")
-    if np.any(a < 0):
+    # min and max propagate NaN, so this one test fails for any NaN, +-inf or
+    # negative entry (a NaN alone would slip past a sign or sum test); only
+    # then is the message picked
+    if not (np.minimum.reduce(a, axis=None) >= 0 and np.maximum.reduce(a, axis=None) < np.inf):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{what} has a non-finite entry")
         raise ValidationError(f"{what} has a negative entry")
 
 
@@ -66,9 +68,10 @@ class ConditionalMatrix:
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("conditional matrix must be a non-empty 2-d array")
         _check_entries(m, "conditional matrix")
-        bad = np.abs(m.sum(axis=1) - 1.0) > VALIDATION_TOL
-        if np.any(bad):
-            raise ValidationError(f"rows {np.flatnonzero(bad).tolist()} do not sum to 1")
+        deviation = np.abs(m.sum(axis=1) - 1.0)
+        if np.maximum.reduce(deviation) > VALIDATION_TOL:
+            bad = np.flatnonzero(deviation > VALIDATION_TOL)
+            raise ValidationError(f"rows {bad.tolist()} do not sum to 1")
         object.__setattr__(self, "p", _freeze(m))
 
     @property

@@ -24,10 +24,12 @@ training stream, prediction and ``analysis.mi_flow`` sample on their own.
 
 Sampling is a table and a draw: ``channel_cdf`` turns a channel into its
 table of cumulative thresholds, the consumer gathers the columns of a
-node's input symbols, and ``sample_channel`` draws from them.  Prediction
-builds each node's table once per call, and since every ensemble repeat
-feeds layer 0 the same columns, it gathers the layer-0 thresholds once for
-all repeats.
+node's input symbols, and ``sample_channel`` draws from them.  Each trained
+node holds its table as ``TrainedNode.thresholds``, built once when the
+node is made, by training or by ``load_model``; training, prediction and
+``analysis.mi_flow`` read it.  Since every ensemble repeat feeds layer 0 the
+same columns, prediction gathers the layer-0 thresholds once for all
+repeats.
 
 Each sampling call draws from one generator, ``default_rng([seed,
 purpose])``, consumed in walk order: node after node, and in an ensemble
@@ -209,6 +211,14 @@ class TrainedNode:
     diagnostics: IBDiagnostics
     mi_in_y: float           # I(input; target) on the training estimates
     mi_out_y: float          # I(output; target) induced by the learned channel
+    # channel_cdf(channel.p), the sampling table: derived, so not an init
+    # argument, not compared and not saved
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = channel_cdf(self.channel.p)
+        table.flags.writeable = False
+        object.__setattr__(self, "thresholds", table)
 
 
 @dataclass(frozen=True)
@@ -352,14 +362,14 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
         sol = solve_ib(problem, tol=tol, max_iter=max_iter,
                        seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
                        keep_input=layer_idx < topology.depth)
-        nodes[(layer_idx, k)] = TrainedNode(
+        trained = nodes[(layer_idx, k)] = TrainedNode(
             channel=sol.channel,
             diagnostics=sol.diagnostics,
             mi_in_y=mutual_information(px.probs, py_x.p),
             mi_out_y=sol.diagnostics.i_y_out,
         )
         final_solution = sol  # the walk ends on the final node
-        return sample_channel(channel_cdf(sol.channel.p).take(symbols, axis=1), rng)
+        return sample_channel(trained.thresholds.take(symbols, axis=1), rng)
 
     for _ in walk(topology, data.columns, node):
         pass
@@ -396,15 +406,16 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     passes = repeats if mode == "ensemble" else 1
     topo = model.topology
     rng = np.random.default_rng([seed, _STREAM_PREDICT])
-    tables = {slot: channel_cdf(model.nodes[slot].channel.p) for slot in topo.slots}
+    nodes = model.nodes
     # every repeat feeds layer 0 the same columns, so gather its thresholds once
-    first = [tables[(0, k)].take(np.asarray(c, dtype=np.int64), axis=1)
+    first = [nodes[(0, k)].thresholds.take(np.asarray(c, dtype=np.int64), axis=1)
              for k, c in enumerate(data.columns)]
     align = np.asarray(model.class_alignment, dtype=np.int64)
 
     def node(layer, pos, symbols):
-        gathered = first[pos] if layer == 0 else tables[(layer, pos)].take(symbols, axis=1)
-        return sample_channel(gathered, rng)
+        if layer == 0:
+            return sample_channel(first[pos], rng)
+        return sample_channel(nodes[(layer, pos)].thresholds.take(symbols, axis=1), rng)
 
     votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
     rows = np.arange(data.n_rows)

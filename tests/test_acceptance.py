@@ -177,7 +177,7 @@ class TestCriterion3OfflineProperties:
             cfg.dataset = DatasetConfig(format="synthetic", positive_class="sick")
             cfg.quantizer = QuantizerConfig(default_levels=10)
             raw = make_synthetic_ckd(300, seed=seed)
-            model = train_on(raw, cfg, seed=seed)
+            model, _ = train_on(raw, cfg, seed=seed)
             assert check_bounds(mi_flow(model, quantize_features(model, raw)), tol=1e-6) == []
             checked += 1
         assert verdict("3d mux sandwich bounds", True,

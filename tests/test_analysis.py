@@ -316,7 +316,7 @@ class TestKidneyFlow:
         data = load_dataset(ckd_arff, format="arff", target="class")
         train, _ = split(data, 200, seed=0, stratify="balanced",
                          positive_fraction=0.5, positive_label="ckd")
-        model = train_on(train, cfg, seed=0)
+        model, _ = train_on(train, cfg, seed=0)
         rep = mi_flow(model, quantize_features(model, train))
         per_layer_max = {}
         for mux in rep.muxes:

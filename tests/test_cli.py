@@ -196,19 +196,73 @@ class TestPipeline:
         assert report["test"]["mean"]["accuracy"] == pytest.approx(
             sum(accs) / len(accs), abs=1e-12)
 
+    @pytest.mark.parametrize("overrides", [[], ["quantizer.default_levels=null", "model.n_out=2",
+                                                 "split.n_train=320", "split.stratify=none"]],
+                             ids=["smoke", "finebin"])
+    def test_run_single_quantizes_the_training_rows_once(self, overrides, monkeypatch):
+        # the training split is predicted from the rows the tree was trained
+        # on, through the network module's binding, which wrappers replace
+        from dinet import network
+        from dinet.cli import _PRED_TEST_TAG, _PRED_TRAIN_TAG, evaluate_on, split_for_run
+        from dinet.network import derive_seed, quantize_features
+        from tests.conftest import REPO_ROOT
+
+        cfg = apply_overrides(load_config(REPO_ROOT / "configs" / "synthetic_smoke.json"),
+                              overrides)
+        data = prepare_dataset(cfg)
+        predict_quantized, train_network = network.predict_quantized, cli.train_network
+        quantize_with = {module: module.quantize_with for module in (cli, network)}
+        calls, trained_on, quantized = [], [], []
+
+        def recording_predict(model, rows, **kwargs):
+            calls.append((rows, kwargs["seed"]))
+            return predict_quantized(model, rows, **kwargs)
+
+        def recording_train(rows, *args, **kwargs):
+            trained_on.append(rows)
+            return train_network(rows, *args, **kwargs)
+
+        def recording_quantize(module):
+            def quantize(specs, raw):
+                quantized.append(raw.n_rows)
+                return quantize_with[module](specs, raw)
+            return quantize
+
+        monkeypatch.setattr(network, "predict_quantized", recording_predict)
+        monkeypatch.setattr(cli, "train_network", recording_train)
+        for module in quantize_with:
+            monkeypatch.setattr(module, "quantize_with", recording_quantize(module))
+        for run in range(3):
+            for log in (calls, trained_on, quantized):
+                log.clear()
+            result = run_single(cfg, data, run, keep_model=True)
+            run_seed, train, test = split_for_run(cfg, data, run)
+            model = result["model"]
+            assert [seed for _, seed in calls] == [derive_seed(run_seed, _PRED_TRAIN_TAG),
+                                                   derive_seed(run_seed, _PRED_TEST_TAG)]
+            assert calls[0][0] is trained_on[0]
+            assert quantized == [train.n_rows, test.n_rows]
+            for rows, raw in zip([rows for rows, _ in calls], (train, test)):
+                want = quantize_features(model, raw)
+                assert all(np.array_equal(a, b) for a, b in zip(rows.columns, want.columns))
+                assert np.array_equal(rows.labels, want.labels)
+            for part, raw, tag in (("train", train, _PRED_TRAIN_TAG),
+                                   ("test", test, _PRED_TEST_TAG)):
+                assert result[part] == evaluate_on(model, raw, cfg, derive_seed(run_seed, tag))
+
     @pytest.mark.parametrize("n_out, expected", [(3, (3, 3, 3, 3, 2)), (2, (2, 2, 2, 2, 2))],
                              ids=["n_out=3", "n_out=2"])
     def test_integer_n_out_expands_below_the_class_layer(self, n_out, expected):
         cfg = config_from_dict(dict(SYNTH_CONFIG, model={"n_out": n_out}))
-        model = cli.train_on(prepare_dataset(cfg), cfg, seed=0)
+        model, _ = cli.train_on(prepare_dataset(cfg), cfg, seed=0)
         assert model.topology.n_out == expected
 
     def test_channel_size_limit_is_exact(self, cfg, monkeypatch):
         data = prepare_dataset(cfg)
-        model = cli.train_on(data, cfg, seed=0)
+        model, _ = cli.train_on(data, cfg, seed=0)
         largest = max(node.channel.rows * node.channel.cols for node in model.nodes.values())
         monkeypatch.setattr(cli, "MAX_ARRAY_ENTRIES", largest)
-        assert cli.train_on(data, cfg, seed=0).topology == model.topology
+        assert cli.train_on(data, cfg, seed=0)[0].topology == model.topology
         monkeypatch.setattr(cli, "MAX_ARRAY_ENTRIES", largest - 1)
         with pytest.raises(ConfigError, match=f"exceeds the limit of {largest - 1};"):
             cli.train_on(data, cfg, seed=0)

@@ -281,7 +281,7 @@ def small_model():
     cfg.dataset = DatasetConfig(format="synthetic", positive_class="sick")
     cfg.quantizer = QuantizerConfig(default_levels=6)
     data = make_synthetic_ckd(n_rows=150, seed=2)
-    return train_on(data, cfg, seed=4)
+    return train_on(data, cfg, seed=4)[0]
 
 
 class TestModelPersistence:

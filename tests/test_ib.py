@@ -558,3 +558,61 @@ class TestReferenceCycle:
         # the cases reach every path the cycle has
         assert min(seen.values()) >= 3, seen
         assert caps == {*range(1, 8), DEFAULT_MAX_ITER}
+
+
+class TestLargeBeta:
+    def test_overflowing_distortions_solve_without_a_warning(self, monkeypatch):
+        """At a large beta the stand-in distortion times -beta overflows to -inf, silently."""
+        import dataclasses
+        import warnings
+
+        from dinet import cli, ib, network
+        from tests.conftest import REPO_ROOT
+
+        recorded = []
+        solve, weights = network.solve_ib, ib._weights
+
+        def recording_solve(problem, **kwargs):
+            recorded.append((problem, kwargs))
+            return solve(problem, **kwargs)
+
+        cfg = cli.apply_overrides(cli.load_config(REPO_ROOT / "configs" / "synthetic_smoke.json"),
+                                  ["model.beta=1e9"])
+        monkeypatch.setattr(network, "solve_ib", recording_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cli.run_single(cfg, cli.prepare_dataset(cfg), 0)
+        monkeypatch.undo()
+
+        overflowed = []
+
+        def spying_weights(src, beta, p_out, log_q):
+            new, sums, d = weights(src, beta, p_out, log_q)
+            with np.errstate(over="ignore", invalid="ignore"):
+                overflowed[-1] |= bool(np.any(np.isfinite(d) & np.isinf(d * -beta)))
+            return new, sums, d
+
+        monkeypatch.setattr(ib, "_weights", spying_weights)
+        cases = []
+        for problem, kwargs in recorded:
+            overflowed.append(False)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                solve_ib(problem, **kwargs)
+            if overflowed[-1]:
+                cases.append((problem, kwargs))
+        monkeypatch.undo()
+        # the run reaches the overflow on several nodes
+        assert len(cases) >= 3, len(cases)
+
+        for problem, kwargs in cases[:6]:
+            for beta in (1e9, 1e300):
+                scaled = dataclasses.replace(problem, beta=beta)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    sol = solve_ib(scaled, **kwargs)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    quiet = solve_ib(scaled, **kwargs)
+                assert np.array_equal(sol.channel.p, quiet.channel.p)
+                assert sol.diagnostics == quiet.diagnostics

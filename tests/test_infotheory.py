@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dinet import ConditionalMatrix, DiscreteDistribution, ValidationError
-from dinet.infotheory import entropies, entropy, joint_mutual_information, mutual_information
+from dinet.infotheory import (
+    VALIDATION_TOL,
+    entropies,
+    entropy,
+    joint_mutual_information,
+    mutual_information,
+)
 
 
 def dd(*p):
@@ -39,6 +46,73 @@ class TestContainers:
         d = dd(0.5, 0.5)
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+
+# The containers' checks as they were written first, one pass per test; the
+# containers must accept exactly what these accept and raise the same message.
+def _check_entries(a: np.ndarray, what: str) -> None:
+    # a NaN slips past both a sign test and a sum tolerance test
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    if np.any(a < 0):
+        raise ValidationError(f"{what} has a negative entry")
+
+
+def reference_distribution(p):
+    _check_entries(p, "distribution")
+    if abs(p.sum() - 1.0) > VALIDATION_TOL:
+        raise ValidationError(f"distribution sums to {p.sum()!r}, not 1")
+
+
+def reference_conditional(m):
+    _check_entries(m, "conditional matrix")
+    bad = np.abs(m.sum(axis=1) - 1.0) > VALIDATION_TOL
+    if np.any(bad):
+        raise ValidationError(f"rows {np.flatnonzero(bad).tolist()} do not sum to 1")
+
+
+def verdict(check, a):
+    try:
+        check(a)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+SPECIAL_ENTRIES = (np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-300, -0.25)
+ROW_SHIFTS = (0.0, 0.0, 2e-9, -2e-9, 1e-9, -1e-9, 0.5e-9)
+
+
+@st.composite
+def candidate_arrays(draw):
+    """1-D or 2-D arrays of stochastic rows, some shifted by up to 2e-9, some entries special."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    weights = draw(hnp.arrays(np.float64, (rows, cols), elements=st.floats(0.0, 1.0)))
+    sums = weights.sum(axis=1, keepdims=True)
+    a = np.divide(weights, sums, out=np.full_like(weights, 1.0 / cols), where=sums > 0)
+    a[:, 0] += draw(hnp.arrays(np.float64, rows, elements=st.sampled_from(ROW_SHIFTS)))
+    special = draw(hnp.arrays(np.float64, a.shape, elements=st.sampled_from(SPECIAL_ENTRIES)))
+    # about one entry in four is special
+    where = draw(hnp.arrays(np.bool_, a.shape,
+                            elements=st.sampled_from([True, False, False, False])))
+    a = np.where(where, special, a)
+    return a[0] if draw(st.booleans()) else a
+
+
+class TestContainerChecks:
+    @settings(max_examples=400, deadline=None)
+    @given(candidate_arrays())
+    # a NaN next to a negative entry still reads non-finite
+    @example(np.array([-0.5, np.nan, 1.5]))
+    @example(np.array([[0.5, 0.5], [-1.0, np.nan]]))
+    def test_accept_exactly_what_the_reference_accepts(self, a):
+        if a.ndim == 1:
+            container, reference = DiscreteDistribution, reference_distribution
+        else:
+            container, reference = ConditionalMatrix, reference_conditional
+        assert verdict(container, a) == verdict(reference, a)
+        if np.isnan(a).any():
+            assert "non-finite" in verdict(container, a)
 
 
 class TestEntropy:

@@ -568,3 +568,63 @@ class TestWalk:
             assert sampled[2] is calls[1][2]
             assert sampled[3] == oracle.bit_generator.state
             oracle.random(80)
+
+
+class TestKeptTables:
+    """Each trained node holds its sampling table, built once when the node is made."""
+
+    @staticmethod
+    def assert_tables(model):
+        for slot, node in model.nodes.items():
+            assert np.array_equal(node.thresholds, channel_cdf(node.channel.p)), slot
+
+    def test_trained_loaded_and_reloaded_nodes_hold_their_table(self, tmp_path):
+        from dinet import load_model, save_model
+        from dinet.cli import load_config, prepare_dataset, run_single
+        from tests.conftest import REPO_ROOT
+
+        self.assert_tables(load_model(REPO_ROOT / "tests" / "fixtures" / "model.json"))
+        cfg = load_config(REPO_ROOT / "configs" / "synthetic_smoke.json")
+        model = run_single(cfg, prepare_dataset(cfg), 0, keep_model=True)["model"]
+        self.assert_tables(model)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert "thresholds" not in path.read_text()  # derived, so never written
+        self.assert_tables(load_model(path))
+
+    def test_table_is_derived_not_given(self):
+        from dinet.network import TrainedNode
+
+        data = toy_dataset(np.random.default_rng(6))
+        node = train_network(data, Topology(cards=(2, 3), n_out=(2, 2)), beta=10.0).nodes[(1, 0)]
+        with pytest.raises(TypeError):
+            TrainedNode(channel=node.channel, diagnostics=node.diagnostics,
+                        mi_in_y=node.mi_in_y, mi_out_y=node.mi_out_y,
+                        thresholds=node.thresholds)
+        assert not node.thresholds.flags.writeable
+
+    @pytest.mark.parametrize("mode", ["stochastic", "ensemble"])
+    def test_training_builds_each_table_once_and_its_readers_none(self, monkeypatch, mode):
+        from dinet import network
+
+        tabled = []
+        cdf = network.channel_cdf
+
+        def counting_cdf(channel):
+            tabled.append(channel)
+            return cdf(channel)
+
+        monkeypatch.setattr(network, "channel_cdf", counting_cdf)
+        rng = np.random.default_rng(12)
+        cards = [2, 3, 4, 2, 3]
+        y = rng.integers(0, 2, 90)
+        data = QuantizedDataset(columns=tuple(rng.integers(0, c, 90) for c in cards),
+                                cardinalities=tuple(cards), labels=y, n_class=2)
+        topo = Topology(cards=cards, n_out=(3, 3, 2))
+        model = train_network(data, topo, beta=5.0, seed=1)
+        assert len(tabled) == len(topo.slots)
+        self.assert_tables(model)
+        tabled.clear()
+        predict_quantized(model, data, seed=2, mode=mode, repeats=3)
+        mi_flow(model, data)
+        assert tabled == []
