@@ -42,7 +42,7 @@ from . import network
 from .errors import ConfigError, DatasetFormatError, DinetError, ResourceError
 from .network import (Topology, derive_seed, predict, quantize_features, train_network,
                       tree_layer_sizes)
-from .quantizer import CATEGORICAL, CONTINUOUS, fit_quantizer, quantize_with
+from .quantizer import CATEGORICAL, CONTINUOUS, QuantizedDataset, fit_quantizer, quantize_with
 from .synthetic import make_synthetic_ckd
 
 _RUN_TAG = 7          # purpose tag for per-run seed derivation
@@ -378,7 +378,8 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
     trained on, so it is quantized once; the test split goes through
     ``evaluate_on``.  The result holds the run index, the train and test
     metrics, and the solver's per-layer ``iterations`` and ``nonconverged``
-    counts.
+    counts; with ``keep_model`` also the model, the raw ``splits`` and the
+    quantized rows it was ``trained_on``.
     """
     run_seed, train, test = split_for_run(cfg, data, run_index)
     # a test row may hold a feature's only missing cells: reserve the symbol
@@ -400,6 +401,7 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
     if keep_model:
         result["model"] = model
         result["splits"] = (train, test)
+        result["trained_on"] = train_rows
     return result
 
 
@@ -498,8 +500,8 @@ def _progress_printer(args):
     return emit
 
 
-def _write_mi_flow(model, rows: RawDataset, path) -> MIFlowReport:
-    flow = mi_flow(model, quantize_features(model, rows))
+def _write_mi_flow(model, rows: QuantizedDataset, path) -> MIFlowReport:
+    flow = mi_flow(model, rows)
     if path:
         flow.to_csv(path)
     return flow
@@ -509,12 +511,11 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     data = prepare_dataset(cfg)
     result = run_single(cfg, data, run_index=0, keep_model=True)
     model = result["model"]
-    train_rows, _ = result["splits"]
     model_path = args.model_out or cfg.outputs.model
     if model_path:
         save_model(model, model_path)
     _write(args.metrics_out or cfg.outputs.metrics, report_json(result["train"]))
-    _write_mi_flow(model, train_rows, args.miflow_out or cfg.outputs.mi_flow)
+    _write_mi_flow(model, result["trained_on"], args.miflow_out or cfg.outputs.mi_flow)
     print(report_json(result["train"]), end="")
     return 0
 
@@ -542,7 +543,7 @@ def cmd_experiment(cfg: ExperimentConfig, args) -> int:
 
 def cmd_inspect(cfg: ExperimentConfig, args) -> int:
     model = load_model(args.model)
-    flow = _write_mi_flow(model, prepare_dataset(cfg), args.out)
+    flow = _write_mi_flow(model, quantize_features(model, prepare_dataset(cfg)), args.out)
     print(json.dumps({"nodes": len(flow.nodes), "muxes": len(flow.muxes),
                       "csv": str(Path(args.out)) if args.out else None}, sort_keys=True))
     return 0

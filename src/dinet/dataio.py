@@ -14,10 +14,12 @@ Model files are versioned JSON with a SHA-256 checksum over the canonical
 payload; floats survive the round trip bit-exactly because they are
 written with shortest-repr encoding.  ``json_error`` is the one rule for
 which JSON value a field may hold, read from a type annotation; model
-payloads and config files are both checked with it.  The tree is read from
-layer 0's ``n_in`` and each layer's ``n_out``; the rest of the topology and
-every node's shape are derived, so a payload loads only when the model
-rebuilt from it writes back the same JSON values.
+payloads and config files are both checked with it.  A version-2 payload
+holds only what fixes the model: one ``n_out`` per layer and, per node, its
+channel and training diagnostics.  The tree is read from the row count of
+each layer-0 channel and ``n_out``; the mux wiring and every other node's
+shape are derived, so a payload loads only when the model rebuilt from it
+writes back the same JSON values.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ DEFAULT_MISSING_TOKENS = ("?", "")
 _LINE_END = re.compile("\r\n|\r|\n")  # the line ends the csv module and text files know
 
 MODEL_FORMAT = "dinet-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 CKD_URL = "https://archive.ics.uci.edu/static/public/336/chronic+kidney+disease.zip"
 
@@ -397,28 +399,20 @@ def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",
 # model persistence
 
 def _model_payload(model: DINModel) -> dict:
-    topo = model.topology
     return {
         "beta": model.beta,
         "seed": model.seed,
         "feature_names": list(model.feature_names),
         "class_names": list(model.class_names),
         "class_alignment": list(model.class_alignment),
-        "layers": [
-            {"n_in": list(layer.n_in), "n_out": list(layer.n_out)}
-            for layer in topo.layers
-        ],
-        "mux_groups": [[list(g) for g in stage] for stage in topo.mux_groups],
+        "n_out": list(model.topology.n_out),
         "quantizers": [asdict(s) for s in model.quantizers],
         "nodes": [
             {
                 "layer": layer,
                 "position": pos,
-                "n_in": node.channel.rows,
-                "n_out": node.channel.cols,
                 "channel": node.channel.p.tolist(),
                 "mi_in_y": node.mi_in_y,
-                "mi_out_y": node.mi_out_y,
                 "iterations": node.diagnostics.iterations,
                 "converged": node.diagnostics.converged,
                 "i_in_out": node.diagnostics.i_in_out,
@@ -447,15 +441,13 @@ def save_model(model: DINModel, path) -> None:
 
 # top-level payload keys and the JSON value each must hold
 _PAYLOAD_TYPES = dict(beta=float, seed=int, feature_names=list, class_names=list,
-                      class_alignment=list[int], layers=list, mux_groups=list[list[list[int]]],
-                      quantizers=list, nodes=list)
+                      class_alignment=list[int], n_out=list[int], quantizers=list, nodes=list)
 
 # the keys of each entry of a payload list, and the JSON value each must hold
 _ENTRY_TYPES = {
-    "node": ("nodes", dict(layer=int, position=int, n_in=int, n_out=int,
-                           channel=list[list[float]], iterations=int, converged=bool,
-                           mi_in_y=float, mi_out_y=float, i_in_out=float, i_y_out=float)),
-    "layer": ("layers", dict(n_in=list[int], n_out=list[int])),
+    "node": ("nodes", dict(layer=int, position=int, channel=list[list[float]],
+                           iterations=int, converged=bool, mi_in_y=float, i_in_out=float,
+                           i_y_out=float)),
     "quantizer": ("quantizers", dict(kind=str, has_missing=bool, name=str, levels=int | None,
                                      vmin=float | None, vmax=float | None,
                                      categories=list[str | float])),
@@ -515,10 +507,6 @@ def load_model(path) -> DINModel:
 
 
 def _model_from_payload(payload: dict) -> DINModel:
-    layers = payload["layers"]
-    if not layers or not all(layer["n_out"] for layer in layers):
-        raise ModelFormatError("layers and each layer's n_out must not be empty")
-    topo = Topology(cards=layers[0]["n_in"], n_out=[layer["n_out"][0] for layer in layers])
     nodes = {}
     for nd in payload["nodes"]:
         diag = IBDiagnostics(
@@ -531,10 +519,11 @@ def _model_from_payload(payload: dict) -> DINModel:
             channel=ConditionalMatrix(np.array(nd["channel"], dtype=np.float64)),
             diagnostics=diag,
             mi_in_y=nd["mi_in_y"],
-            mi_out_y=nd["mi_out_y"],
         )
+    # the tree is fixed by n_out and the layer-0 alphabets, each channel's row count
+    cards = [node.channel.rows for (layer, _), node in sorted(nodes.items()) if layer == 0]
     return DINModel(
-        topology=topo,
+        topology=Topology(cards, payload["n_out"]),
         nodes=nodes,
         quantizers=tuple(FeatureSpec(**{**d, "categories": tuple(d["categories"])})
                          for d in payload["quantizers"]),

@@ -82,11 +82,11 @@ class IBProblem:
 
 @dataclass(frozen=True)
 class IBDiagnostics:
-    """How the solve ended; the final Lagrangian is i_in_out - beta * i_y_out."""
+    """How the solve ended; an information that rounding reads below 0 is stored as 0.0."""
 
     iterations: int          # evaluations of the self-consistent update
-    i_in_out: float
-    i_y_out: float
+    i_in_out: float          # I(in;out)
+    i_y_out: float           # I(y;out)
     converged: bool
 
 
@@ -391,7 +391,7 @@ def solve_ib(problem: IBProblem, tol: float = DEFAULT_TOL,
         else:
             start = _init_channel(problem.n_in, problem.n_out, np.random.default_rng(seed))
             channel, iterations, converged = _squarem(src, problem.beta, start, tol, max_iter)
-        i_in_out, i_y_out = _information(src, channel)
+        i_in_out, i_y_out = (0.0 if v <= 0 else v for v in _information(src, channel))
 
     return IBSolution(
         channel=ConditionalMatrix(channel),

@@ -118,7 +118,10 @@ def entropies(p: np.ndarray, sizes) -> np.ndarray:
 
 
 def mutual_information(px: np.ndarray, cond: np.ndarray) -> float:
-    """I(X;T) from P(X) and P(T|X), guarding the 0*log(0/0) corners."""
+    """I(X;T) from P(X) and P(T|X), guarding the 0*log(0/0) corners.
+
+    0.0 where the sum reads 0 or below, as rounding gives for independent X and T.
+    """
     px = np.asarray(px, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
     pt = px @ cond
@@ -127,7 +130,8 @@ def mutual_information(px: np.ndarray, cond: np.ndarray) -> float:
     ratio = np.ones_like(cond)
     np.divide(cond, pt[None, :], out=ratio, where=mask)
     terms = np.where(mask, cond * np.log2(ratio), 0.0)
-    return float(px @ terms.sum(axis=1))
+    mi = float(px @ terms.sum(axis=1))
+    return 0.0 if mi <= 0 else mi
 
 
 def joint_mutual_information(joint: np.ndarray) -> float:

@@ -210,7 +210,6 @@ class TrainedNode:
     channel: ConditionalMatrix   # n_in x n_out
     diagnostics: IBDiagnostics
     mi_in_y: float           # I(input; target) on the training estimates
-    mi_out_y: float          # I(output; target) induced by the learned channel
     # channel_cdf(channel.p), the sampling table: derived, so not an init
     # argument, not compared and not saved
     thresholds: np.ndarray = field(init=False, repr=False, compare=False)
@@ -366,7 +365,6 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
             channel=sol.channel,
             diagnostics=sol.diagnostics,
             mi_in_y=mutual_information(px.probs, py_x.p),
-            mi_out_y=sol.diagnostics.i_y_out,
         )
         final_solution = sol  # the walk ends on the final node
         return sample_channel(trained.thresholds.take(symbols, axis=1), rng)

@@ -38,7 +38,7 @@ def hand_model(channels_by_slot, topo, n_class=2, alignment=None):
         chan = ConditionalMatrix(chan)
         nodes[(layer, pos)] = TrainedNode(
             channel=chan, diagnostics=IBDiagnostics(0, 0.0, 0.0, True),
-            mi_in_y=0.0, mi_out_y=0.0)
+            mi_in_y=0.0)
     return DINModel(topology=topo, nodes=nodes, quantizers=(), feature_names=(),
                     class_names=tuple(str(i) for i in range(n_class)),
                     class_alignment=alignment or tuple(range(n_class)),

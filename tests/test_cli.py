@@ -240,7 +240,7 @@ class TestPipeline:
             model = result["model"]
             assert [seed for _, seed in calls] == [derive_seed(run_seed, _PRED_TRAIN_TAG),
                                                    derive_seed(run_seed, _PRED_TEST_TAG)]
-            assert calls[0][0] is trained_on[0]
+            assert calls[0][0] is trained_on[0] is result["trained_on"]
             assert quantized == [train.n_rows, test.n_rows]
             for rows, raw in zip([rows for rows, _ in calls], (train, test)):
                 want = quantize_features(model, raw)
@@ -395,6 +395,38 @@ class TestCommands:
         metrics = json.loads(metrics_out.read_text())
         assert metrics["accuracy"] >= 0.9
         assert json.loads(out) == metrics
+
+    def test_train_quantizes_the_training_split_once(self, tmp_path, capsys, monkeypatch):
+        # the MI-flow CSV is computed on the rows the tree was trained on
+        from dinet import load_model, mi_flow, network
+        from dinet.cli import split_for_run
+        from tests.conftest import REPO_ROOT
+
+        config = REPO_ROOT / "configs" / "synthetic_smoke.json"
+        quantize_with = {module: module.quantize_with for module in (cli, network)}
+        quantized = []
+
+        def recording_quantize(module):
+            def quantize(specs, raw):
+                quantized.append(raw.n_rows)
+                return quantize_with[module](specs, raw)
+            return quantize
+
+        for module in quantize_with:
+            monkeypatch.setattr(module, "quantize_with", recording_quantize(module))
+        model_out, flow_out = tmp_path / "model.json", tmp_path / "flow.csv"
+        code, _, _ = self.run("train", "--config", str(config), "--quiet",
+                              "--model-out", str(model_out), "--miflow-out", str(flow_out),
+                              "--metrics-out", "", capsys=capsys)
+        monkeypatch.undo()
+        assert code == 0
+        cfg = load_config(config)
+        _, train, test = split_for_run(cfg, prepare_dataset(cfg), 0)
+        assert quantized == [train.n_rows, test.n_rows]
+        model = load_model(model_out)
+        want = tmp_path / "want.csv"
+        mi_flow(model, network.quantize_features(model, train)).to_csv(want)
+        assert flow_out.read_bytes() == want.read_bytes()
 
     def test_constant_feature_has_zero_output_entropy_not_minus_zero(self, tmp_path, capsys):
         rows = ["const,x,class"]

@@ -22,7 +22,7 @@ from dinet import (
     save_model,
     split,
 )
-from dinet.dataio import check_ckd_shape, fetch_ckd, json_error
+from dinet.dataio import MODEL_VERSION, check_ckd_shape, fetch_ckd, json_error
 from dinet.errors import ConfigError, ResourceError
 from tests.test_network import small_trees
 
@@ -358,10 +358,13 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["version"] = 999
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelVersionError, match="999"):
-            load_model(path)
+        assert doc["version"] == MODEL_VERSION == 2
+        for version in (1, 999):  # version 1 has no reader left
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelVersionError,
+                               match=f"version {version} is not supported .*reads version 2"):
+                load_model(path)
 
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_file_names_it(self, tmp_path, name):
@@ -385,14 +388,14 @@ class TestModelPersistence:
             load_model(path)
 
 
-NODE_KEYS = ("layer", "position", "n_in", "n_out", "channel", "mi_in_y", "mi_out_y",
-             "iterations", "converged", "i_in_out", "i_y_out")
+NODE_KEYS = ("layer", "position", "channel", "mi_in_y", "iterations", "converged", "i_in_out",
+             "i_y_out")
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
-PAYLOAD_KEYS = ("beta", "seed", "feature_names", "class_names", "class_alignment",
-                "layers", "mux_groups", "quantizers", "nodes")
+PAYLOAD_KEYS = ("beta", "seed", "feature_names", "class_names", "class_alignment", "n_out",
+                "quantizers", "nodes")
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +447,7 @@ class TestMalformedPayload:
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_missing_key(self, model_doc, tmp_path, key):
         assert set(model_doc["payload"]) == set(PAYLOAD_KEYS)
+        assert all(set(node) == set(NODE_KEYS) for node in model_doc["payload"]["nodes"])
         doc = json.loads(json.dumps(model_doc))
         del doc["payload"][key]
         with pytest.raises(ModelFormatError, match=key):
@@ -456,12 +460,12 @@ class TestMalformedPayload:
         lambda p: p.update(nodes={}),
         lambda p: p["nodes"][0].pop("channel"),
         lambda p: p["nodes"][0].update(channel="not a matrix"),
-        lambda p: p["layers"][0].update(n_in=None),
+        lambda p: p["n_out"].__setitem__(0, p["n_out"][0] + 1),
         lambda p: p["quantizers"][0].update(kind="wavelet"),
         lambda p: p["quantizers"][0].update(categories=[[1]]),
-        lambda p: p["layers"][0].update(n_out=[]),
-        lambda p: p.update(layers=[]),
-        lambda p: p["mux_groups"].__setitem__(0, 3),
+        lambda p: p["n_out"].pop(0),
+        lambda p: p.update(n_out=[]),
+        lambda p: p.update(n_out=[float(v) for v in p["n_out"]]),
         lambda p: p["quantizers"][0].update(bins=3),
         lambda p: p.update(beta=float("nan")),
         lambda p: p.update(beta=float("inf")),
@@ -470,11 +474,13 @@ class TestMalformedPayload:
         lambda p: p["nodes"][0].update(mi_in_y=float("-inf")),
         lambda p: p["nodes"][0]["channel"][0].__setitem__(0, 10 ** 400),
         lambda p: p.update(class_alignment=[float(a) for a in p["class_alignment"]]),
+        lambda p: p["n_out"].__setitem__(0, 0),
+        lambda p: p.update(nodes=[node for node in p["nodes"] if node["layer"] > 0]),
     ], ids=["beta-string", "seed-bool", "layers-int", "nodes-object", "node-no-channel",
-            "channel-string", "n_in-null", "quantizer-kind", "category-list", "n_out-short",
-            "layers-empty", "mux-stage-int", "quantizer-extra-key", "beta-nan",
+            "channel-string", "n_out-off-channels", "quantizer-kind", "category-list",
+            "n_out-short", "layers-empty", "n_out-floats", "quantizer-extra-key", "beta-nan",
             "beta-infinite", "beta-negative", "seed-negative", "mi-infinite",
-            "channel-entry-beyond-float", "alignment-floats"])
+            "channel-entry-beyond-float", "alignment-floats", "n_out-zero", "no-layer-0"])
     def test_wrong_shape_or_type(self, model_doc, tmp_path, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"])
@@ -483,7 +489,7 @@ class TestMalformedPayload:
 
     @pytest.mark.parametrize("key, value", [
         ("iterations", "7"), ("converged", "yes"), ("mi_in_y", "x"), ("i_in_out", None),
-        ("iterations", 7.0), ("converged", 1), ("mi_out_y", True), ("layer", "0"),
+        ("iterations", 7.0), ("converged", 1), ("i_y_out", True), ("layer", "0"),
     ])
     def test_node_field_type(self, model_doc, tmp_path, key, value):
         doc = json.loads(json.dumps(model_doc))
@@ -505,7 +511,7 @@ class TestMalformedPayload:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.sampled_from(("layers", "mux_groups", "quantizers")), JSON_VALUES, st.data())
+    @given(st.sampled_from(("n_out", "quantizers")), JSON_VALUES, st.data())
     def test_mutated_topology_or_quantizer_loads_or_raises_model_format_error(
             self, model_doc, tmp_path, section, value, data):
         doc = json.loads(json.dumps(model_doc))
@@ -543,11 +549,11 @@ class TestMalformedPayload:
     @pytest.mark.parametrize("edit", [
         lambda nodes: nodes[0]["channel"].pop(),
         lambda nodes: [row.append(0.0) for row in nodes[0]["channel"]],
-        lambda nodes: nodes[-1].update(n_in=nodes[-1]["n_in"] + 1),
+        lambda nodes: nodes[-1]["channel"].pop(),
         lambda nodes: nodes[0].update(position=99),
-        lambda nodes: nodes[0].update(n_out="2"),
+        lambda nodes: nodes[-1].update(layer=9),
     ], ids=["channel-row-dropped", "channel-column-added", "n_in-off-topology",
-            "position-off-topology", "n_out-string"])
+            "position-off-topology", "layer-off-topology"])
     def test_node_must_fit_its_topology_slot(self, model_doc, tmp_path, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"]["nodes"])
@@ -557,11 +563,12 @@ class TestMalformedPayload:
     @pytest.mark.parametrize("edit, key", [
         (lambda p: p["nodes"].append(p["nodes"][0]), "nodes"),
         (lambda p: p["nodes"].reverse(), "nodes"),
-        (lambda p: p["mux_groups"][0][0].reverse(), "mux_groups"),
+        (lambda p: p.update(layers=[{"n_in": [3, 3], "n_out": [2, 2]}]), "layers"),
         (lambda p: p.update(comment="x"), "comment"),
         (lambda p: p["nodes"][0].update(comment="x"), "nodes"),
-    ], ids=["node-twice", "nodes-reversed", "mux-digits-reversed", "extra-key",
-            "node-extra-key"])
+        (lambda p: p["nodes"][0].update(n_in=len(p["nodes"][0]["channel"])), "nodes"),
+    ], ids=["node-twice", "nodes-reversed", "old-layers-key", "extra-key",
+            "node-extra-key", "old-node-n_in-key"])
     def test_payload_save_model_would_not_write(self, model_doc, tmp_path, edit, key):
         doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"])
@@ -679,7 +686,7 @@ def hand_built_model():
                 (1, 0): [[0.2, 0.8], [0.6, 0.4], [0.3, 0.7], [1.0, 0.0]]}
     nodes = {slot: TrainedNode(channel=ConditionalMatrix(np.array(p)),
                                diagnostics=IBDiagnostics(7 * i, 0.1 * i, 1 / 3, i != 1),
-                               mi_in_y=1 / 7, mi_out_y=0.125 * i)
+                               mi_in_y=1 / 7)
              for i, (slot, p) in enumerate(channels.items())}
     return DINModel(topology=Topology(cards=(2, 3), n_out=(2, 2)), nodes=nodes,
                     quantizers=specs, feature_names=("age", "flag"),

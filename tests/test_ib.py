@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -219,6 +220,31 @@ class TestSolveIB:
         for t in range(5):
             prob = random_problem(rng, n_in=4, n_out=4)
             assert solve_ib(prob, seed=t).diagnostics.iterations >= 1
+
+    def test_collapsed_channel_never_reads_below_zero(self):
+        """Identical rows under a uniform source carry no information.
+
+        Rounding reads such an information a few ulps off 0, either way; the
+        diagnostics keep a positive reading and store any other as +0.0.
+        """
+        zeroed = 0
+        for n_in in range(1, 59):
+            for n_out in (1, 2, 3):
+                n_class = 2 + n_in % 2
+                prob = IBProblem(px=DiscreteDistribution(np.full(n_in, 1 / n_in)),
+                                 py_given_x=ConditionalMatrix(np.full((n_in, n_class),
+                                                                      1 / n_class)),
+                                 beta=5.0, n_out=n_out)
+                sol = solve_ib(prob, seed=n_in)
+                assert (sol.channel.p == sol.channel.p[0]).all()
+                with np.errstate(**_QUIET):  # the reference formula, below
+                    raw = _information(_source(prob), sol.channel.p)
+                got = (sol.diagnostics.i_in_out, sol.diagnostics.i_y_out)
+                assert got == tuple(0.0 if v <= 0 else v for v in raw), (n_in, n_out)
+                assert all(math.copysign(1.0, v) == 1.0 for v in got), (n_in, n_out)
+                zeroed += sum(v < 0 for v in raw)
+        # the unclamped formula reads below 0 on many of these channels
+        assert zeroed >= 10
 
     def test_nonconvergence_is_reported_not_raised(self):
         rng = np.random.default_rng(7)
@@ -508,7 +534,8 @@ def reference_solve(problem, tol, max_iter, seed):
         start = _init_channel(problem.n_in, problem.n_out, np.random.default_rng(seed))
         channel, iterations, converged = _squarem(src, problem.beta, start, tol, max_iter)
         p_out, py_out = _posteriors(src, channel)
-        i_in_out, i_y_out = _information(src, channel)
+        # the clamp solve_ib documents for its diagnostics: never below 0.0
+        i_in_out, i_y_out = (0.0 if v <= 0 else v for v in _information(src, channel))
         stepped = _step(src, problem.beta, channel)
         objective = _lagrangian(src, problem.beta, channel)
     return (channel, p_out, py_out, IBDiagnostics(iterations, i_in_out, i_y_out, converged),

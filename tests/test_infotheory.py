@@ -183,6 +183,22 @@ class TestMutualInformation:
         px = np.array([0.5, 0.5])
         assert mutual_information(px, np.eye(2)) == pytest.approx(1.0)
 
+    def test_no_information_never_reads_below_zero(self):
+        """Identical rows under a uniform source: +0.0 wherever the sum reads <= 0."""
+        zeroed = 0
+        for n in range(1, 59):
+            for n_class in (2, 3):
+                px = np.full(n, 1 / n)
+                cond = np.full((n, n_class), 1 / n_class)
+                terms = cond * np.log2(cond / (px @ cond)[None, :])
+                raw = float(px @ terms.sum(axis=1))
+                mi = mutual_information(px, cond)
+                assert mi == (0.0 if raw <= 0 else raw), (n, n_class)
+                assert np.copysign(1.0, mi) == 1.0, (n, n_class)
+                zeroed += raw < 0
+        # the unclamped sum reads below 0 on many of these inputs
+        assert zeroed >= 10
+
     def test_binary_symmetric_channel(self):
         px = np.array([0.5, 0.5])
         bsc = np.array([[0.89, 0.11], [0.11, 0.89]])

@@ -275,7 +275,7 @@ class TestTrainNetwork:
         topo = Topology(cards=(2, 3), n_out=(2, 2))
         model = train_network(data, topo, beta=5.0, seed=1)
         for node in model.nodes.values():
-            assert node.mi_out_y <= node.mi_in_y + 1e-9
+            assert node.diagnostics.i_y_out <= node.mi_in_y + 1e-9
 
     def test_schema_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -323,7 +323,7 @@ class TestPassThrough:
             node = model.nodes[(0, k)]
             assert np.array_equal(node.channel.p, np.eye(n_in, 4))
             assert node.diagnostics.iterations == 0
-            assert node.mi_out_y == pytest.approx(node.mi_in_y, abs=1e-12)
+            assert node.diagnostics.i_y_out == pytest.approx(node.mi_in_y, abs=1e-12)
 
     def test_final_node_always_solves(self):
         rng = np.random.default_rng(9)
@@ -599,8 +599,7 @@ class TestKeptTables:
         node = train_network(data, Topology(cards=(2, 3), n_out=(2, 2)), beta=10.0).nodes[(1, 0)]
         with pytest.raises(TypeError):
             TrainedNode(channel=node.channel, diagnostics=node.diagnostics,
-                        mi_in_y=node.mi_in_y, mi_out_y=node.mi_out_y,
-                        thresholds=node.thresholds)
+                        mi_in_y=node.mi_in_y, thresholds=node.thresholds)
         assert not node.thresholds.flags.writeable
 
     @pytest.mark.parametrize("mode", ["stochastic", "ensemble"])
