@@ -33,7 +33,7 @@ from .network import (
     predict_quantized,
     train_network,
 )
-from .quantizer import FeatureSpec, QuantizedDataset, apply_quantizer, fit_quantizer
+from .quantizer import FeatureSpec, QuantizedDataset, RawColumn, apply_quantizer, fit_quantizer
 from .synthetic import make_synthetic_ckd
 
 __version__ = "0.1.0"
@@ -53,6 +53,7 @@ __all__ = [
     "ModelFormatError",
     "ModelVersionError",
     "QuantizedDataset",
+    "RawColumn",
     "RawDataset",
     "ResourceError",
     "SchemaMismatchError",

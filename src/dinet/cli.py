@@ -344,7 +344,7 @@ def _scores(cfg: ExperimentConfig, classes, labels, preds) -> dict:
 def evaluate_on(model, data: RawDataset, cfg: ExperimentConfig, seed: int) -> dict:
     preds = predict(model, data, seed=seed,
                     mode=cfg.prediction.mode, repeats=cfg.prediction.repeats)
-    return _scores(cfg, data.classes, data.label_indices(), preds)
+    return _scores(cfg, data.classes, data.labels, preds)
 
 
 def split_for_run(cfg: ExperimentConfig, data: RawDataset, run_index: int):
@@ -384,7 +384,7 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
     run_seed, train, test = split_for_run(cfg, data, run_index)
     # a test row may hold a feature's only missing cells: reserve the symbol
     with_missing = {name for name, col in zip(data.feature_names, data.columns)
-                    if None in col}
+                    if (col.codes < 0).any()}
     model, train_rows = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG),
                                  reserve_missing=with_missing)
     # looked up on the module at call time, as ``predict`` does, so that a

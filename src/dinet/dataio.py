@@ -9,6 +9,8 @@ The ARFF support covers what the UCI Chronic Kidney Disease file needs:
 numeric and nominal attribute declarations, '%' comments, '?' missing
 cells, quoted cells that may hold commas, and the stray tabs/spaces that
 file is known for (every cell is whitespace-stripped before interpretation).
+Either loader hands each column's cells to ``RawColumn.from_cells``, so a
+table is parsed once; a header that names a column twice is refused.
 
 Model files are versioned JSON with a SHA-256 checksum over the canonical
 payload; floats survive the round trip bit-exactly because they are
@@ -32,7 +34,7 @@ import sys
 import typing
 import warnings
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +50,7 @@ from .errors import (
 from .ib import IBDiagnostics
 from .infotheory import ConditionalMatrix
 from .network import DINModel, Topology, TrainedNode
-from .quantizer import FeatureSpec
+from .quantizer import FeatureSpec, RawColumn
 
 DEFAULT_MISSING_TOKENS = ("?", "")
 _LINE_END = re.compile("\r\n|\r|\n")  # the line ends the csv module and text files know
@@ -61,55 +63,46 @@ CKD_URL = "https://archive.ics.uci.edu/static/public/336/chronic+kidney+disease.
 
 @dataclass(frozen=True)
 class RawDataset:
-    """Rectangular raw table: feature columns, a target column, class order.
+    """Rectangular raw table: feature columns, class labels, class order.
 
-    Cells are floats, strings, or None for missing.  ``classes`` fixes the
-    label index order (first appearance in the source) so that splits of
-    one dataset always agree on the encoding.
+    Each column is a ``RawColumn``, parsed once when the table is built, so
+    a row subset (``take``, ``split``) indexes arrays.  ``labels`` holds each
+    row's index into ``classes``, whose order (first appearance in the
+    source) splits of one dataset share.
     """
 
     feature_names: tuple
-    columns: tuple           # per feature, tuple of cells
+    columns: tuple           # per feature, a RawColumn
     target_name: str
-    target: tuple            # raw label values, never missing
+    labels: np.ndarray       # per row, an int64 index into classes; never missing
     classes: tuple
     kinds: tuple = ()        # per-feature hint: "numeric" | "nominal" | None
 
     def __post_init__(self):
         if len(self.columns) != len(self.feature_names):
             raise ValidationError("one column per feature name required")
-        n = len(self.target)
+        n = self.labels.size
         for name, col in zip(self.feature_names, self.columns):
-            if len(col) != n:
-                raise ValidationError(f"column {name!r} has {len(col)} rows, target has {n}")
+            if col.codes.size != n:
+                raise ValidationError(f"column {name!r} has {col.codes.size} rows, target has {n}")
         if not self.kinds:
             object.__setattr__(self, "kinds", (None,) * len(self.feature_names))
-        unknown = set(self.target) - set(self.classes)
-        if unknown:
-            raise ValidationError(f"target values {sorted(map(str, unknown))} not in classes")
+        if n and not 0 <= self.labels.min() <= self.labels.max() < len(self.classes):
+            raise ValidationError(f"labels outside [0, {len(self.classes)})")
 
     @property
     def n_rows(self) -> int:
-        return len(self.target)
+        return self.labels.size
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def label_indices(self) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.classes)}
-        return np.array([index[v] for v in self.target], dtype=np.int64)
-
     def take(self, row_indices) -> "RawDataset":
-        idx = list(int(i) for i in row_indices)
-        return RawDataset(
-            feature_names=self.feature_names,
-            columns=tuple(tuple(col[i] for i in idx) for col in self.columns),
-            target_name=self.target_name,
-            target=tuple(self.target[i] for i in idx),
-            classes=self.classes,
-            kinds=self.kinds,
-        )
+        """The table of the given rows, in that order (any integer sequence, a range too)."""
+        rows = np.asarray(row_indices, dtype=np.int64)
+        return replace(self, columns=tuple(col.take(rows) for col in self.columns),
+                       labels=self.labels[rows])
 
 
 def read_text(path, error) -> str:
@@ -190,6 +183,9 @@ def _load_csv(path, target, missing_tokens, delimiter=","):
         raise DatasetFormatError(f"{path}: line 1: no header row")
     header_line, header = rows[0]
     header = [h.strip().strip("'\"") for h in header]
+    twice = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if twice is not None:
+        raise DatasetFormatError(f"{path}: line {header_line}: column {twice!r} is named twice")
     if target not in header:
         raise DatasetFormatError(
             f"{path}: line {header_line}: target column {target!r} not in header {header}")
@@ -264,6 +260,9 @@ def _load_arff(path, target, missing_tokens):
                 continue
             if low.startswith("@attribute"):
                 name, kind, values = _parse_arff_attribute(line, line_no, path)
+                if name in names:
+                    raise DatasetFormatError(
+                        f"{path}: line {line_no}: column {name!r} is named twice")
                 names.append(name)
                 kinds.append(kind)
                 declared.append(values)
@@ -295,9 +294,9 @@ def load_dataset(path, format: str = "csv", target: str = "class",
                  missing_tokens=DEFAULT_MISSING_TOKENS, delimiter=",") -> RawDataset:
     """Load a CSV or ARFF table into a RawDataset.
 
-    Cells matching ``missing_tokens`` (after whitespace stripping) become
-    None; ARFF numeric declarations force float parsing and nominal ones
-    mark the column categorical for the quantizer.
+    Cells matching ``missing_tokens`` (after whitespace stripping) are
+    missing; an ARFF numeric column must read as numbers, which become its
+    cells, and a nominal one is categorical for the quantizer.
     """
     path = Path(path)
     if not path.exists():
@@ -310,43 +309,22 @@ def load_dataset(path, format: str = "csv", target: str = "class",
     else:
         raise ConfigError(f"unknown dataset format {format!r}")
 
-    n_col = len(header)
-    columns = [[row[c_idx] for row in table] for c_idx in range(n_col)]
-    target_vals = columns[t_idx]
-    if any(v is None for v in target_vals):
-        bad = next(i for i, v in enumerate(target_vals) if v is None)
-        raise DatasetFormatError(f"{path}: line {lines[bad]}: missing target value")
-
-    feat_names, feat_cols, feat_kinds = [], [], []
-    for c_idx in range(n_col):
-        if c_idx == t_idx:
-            continue
-        col = columns[c_idx]
-        if kinds[c_idx] == "numeric":
-            parsed = []
-            for r_idx, v in enumerate(col):
-                if v is None:
-                    parsed.append(None)
-                    continue
-                try:
-                    parsed.append(float(v))
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}: line {lines[r_idx]}, column {header[c_idx]!r}: "
-                        f"non-numeric value {v!r} in a numeric attribute") from None
-            col = parsed
-        feat_names.append(header[c_idx])
-        feat_cols.append(tuple(col))
-        feat_kinds.append(kinds[c_idx])
-
-    return RawDataset(
-        feature_names=tuple(feat_names),
-        columns=tuple(feat_cols),
-        target_name=target,
-        target=tuple(target_vals),
-        classes=tuple(dict.fromkeys(target_vals)),
-        kinds=tuple(feat_kinds),
-    )
+    columns = [RawColumn.from_cells([row[c] for row in table]) for c in range(len(header))]
+    target_col = columns.pop(t_idx)
+    del header[t_idx], kinds[t_idx]
+    if (target_col.codes < 0).any():
+        raise DatasetFormatError(
+            f"{path}: line {lines[np.argmax(target_col.codes < 0)]}: missing target value")
+    for i, (name, col) in enumerate(zip(header, columns)):
+        if kinds[i] == "numeric":
+            if not col.is_number.all():
+                k = np.argmin(col.is_number)  # the first row holding it is the first bad row
+                raise DatasetFormatError(
+                    f"{path}: line {lines[np.argmax(col.codes == k)]}, column {name!r}: "
+                    f"non-numeric value {col.cells[k]!r} in a numeric attribute")
+            columns[i] = replace(col, cells=tuple(col.numbers.tolist()))  # cells are numbers
+    return RawDataset(feature_names=tuple(header), columns=tuple(columns), target_name=target,
+                      labels=target_col.codes, classes=target_col.cells, kinds=tuple(kinds))
 
 
 def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",
@@ -371,25 +349,16 @@ def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",
             raise ConfigError(f"balanced split needs a positive label among {data.classes}")
         want_pos = int(round(n_train * positive_fraction))
         want_neg = n_train - want_pos
-        have_pos = sum(1 for v in data.target if v == positive_label)
+        is_pos = data.labels[order] == data.classes.index(positive_label)
+        have_pos = int(is_pos.sum())
         have_neg = data.n_rows - have_pos
         if want_pos > have_pos or want_neg > have_neg:
             raise ValidationError(
                 f"cannot draw {want_pos} positive + {want_neg} negative rows: "
                 f"dataset has {have_pos} positive and {have_neg} negative")
-        train_sel, test_sel = [], []
-        taken_pos = taken_neg = 0
-        for i in order:
-            is_pos = data.target[i] == positive_label
-            if is_pos and taken_pos < want_pos:
-                train_sel.append(i)
-                taken_pos += 1
-            elif not is_pos and taken_neg < want_neg:
-                train_sel.append(i)
-                taken_neg += 1
-            else:
-                test_sel.append(i)
-        train_idx, test_idx = np.array(train_sel), np.array(test_sel)
+        # the first want_pos positive and want_neg negative rows of the order train
+        drawn = np.where(is_pos, np.cumsum(is_pos) <= want_pos, np.cumsum(~is_pos) <= want_neg)
+        train_idx, test_idx = order[drawn], order[~drawn]
     else:
         raise ConfigError(f"unknown stratify mode {stratify!r}")
     return data.take(train_idx), data.take(test_idx)
@@ -525,7 +494,9 @@ def _model_from_payload(payload: dict) -> DINModel:
     return DINModel(
         topology=Topology(cards, payload["n_out"]),
         nodes=nodes,
-        quantizers=tuple(FeatureSpec(**{**d, "categories": tuple(d["categories"])})
+        # a JSON number among the categories is a float, as save_model writes it
+        quantizers=tuple(FeatureSpec(**{**d, "categories": tuple(
+            c if isinstance(c, str) else float(c) for c in d["categories"])})
                          for d in payload["quantizers"]),
         feature_names=tuple(payload["feature_names"]),
         class_names=tuple(payload["class_names"]),

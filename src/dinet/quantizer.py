@@ -1,5 +1,7 @@
-"""Map raw tabular columns onto finite integer alphabets.
+"""Give raw cells their meaning, and map raw columns onto finite integer alphabets.
 
+A ``RawColumn`` is parsed once: its distinct cells, each read as a number
+by the one rule in ``RawColumn.from_cells``, and a code per row.
 Continuous columns get uniform bins between the observed training min and
 max; categorical columns get a dictionary in first-appearance order.  A
 column containing missing cells reserves one dedicated trailing symbol for
@@ -59,67 +61,112 @@ class FeatureSpec:
         return self.levels if self.kind == CONTINUOUS else len(self.categories)
 
 
-def _try_floats(values):
-    """Parse every non-missing cell as float, or give up on the column."""
-    out = []
-    for v in values:
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(float(v))
-            continue
-        try:
-            out.append(float(str(v).strip()))
-        except (TypeError, ValueError):
-            return None
-    return out
+@dataclass(frozen=True)
+class RawColumn:
+    """One raw table column, parsed once: its distinct present cells and a code per row.
+
+    ``codes[r]`` indexes ``cells`` (-1 where row r is missing); ``cells`` holds
+    each distinct present cell once, in order of first appearance, where cells
+    differ when their type, value or sign of zero does (NaN cells unless they
+    are one object); ``numbers[k]`` is cell k read as a number, NaN where
+    ``is_number[k]`` is False.  A row subset shares all but ``codes``.
+    """
+
+    cells: tuple
+    numbers: np.ndarray
+    is_number: np.ndarray
+    codes: np.ndarray
+
+    @classmethod
+    def from_cells(cls, cells) -> "RawColumn":
+        """The column of a sequence of cells, None where a cell is missing.
+
+        This is the one place that reads a cell as a number: ``float(v)`` for
+        an int or float (not a bool), else ``float(str(v).strip())``, and the
+        cell is not a number where that raises.  Each distinct cell is read
+        once; a column of floats alone, none NaN, is read in one array pass.
+        """
+        cells = np.asarray(cells, dtype=object)
+        rows = np.not_equal(cells, None)
+        present = cells[rows].tolist()
+        x = np.array(present if set(map(type, present)) <= {float} else [math.nan])
+        floats = not np.isnan(x).any()
+        if floats:  # a float's bits tell it apart, -0.0 from 0.0 too
+            keys = x.view(np.int64)
+        else:  # a text's value does; any other cell's type, value and repr
+            keys = [v if type(v) is str else (type(v), v, repr(v)) for v in present]
+            index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+            keys = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct cells in order of first appearance
+        codes = np.full(cells.size, -1, dtype=np.int64)
+        codes[rows] = np.argsort(order)[inverse]
+        first = first[order]
+        if floats:
+            return cls(tuple(x[first].tolist()), x[first], np.ones(first.size, dtype=bool), codes)
+        distinct = tuple(present[i] for i in first.tolist())
+        numbers, is_number = np.full(first.size, math.nan), np.ones(first.size, dtype=bool)
+        for k, v in enumerate(distinct):
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            try:
+                numbers[k] = float(v if number else str(v).strip())
+            except (TypeError, ValueError, OverflowError):
+                is_number[k] = False
+        return cls(distinct, numbers, is_number, codes)
+
+    def take(self, rows) -> "RawColumn":
+        return RawColumn(self.cells, self.numbers, self.is_number, self.codes[rows])
 
 
-def fit_quantizer(raw_column, requested_levels: int | None = None,
+def _first_seen(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes`` in order of first appearance."""
+    distinct, first = np.unique(codes, return_index=True)
+    return distinct[np.argsort(first)]
+
+
+def fit_quantizer(column: RawColumn, requested_levels: int | None = None,
                   kind: str | None = None, name: str = "",
                   categorical_max_distinct: int = CATEGORICAL_MAX_DISTINCT) -> FeatureSpec:
-    """Fit a FeatureSpec on one raw column (missing cells are None).
+    """Fit a FeatureSpec on the rows of one raw column.
 
-    Kind resolution when not forced: non-numeric columns are categorical;
-    numeric columns with at most ``categorical_max_distinct`` distinct
-    values are treated as categorical symbols unless an explicit level
-    count asks for binning; the rest are continuous.
-    ``requested_levels=None`` means one bin per distinct training value.
+    Kind resolution when not forced: a column with a present cell that is
+    not a number is categorical; numeric columns with at most
+    ``categorical_max_distinct`` distinct values are treated as categorical
+    symbols unless an explicit level count asks for binning; the rest are
+    continuous.  ``requested_levels=None`` means one bin per distinct
+    training value.  The rules read each distinct cell once, in order of
+    first appearance, which gives what they give over the rows in row order.
     """
-    values = list(raw_column)
-    present = [v for v in values if v is not None]
-    if not present:
+    present = column.codes[column.codes >= 0]
+    if not present.size:
         raise ValidationError(f"feature {name!r}: column is entirely missing")
-    has_missing = len(present) < len(values)
-
-    floats = _try_floats(present)
-    if floats is not None and not all(map(math.isfinite, floats)):
-        bad = next(v for v, f in zip(present, floats) if not math.isfinite(f))
+    has_missing = present.size < column.codes.size
+    seen = _first_seen(present)
+    x = column.numbers[seen]
+    numeric = column.is_number[seen].all()
+    if numeric and not np.isfinite(x).all():
+        bad = column.cells[seen[np.isfinite(x).argmin()]]
         raise ValidationError(f"feature {name!r}: non-finite value {bad!r}")
+    n_values = 1 + int(np.count_nonzero(np.diff(np.sort(x))))  # as len(set(floats)): -0.0 == 0.0
     if kind is None:
-        if floats is None:
-            kind = CATEGORICAL
-        elif requested_levels is None and len(set(floats)) <= categorical_max_distinct:
-            kind = CATEGORICAL
-        else:
-            kind = CONTINUOUS
+        few = requested_levels is None and n_values <= categorical_max_distinct
+        kind = CATEGORICAL if not numeric or few else CONTINUOUS
 
     if kind == CATEGORICAL:
-        cats = dict.fromkeys(floats if floats is not None else present)
+        cats = x.tolist() if numeric else [column.cells[k] for k in seen.tolist()]
         return FeatureSpec(kind=CATEGORICAL, has_missing=has_missing,
-                           name=name, categories=tuple(cats))
+                           name=name, categories=tuple(dict.fromkeys(cats)))
 
-    if floats is None:
+    if not numeric:
         raise ValidationError(f"feature {name!r}: non-numeric values in a continuous column")
-    vmin, vmax = min(floats), max(floats)
+    # the first of equal extremes, as Python's min and max give it (-0.0 vs 0.0)
+    vmin, vmax = float(x[x.argmin()]), float(x[x.argmax()])
+    levels = n_values if requested_levels is None else requested_levels
     if vmin == vmax:
         warnings.warn(f"feature {name!r} is constant; using a single degenerate bin")
-        return FeatureSpec(kind=CONTINUOUS, has_missing=has_missing, name=name,
-                           levels=1, vmin=vmin, vmax=vmax)
-    if requested_levels is None:
-        levels = len(set(floats))
-    else:
-        if requested_levels < 2:
-            raise ValidationError(f"feature {name!r}: need at least 2 levels")
-        levels = requested_levels
+        levels = 1
+    elif levels < 2:
+        raise ValidationError(f"feature {name!r}: need at least 2 levels")
     return FeatureSpec(kind=CONTINUOUS, has_missing=has_missing, name=name,
                        levels=levels, vmin=vmin, vmax=vmax)
 
@@ -131,8 +178,8 @@ def _missing_symbol(spec: FeatureSpec) -> int:
     return spec.missing_symbol
 
 
-def apply_quantizer(spec: FeatureSpec, raw_column) -> np.ndarray:
-    """Map raw cells to integer symbols under a fitted spec.
+def apply_quantizer(spec: FeatureSpec, column: RawColumn) -> np.ndarray:
+    """Map the rows of a raw column to integer symbols under a fitted spec.
 
     A present continuous cell ``x`` maps to bin
     ``trunc((x - vmin) / (vmax - vmin) * levels)`` clipped to
@@ -141,25 +188,23 @@ def apply_quantizer(spec: FeatureSpec, raw_column) -> np.ndarray:
     A categorical column resolves each distinct cell once, in order of first
     appearance, so the first offending cell in row order is the one that
     raises; unseen categories map to the missing symbol when one exists,
-    otherwise raise.  A non-numeric or non-finite cell where a number is
-    expected raises ``ValidationError``.
+    otherwise raise.  A cell that is not a number, or not a finite one,
+    where a number is expected raises ``ValidationError`` (a continuous
+    column names its first cell that is not a number, if any).
     """
-    n = len(raw_column)
+    codes = column.codes
     if spec.kind == CONTINUOUS:
-        cells = np.fromiter(raw_column, dtype=object, count=n)
-        missing = np.equal(cells, None)
-        any_missing = missing.any()
-        if any_missing:
-            fill = _missing_symbol(spec)
-            cells = cells[~missing]
-        try:
-            x = cells.astype(np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"feature {spec.name!r}: {exc}") from None
+        missing = codes < 0
+        if missing.any():
+            _missing_symbol(spec)  # raises when the spec has none
+        present = codes[~missing]
+        x = column.numbers[present]
         finite = np.isfinite(x)
-        if not finite.all():
-            bad = cells[np.argmin(finite)]
-            raise ValidationError(f"feature {spec.name!r}: non-finite value {bad!r}")
+        if not finite.all():  # a cell that is not a number reads NaN too
+            number = column.is_number[present]
+            what = "non-finite value" if number.all() else "could not convert string to float:"
+            bad = present[finite.argmin() if number.all() else number.argmin()]
+            raise ValidationError(f"feature {spec.name!r}: {what} {column.cells[bad]!r}")
         span = spec.vmax - spec.vmin
         if span == 0:
             bins = np.zeros(x.size, dtype=np.int64)
@@ -167,36 +212,30 @@ def apply_quantizer(spec: FeatureSpec, raw_column) -> np.ndarray:
             with np.errstate(over="ignore"):  # an overflow to +-inf clamps like any far value
                 bins = np.trunc((x - spec.vmin) / span * spec.levels)
             bins = np.clip(bins, 0, spec.levels - 1).astype(np.int64)
-        if not any_missing:
-            return bins
-        out = np.full(n, fill, dtype=np.int64)
+        out = np.full(codes.size, spec.missing_symbol, dtype=np.int64)
         out[~missing] = bins
         return out
 
     index = {c: k for k, c in enumerate(spec.categories)}
     numeric_cats = isinstance(spec.categories[0], float)
 
-    def symbol(v):
-        if v is None:
+    def symbol(k):
+        if k < 0:
             return _missing_symbol(spec)
-        key = v
-        if numeric_cats and not isinstance(v, float):
-            try:
-                key = float(str(v).strip())
-            except (TypeError, ValueError):
-                key = v
-        if numeric_cats and isinstance(key, float) and not math.isfinite(key):
-            raise ValidationError(f"feature {spec.name!r}: non-finite value {v!r}")
-        k = index.get(key)
-        if k is not None:
-            return k
-        if spec.has_missing:
-            return spec.missing_symbol
+        v = key = column.cells[k]
+        if numeric_cats and column.is_number[k]:
+            key = float(column.numbers[k])
+            if not math.isfinite(key):
+                raise ValidationError(f"feature {spec.name!r}: non-finite value {v!r}")
+        if key in index or spec.has_missing:
+            return index.get(key, spec.missing_symbol)
         raise SchemaMismatchError(
             f"feature {spec.name!r}: unseen category {v!r} and no missing symbol")
 
-    lookup = {v: symbol(v) for v in dict.fromkeys(raw_column)}
-    return np.fromiter(map(lookup.__getitem__, raw_column), dtype=np.int64, count=n)
+    table = np.empty(len(column.cells) + 1, dtype=np.int64)  # the last entry serves code -1
+    for k in _first_seen(codes).tolist():
+        table[k] = symbol(k)
+    return table[codes]
 
 
 @dataclass(frozen=True)
@@ -239,6 +278,6 @@ def quantize_with(specs, data) -> QuantizedDataset:
     return QuantizedDataset(
         columns=tuple(apply_quantizer(s, col) for s, col in zip(specs, data.columns)),
         cardinalities=tuple(s.cardinality for s in specs),
-        labels=data.label_indices(),
+        labels=data.labels,
         n_class=len(data.classes),
     )

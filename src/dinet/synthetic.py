@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import RawDataset
+from .quantizer import RawColumn
 
 N_FEATURES = 24
 MISSING_RATE = 0.06          # share of missing cells in every column but lab_0
@@ -46,29 +47,15 @@ def make_synthetic_ckd(n_rows: int = 400, seed: int = 0) -> RawDataset:
     columns["noise_22"] = rng.integers(0, 9, n_rows).astype(float)
     flags["noise_23"] = np.where(rng.random(n_rows) < 0.5, "left", "right")
 
-    names, cols, kinds = [], [], []
-    for name, values in columns.items():
-        cells = [float(v) for v in values]
+    cols = {}
+    for name, values in {**columns, **flags}.items():
+        cells = values.astype(object)  # Python floats or texts
         if name != "lab_0":
-            mask = rng.random(n_rows) < MISSING_RATE
-            cells = [None if m else v for v, m in zip(cells, mask)]
-        names.append(name)
-        cols.append(tuple(cells))
-        kinds.append("numeric")
-    for name, values in flags.items():
-        mask = rng.random(n_rows) < MISSING_RATE
-        cells = [None if m else v for v, m in zip(map(str, values), mask)]
-        names.append(name)
-        cols.append(tuple(cells))
-        kinds.append("nominal")
+            cells[rng.random(n_rows) < MISSING_RATE] = None
+        cols[name] = RawColumn.from_cells(cells)
 
-    assert len(names) == N_FEATURES
-    target = tuple("sick" if v else "healthy" for v in y)
-    return RawDataset(
-        feature_names=tuple(names),
-        columns=tuple(cols),
-        target_name="status",
-        target=target,
-        classes=("sick", "healthy"),
-        kinds=tuple(kinds),
-    )
+    assert len(cols) == N_FEATURES
+    return RawDataset(feature_names=tuple(cols), columns=tuple(cols.values()),
+                      target_name="status", labels=1 - y,  # sick rows (y = 1) hold class 0
+                      classes=("sick", "healthy"),
+                      kinds=("numeric",) * len(columns) + ("nominal",) * len(flags))

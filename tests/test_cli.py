@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -27,7 +29,12 @@ from dinet.cli import (
 from dinet import cli
 from dinet.network import tree_layer_sizes
 from dinet.errors import ConfigError, ValidationError
-from tests.test_dataio import write_resigned
+from tests.conftest import REPO_ROOT
+from tests.test_dataio import write_resigned, write_table
+
+SMOKE_CONFIG = REPO_ROOT / "configs" / "synthetic_smoke.json"
+FINEBIN = ("quantizer.default_levels=null", "model.n_out=2", "split.n_train=320",
+           "split.stratify=none")
 
 SYNTH_CONFIG = {
     "dataset": {"format": "synthetic", "positive_class": "sick",
@@ -270,7 +277,7 @@ class TestPipeline:
     def test_missing_cell_only_in_test_rows(self):
         # the split puts the table's only missing cell in the test rows; the
         # quantizer must still reserve a missing symbol for it
-        from dinet.dataio import RawDataset
+        from dinet import RawColumn, RawDataset
 
         cfg = config_from_dict({
             "dataset": {"format": "synthetic", "positive_class": "a"},
@@ -280,19 +287,20 @@ class TestPipeline:
             "runs": 1, "seed": 0,
         })
         n = 20
-        ids = tuple(float(i) for i in range(n))
-        x = tuple(float(i % 3) for i in range(n))
-        target = tuple("a" if i % 2 else "b" for i in range(n))
+        ids = RawColumn.from_cells([float(i) for i in range(n)])
+        x = [float(i % 3) for i in range(n)]
+        labels = np.array([i % 2 == 0 for i in range(n)], dtype=np.int64)  # "a" on odd rows
 
         def table(x_column):
-            return RawDataset(("id", "x"), (ids, x_column), "class", target, ("a", "b"))
+            return RawDataset(("id", "x"), (ids, RawColumn.from_cells(x_column)), "class",
+                              labels, ("a", "b"))
 
         _, test = run_single(cfg, table(x), 0, keep_model=True)["splits"]
-        row = int(test.columns[0][0])
-        x_missing = x[:row] + (None,) + x[row + 1:]
+        row = int(test.columns[0].numbers[test.columns[0].codes[0]])
+        x_missing = x[:row] + [None] + x[row + 1:]
         result = run_single(cfg, table(x_missing), 0, keep_model=True)
         train, test = result["splits"]
-        assert None not in train.columns[1] and None in test.columns[1]
+        assert -1 not in train.columns[1].codes and -1 in test.columns[1].codes
         spec = result["model"].quantizers[1]
         assert spec.has_missing and spec.cardinality == 3
 
@@ -606,6 +614,28 @@ class TestCommands:
         assert record["error"] == "ConfigError"
         assert record["message"].startswith("run 0 failed: ")
 
+    @pytest.mark.parametrize("extra", [[], ["--set", "model.beta=1e9"]],
+                             ids=["default-beta", "beta=1e9"])
+    def test_quiet_writes_nothing_to_stderr(self, capsys, extra):
+        # at beta=1e9 the solver's distortions overflow; a warning raises here
+        # rather than waiting in pytest's recorder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = self.run("experiment", "--config", str(SMOKE_CONFIG), "--quiet",
+                                      "--set", "runs=2", "--set", 'outputs.metrics=""', *extra,
+                                      capsys=capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["runs"] == 2
+
+    def test_per_layer_n_out_list_exits_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = self.run("experiment", "--config", str(SMOKE_CONFIG), "--quiet",
+                                      "--set", "model.n_out=[3,3,3,3,2]", capsys=capsys)
+        assert (code, out) == (2, "")
+        record = self.one_error_line(err)
+        assert record["error"] == "ConfigError" and "model.n_out must be int" in record["message"]
+
     def one_error_line(self, err):
         lines = err.strip().splitlines()
         assert len(lines) == 1
@@ -704,3 +734,37 @@ def test_importing_the_cli_leaves_urllib_request_unloaded():
     check = "import sys, dinet.cli; sys.exit('urllib.request' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+# SHA-256 of the stdout report of configs/synthetic_smoke.json (20 runs), as is
+# and with the FINEBIN overrides; a change to either is a change of contract
+PINNED_REPORTS = {
+    "smoke": "5f78b62ff159d0b4eb23ffee121fc4aece578e38d1104435515864af248139de",
+    "finebin": "1f60eb28f6a3d066f8cbec051f48ba8dc818aeb946ea013cfeb660dab9a124f6",
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_table_files(tmp_path_factory):
+    """The smoke config's synthetic table written as CSV and as ARFF."""
+    folder = tmp_path_factory.mktemp("smoke-table")
+    data = prepare_dataset(load_config(SMOKE_CONFIG))
+    for fmt in ("csv", "arff"):
+        write_table(data, folder / f"table.{fmt}", fmt)
+    return folder, data.target_name
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv", "arff"])
+@pytest.mark.parametrize("settings", ["smoke", "finebin"])
+def test_report_is_pinned_and_the_same_from_table_files(smoke_table_files, capsys, settings,
+                                                         source):
+    folder, target = smoke_table_files
+    overrides = ['outputs.metrics=""'] + list(FINEBIN if settings == "finebin" else ())
+    if source != "synthetic":
+        overrides += [f"dataset.format={source}", f"dataset.path={folder / f'table.{source}'}",
+                      f"dataset.target={target}"]
+    argv = ["experiment", "--config", str(SMOKE_CONFIG), "--quiet"]
+    assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_REPORTS[settings]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -49,6 +50,11 @@ ARFF_BODY = """% toy kidney-style file
 """
 
 
+def row_cells(column):
+    """A parsed column's cell of each row, None where the row is missing."""
+    return [None if k < 0 else column.cells[k] for k in column.codes.tolist()]
+
+
 @pytest.fixture()
 def csv_file(tmp_path):
     p = tmp_path / "toy.csv"
@@ -67,9 +73,28 @@ class TestCSV:
     def test_loads_with_missing_tokens(self, csv_file):
         data = load_dataset(csv_file, format="csv", target="class")
         assert data.n_rows == 4 and data.n_features == 3
-        assert data.columns[0][1] is None          # "?"
-        assert data.columns[2][2] is None          # empty cell
+        assert row_cells(data.columns[0])[1] is None          # "?"
+        assert row_cells(data.columns[2])[2] is None          # empty cell
         assert data.classes == ("ckd", "notckd")
+        assert data.labels.tolist() == [0, 0, 1, 1]
+
+    def test_cells_stay_text_and_are_parsed_once(self, csv_file):
+        data = load_dataset(csv_file, format="csv", target="class")
+        age = data.columns[0]
+        assert row_cells(age) == ["48", None, "60", "33"]
+        assert age.numbers.tolist() == [48.0, 60.0, 33.0] and age.is_number.all()
+        assert row_cells(data.columns[2]) == ["yes", "no", None, "yes"]
+        assert data.columns[2].cells == ("yes", "no")
+
+    @pytest.mark.parametrize("header, name", [("x,class,class", "class"),
+                                              ("class,x,'class'", "class"), ("x, x,class", "x")])
+    def test_a_column_named_twice_is_refused(self, tmp_path, header, name):
+        # before, "x,class,class" loaded its second class column as a feature
+        p = tmp_path / "twice.csv"
+        p.write_text(f"\n{header}\n1,2,3\n")
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{p}: line 2: column {name!r} is named twice")):
+            load_dataset(p, format="csv", target="class")
 
     def test_missing_target_column(self, csv_file):
         with pytest.raises(DatasetFormatError, match="'y'"):
@@ -95,14 +120,31 @@ class TestARFF:
         data = load_dataset(arff_file, format="arff", target="class")
         assert data.n_rows == 4 and data.n_features == 3
         assert data.kinds == ("numeric", "nominal", "nominal")
-        assert data.columns[0][0] == 48.0          # parsed float
-        assert data.columns[1][0] == "2"           # nominal stays a string
-        assert data.columns[2][1] == "no"          # tab stripped
+        assert row_cells(data.columns[0])[0] == 48.0          # parsed float
+        assert isinstance(row_cells(data.columns[0])[0], float)
+        assert row_cells(data.columns[1])[0] == "2"           # nominal stays a string
+        assert row_cells(data.columns[2])[1] == "no"          # tab stripped
 
     def test_missing_cells(self, arff_file):
         data = load_dataset(arff_file, format="arff", target="class")
-        assert data.columns[0][1] is None
-        assert data.columns[2][2] is None
+        assert row_cells(data.columns[0])[1] is None
+        assert row_cells(data.columns[2])[2] is None
+
+    def test_a_column_named_twice_is_refused(self, tmp_path):
+        p = tmp_path / "twice.arff"
+        p.write_text("@relation r\n@attribute x numeric\n@attribute class {p,q}\n"
+                     "@attribute 'class' {p,q}\n@data\n1,p,q\n")
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{p}: line 4: column 'class' is named twice")):
+            load_dataset(p, format="arff", target="class")
+
+    def test_non_numeric_cell_of_a_numeric_attribute_names_its_first_line(self, tmp_path):
+        p = tmp_path / "bad.arff"
+        p.write_text("@attribute a numeric\n@attribute class {x,y}\n@data\n"
+                     "1,x\nabc,y\n2,x\nabc,x\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{p}: line 5, column 'a': non-numeric value 'abc' in a numeric attribute")):
+            load_dataset(p, format="arff", target="class")
 
     def test_field_count_error_names_line(self, tmp_path):
         p = tmp_path / "bad.arff"
@@ -117,8 +159,8 @@ class TestARFF:
         p.write_text(f"@attribute a {{{quote}x,y{quote},z}}\n@attribute class {{p,q}}\n@data\n"
                      f"{quote}x,y{quote},p\n z , q\n")
         data = load_dataset(p, format="arff", target="class")
-        assert data.columns == (("x,y", "z"),)
-        assert data.target == ("p", "q")
+        assert [row_cells(c) for c in data.columns] == [["x,y", "z"]]
+        assert data.labels.tolist() == [0, 1] and data.classes == ("p", "q")
 
     @pytest.mark.parametrize("row", ["'x,y,p", ' "x,y, p', "z,'p"])
     def test_unterminated_quote_names_its_line(self, tmp_path, row):
@@ -135,8 +177,8 @@ class TestARFF:
         assert [str(w.message) for w in record] == [
             f"{p}: line 4: column 'a' holds 'w', which is not in its declared nominal set",
             f"{p}: line 5: column 'class' holds 'r', which is not in its declared nominal set"]
-        assert data.columns == (("w", "x"),)
-        assert data.target == ("p", "r") and data.classes == ("p", "r")
+        assert [row_cells(c) for c in data.columns] == [["w", "x"]]
+        assert data.labels.tolist() == [0, 1] and data.classes == ("p", "r")
 
     def test_declared_values_do_not_warn(self, arff_file):
         with warnings.catch_warnings():
@@ -155,26 +197,27 @@ class TestARFF:
             check_ckd_shape(data)
 
 
+def write_table(data, path, fmt, classes=None):
+    """Write a table as CSV or ARFF text, its target column last, named by ``classes``."""
+    classes = classes or data.classes
+    if fmt == "csv":
+        lines = [",".join(data.feature_names + (data.target_name,))]
+    else:
+        lines = ["@relation table"]
+        for name, kind, col in zip(data.feature_names, data.kinds, data.columns):
+            values = "numeric" if kind == "numeric" else "{" + ",".join(sorted(col.cells)) + "}"
+            lines.append(f"@attribute '{name}' {values}")
+        lines += [f"@attribute '{data.target_name}' {{{','.join(classes)}}}", "@data"]
+    for r in range(data.n_rows):
+        cells = ["?" if col.codes[r] < 0 else str(col.cells[col.codes[r]]) for col in data.columns]
+        lines.append(",".join(cells + [classes[data.labels[r]]]))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_ckd_shaped_arff(path):
     """A 400x24 table with ckd/notckd labels, mimicking the published shape."""
-    data = make_synthetic_ckd(n_rows=400, seed=1)
-    lines = ["@relation kidney_shaped"]
-    for name, kind, col in zip(data.feature_names, data.kinds, data.columns):
-        if kind == "numeric":
-            lines.append(f"@attribute '{name}' numeric")
-        else:
-            cats = sorted({v for v in col if v is not None})
-            lines.append(f"@attribute '{name}' {{{','.join(cats)}}}")
-    lines.append("@attribute 'class' {ckd,notckd}")
-    lines.append("@data")
-    for r in range(data.n_rows):
-        cells = []
-        for col in data.columns:
-            v = col[r]
-            cells.append("?" if v is None else str(v))
-        cells.append("ckd" if data.target[r] == "sick" else "notckd")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    data = dataclasses.replace(make_synthetic_ckd(n_rows=400, seed=1), target_name="class")
+    write_table(data, path, "arff", classes=("ckd", "notckd"))
 
 
 class TestFetch:
@@ -222,7 +265,7 @@ class TestRealKidneyTable:
     def test_published_shape(self, ckd_arff):
         data = load_dataset(ckd_arff, format="arff", target="class")
         check_ckd_shape(data)
-        assert sum(1 for v in data.target if v == "ckd") == 250
+        assert int((data.labels == data.classes.index("ckd")).sum()) == 250
 
     def test_quantized_cardinalities_in_published_range(self, ckd_arff):
         from dinet.cli import QuantizerConfig, fit_quantizers
@@ -243,18 +286,19 @@ class TestSplit:
     def test_disjoint_and_exhaustive(self, data):
         train, test = split(data, 80, seed=1)
         assert train.n_rows == 80 and test.n_rows == 40
-        together = sorted(map(repr, train.columns[0] + test.columns[0]))
-        assert together == sorted(map(repr, data.columns[0]))
+        together = sorted(map(repr, row_cells(train.columns[0]) + row_cells(test.columns[0])))
+        assert together == sorted(map(repr, row_cells(data.columns[0])))
 
     def test_same_seed_same_split(self, data):
         a = split(data, 50, seed=9)
         b = split(data, 50, seed=9)
-        assert a[0].target == b[0].target and a[1].target == b[1].target
+        assert np.array_equal(a[0].labels, b[0].labels)
+        assert np.array_equal(a[1].labels, b[1].labels)
 
     def test_balanced_counts(self, data):
         train, test = split(data, 40, seed=2, stratify="balanced",
                             positive_fraction=0.5, positive_label="sick")
-        n_pos = sum(1 for v in train.target if v == "sick")
+        n_pos = int((train.labels == train.classes.index("sick")).sum())
         assert n_pos == 20 and train.n_rows == 40
         assert test.n_rows == 80
 
@@ -298,6 +342,32 @@ class TestModelPersistence:
         for key, node in model.nodes.items():
             assert np.array_equal(back.nodes[key].channel.p, node.channel.p)
             assert back.nodes[key].mi_in_y == node.mi_in_y
+
+    def test_integer_categories_load_as_the_floats_they_stand_for(self, tmp_path):
+        # a JSON number may be written as an integer; "4" must still find category 4.0
+        from dinet.cli import DatasetConfig, ExperimentConfig, train_on
+        from dinet.network import quantize_features
+
+        cfg = ExperimentConfig(dataset=DatasetConfig(format="synthetic", positive_class="sick"))
+        cfg.quantizer.default_levels = None
+        cfg.model.max_iter = 20
+        table = make_synthetic_ckd(n_rows=120, seed=3)
+        model = train_on(table, cfg, seed=5)[0]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        numeric = [q for q in doc["payload"]["quantizers"]
+                   if q["kind"] == "categorical" and isinstance(q["categories"][0], float)]
+        assert numeric
+        for q in numeric:
+            q["categories"] = [int(c) for c in q["categories"]]
+        back = load_model(write_resigned(doc, tmp_path / "int.json"))
+        assert back.quantizers == model.quantizers
+        write_table(table, tmp_path / "table.csv", "csv")
+        text = load_dataset(tmp_path / "table.csv", format="csv", target="status")
+        want = quantize_features(model, text)
+        got = quantize_features(back, text)
+        assert all(np.array_equal(a, b) for a, b in zip(got.columns, want.columns))
 
     def test_round_trip_keeps_pass_through_nodes(self, tmp_path):
         from dinet import (QuantizedDataset, Topology, check_bounds, mi_flow,
@@ -664,7 +734,7 @@ class TestRandomText:
                     n_lines = len(re.split("\r\n|\r|\n", blob.decode("utf-8", "replace")))
                     assert line is not None and 1 <= line <= n_lines, str(exc)
                     return
-            assert data.n_rows == len(data.target)
+            assert all(col.codes.size == data.n_rows for col in data.columns)
 
         check()
 
