@@ -485,6 +485,11 @@ def _write(path, text):
         write_text(path, text)
 
 
+def _flag_or(flag, configured):
+    """An output flag's path; the config's only when the flag is absent ("" is "do not write")."""
+    return configured if flag is None else flag
+
+
 def _progress_printer(args):
     if args.quiet:
         return None
@@ -511,11 +516,11 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     data = prepare_dataset(cfg)
     result = run_single(cfg, data, run_index=0, keep_model=True)
     model = result["model"]
-    model_path = args.model_out or cfg.outputs.model
+    model_path = _flag_or(args.model_out, cfg.outputs.model)
     if model_path:
         save_model(model, model_path)
-    _write(args.metrics_out or cfg.outputs.metrics, report_json(result["train"]))
-    _write_mi_flow(model, result["trained_on"], args.miflow_out or cfg.outputs.mi_flow)
+    _write(_flag_or(args.metrics_out, cfg.outputs.metrics), report_json(result["train"]))
+    _write_mi_flow(model, result["trained_on"], _flag_or(args.miflow_out, cfg.outputs.mi_flow))
     print(report_json(result["train"]), end="")
     return 0
 
@@ -536,7 +541,7 @@ def cmd_experiment(cfg: ExperimentConfig, args) -> int:
     data = prepare_dataset(cfg)
     report = run_experiment(cfg, data, progress=_progress_printer(args))
     text = report_json(report)
-    _write(args.out or cfg.outputs.metrics, text)
+    _write(_flag_or(args.out, cfg.outputs.metrics), text)
     print(text, end="")
     return 0
 

@@ -429,8 +429,8 @@ def quantize_features(model: DINModel, dataset) -> QuantizedDataset:
     if not model.quantizers:
         raise SchemaMismatchError("model carries no quantizers; pass quantized data")
     if tuple(dataset.feature_names) != tuple(model.feature_names):
-        missing = set(model.feature_names) - set(dataset.feature_names)
-        detail = f"; missing column(s) {sorted(missing)}" if missing else ""
+        missing = [name for name in model.feature_names if name not in dataset.feature_names]
+        detail = f"; missing column(s) {missing}" if missing else ""
         raise SchemaMismatchError(
             f"dataset columns {list(dataset.feature_names)} do not match the "
             f"model's features{detail}")

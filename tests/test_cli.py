@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,8 +34,14 @@ from tests.conftest import REPO_ROOT
 from tests.test_dataio import write_resigned, write_table
 
 SMOKE_CONFIG = REPO_ROOT / "configs" / "synthetic_smoke.json"
-FINEBIN = ("quantizer.default_levels=null", "model.n_out=2", "split.n_train=320",
-           "split.stratify=none")
+# --set overrides of SMOKE_CONFIG: as is, the published CKD-row settings (a bin
+# per distinct value), and ensemble prediction
+SETTINGS = {
+    "smoke": (),
+    "finebin": ("quantizer.default_levels=null", "model.n_out=2", "split.n_train=320",
+                "split.stratify=none"),
+    "ensemble": ("prediction.mode=ensemble", "prediction.repeats=5"),
+}
 
 SYNTH_CONFIG = {
     "dataset": {"format": "synthetic", "positive_class": "sick",
@@ -459,18 +466,31 @@ class TestCommands:
         assert (node["kind"], node["layer"], node["position"]) == ("node", "0", "0")
         assert (node["mi_in_y"], node["mi_out_y"], node["h_out"]) == ("0.0", "0.0", "0.0")
 
-    @pytest.mark.parametrize("empty", ["model", "metrics", "mi_flow"])
-    def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty):
+    @pytest.mark.parametrize("empty, form", [
+        (key, form) for form in ("set", "flag") for key in ("model", "metrics", "mi_flow")
+    ], ids=["model", "metrics", "mi_flow", "model-flag", "metrics-flag", "mi_flow-flag"])
+    def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty, form):
         paths = {key: str(tmp_path / f"{key}.out") for key in ("model", "metrics", "mi_flow")}
         paths[empty] = ""
-        sets = [arg for key, path in paths.items()
-                for arg in ("--set", f"outputs.{key}={json.dumps(path)}")]
-        code, out, err = self.run("train", "--config", str(config_file), "--quiet", *sets,
+        if form == "set":
+            args = [arg for key, path in paths.items()
+                    for arg in ("--set", f"outputs.{key}={json.dumps(path)}")]
+        else:  # the config keeps its default paths under out/, which an empty flag overrides
+            flags = {"model": "--model-out", "metrics": "--metrics-out", "mi_flow": "--miflow-out"}
+            args = [arg for key, path in paths.items() for arg in (flags[key], path)]
+        code, out, err = self.run("train", "--config", str(config_file), "--quiet", *args,
                                   capsys=capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)["accuracy"] >= 0.9
-        written = sorted(p.name for p in tmp_path.glob("*.out"))
+        written = sorted(p.name for p in tmp_path.rglob("*") if p.name != config_file.name)
         assert written == sorted(f"{key}.out" for key in paths if key != empty)
+
+    def test_experiment_skips_an_empty_output_path(self, config_file, tmp_path, capsys):
+        code, out, err = self.run("experiment", "--config", str(config_file), "--quiet",
+                                  "--out", "", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["runs"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == [config_file.name]
 
     def test_inspect_skips_an_empty_output_path(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"
@@ -522,14 +542,18 @@ class TestCommands:
         assert flow_out.exists()
         assert json.loads(out)["nodes"] == 46
 
-    @pytest.mark.parametrize("key", ["class_names", "feature_names"])
+    @pytest.mark.parametrize("key, edit", [
+        ("class_names", lambda names: names[::-1]),
+        ("feature_names", lambda names: names[::-1]),
+        ("feature_names", lambda names: [[1]] + names[1:]),  # neither hashable nor sortable
+    ], ids=["class_names", "feature_names", "non-string-feature-name"])
     def test_inspect_refuses_a_table_the_model_does_not_name(self, config_file, tmp_path,
-                                                             capsys, key):
+                                                             capsys, key, edit):
         model_out = tmp_path / "model.json"
         self.run("train", "--config", str(config_file), "--quiet",
                  "--model-out", str(model_out), capsys=capsys)
         doc = json.loads(model_out.read_text())
-        doc["payload"][key] = doc["payload"][key][::-1]
+        doc["payload"][key] = edit(doc["payload"][key])
         write_resigned(doc, model_out)
         flow_out = tmp_path / "flow.csv"
         for command in ("evaluate", "inspect"):
@@ -539,6 +563,43 @@ class TestCommands:
             assert (code, out) == (1, "")
             assert self.one_error_line(err)["error"] == "SchemaMismatchError"
         assert not flow_out.exists()
+
+    @pytest.mark.parametrize("settings", ["smoke", "finebin"])
+    def test_train_inspect_evaluate_and_reload_a_model(self, tmp_path, capsys, settings):
+        from dinet import load_model, save_model
+
+        base = ["--config", str(SMOKE_CONFIG), "--quiet",
+                *[arg for item in SETTINGS[settings] for arg in ("--set", item)]]
+        model_out, flow_out = tmp_path / "m.json", tmp_path / "flow.csv"
+        code, _, err = self.run("train", *base, "--model-out", str(model_out),
+                                "--metrics-out", "", "--miflow-out", "", capsys=capsys)
+        assert (code, err) == (0, "")
+        code, out, err = self.run("inspect", *base, "--model", str(model_out),
+                                  "--out", str(flow_out), capsys=capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"nodes": 46, "muxes": 23, "csv": str(flow_out)}
+        with open(flow_out, newline="") as fh:
+            nodes = [row for row in csv.DictReader(fh) if row["kind"] == "node"]
+        assert len(nodes) == 46
+        # copysign also finds -0.0, which a plain "< 0" lets through
+        bad = [(row["layer"], row["position"], key, row[key]) for row in nodes
+               for key in ("mi_in_y", "mi_out_y", "h_out")
+               if math.isnan(float(row[key])) or math.copysign(1.0, float(row[key])) < 0]
+        assert bad == []
+        code, out, err = self.run("evaluate", *base, "--model", str(model_out), capsys=capsys)
+        assert (code, err) == (0, "")
+        assert 0 <= json.loads(out)["accuracy"] <= 1
+        save_model(load_model(model_out), tmp_path / "m2.json")
+        assert (tmp_path / "m2.json").read_bytes() == model_out.read_bytes()
+        # version 1 has no reader left
+        doc = json.loads(model_out.read_text())
+        doc["version"] = 1
+        write_resigned(doc, model_out)
+        for command in ("inspect", "evaluate"):
+            code, out, err = self.run(command, *base, "--model", str(model_out), "--out", "",
+                                      capsys=capsys)
+            assert (code, out) == (1, "")
+            assert self.one_error_line(err)["error"] == "ModelVersionError"
 
     def test_missing_dataset_exits_2_naming_path(self, tmp_path, capsys):
         cfg = dict(SYNTH_CONFIG)
@@ -736,11 +797,12 @@ def test_importing_the_cli_leaves_urllib_request_unloaded():
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
-# SHA-256 of the stdout report of configs/synthetic_smoke.json (20 runs), as is
-# and with the FINEBIN overrides; a change to either is a change of contract
+# SHA-256 of the stdout report of SMOKE_CONFIG (20 runs) under each of SETTINGS;
+# a change to any is a change of contract
 PINNED_REPORTS = {
     "smoke": "5f78b62ff159d0b4eb23ffee121fc4aece578e38d1104435515864af248139de",
     "finebin": "1f60eb28f6a3d066f8cbec051f48ba8dc818aeb946ea013cfeb660dab9a124f6",
+    "ensemble": "a6b6c57c2dc971c67789e09966a5f41af2c614161d2f1d12c4389411c00808b8",
 }
 
 
@@ -754,13 +816,20 @@ def smoke_table_files(tmp_path_factory):
     return folder, data.target_name
 
 
-@pytest.mark.parametrize("source", ["synthetic", "csv", "arff"])
-@pytest.mark.parametrize("settings", ["smoke", "finebin"])
-def test_report_is_pinned_and_the_same_from_table_files(smoke_table_files, capsys, settings,
-                                                         source):
+@pytest.mark.parametrize("settings, source", [
+    (settings, source) for settings in SETTINGS
+    for source in ("synthetic", "synthetic-workers=2", "csv", "arff")
+    # a table file changes only the parsing, which ensemble prediction leaves alone
+    if settings != "ensemble" or source.startswith("synthetic")])
+def test_report_is_pinned_and_the_same_from_table_files(smoke_table_files, capsys, monkeypatch,
+                                                         settings, source):
     folder, target = smoke_table_files
-    overrides = ['outputs.metrics=""'] + list(FINEBIN if settings == "finebin" else ())
-    if source != "synthetic":
+    overrides = ['outputs.metrics=""', *SETTINGS[settings]]
+    if source == "synthetic-workers=2":
+        # a real pool of two, even where this machine has one CPU
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        overrides.append("workers=2")
+    elif source != "synthetic":
         overrides += [f"dataset.format={source}", f"dataset.path={folder / f'table.{source}'}",
                       f"dataset.target={target}"]
     argv = ["experiment", "--config", str(SMOKE_CONFIG), "--quiet"]
