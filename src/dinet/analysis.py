@@ -126,15 +126,20 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
 def _information(vectors, cards, y, n_class, n_h):
     """Plug-in I(v;y) of every vector and H(v) of the first ``n_h``, in bits.
 
-    Vector i takes symbols in ``[0, cards[i])``.  Returns two lists of floats,
-    each value equal bit for bit to ``joint_mutual_information`` of the joint
+    ``vectors`` lists vectors and ``(K, N)`` blocks of them; vector i takes
+    symbols in ``[0, cards[i])``.  Returns two lists of floats, each value
+    equal bit for bit to ``joint_mutual_information`` of the joint
     ``bincount(v * n_class + y) / N`` and to ``entropy(bincount(v) / N)``.
     """
     sizes = [c * n_class for c in cards]
     bounds = [0, *itertools.accumulate(sizes)]
-    counts = np.empty(bounds[-1])
-    for v, size, lo in zip(vectors, sizes, bounds):
-        counts[lo:lo + size] = np.bincount(v * n_class + y, minlength=size)
+    # one bincount counts every vector into its own segment; vstack copies,
+    # so the arithmetic can be in place
+    cells = np.vstack(vectors)
+    cells *= n_class
+    cells += y
+    cells += np.array(bounds[:-1])[:, None]
+    counts = np.bincount(cells.ravel(), minlength=bounds[-1]).astype(np.float64)
     joint = counts / y.size
     rows = joint.reshape(-1, n_class).sum(axis=1)  # P(v) of each vector, back to back
     # column sums add a joint's rows in order; stacking joints of one size keeps that order
@@ -168,9 +173,8 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
 
     rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
 
-    def node(layer, pos, symbols):
-        table = model.nodes[(layer, pos)].thresholds
-        return sample_channel(table.take(symbols, axis=1), rng)
+    def sample_layer(layer, inputs):
+        return sample_channel(model.tables[layer].gather(inputs), rng)
 
     nodes = []
     muxes = []
@@ -178,13 +182,14 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     # layer i > 0 is fed by mux stage i - 1 and its inputs are the groups'
     # last-stage outputs, so only the first pair of a 3-way group is muxed here
     stages = ((),) + topo.mux_groups
-    for (layer_idx, inputs, outputs), groups in zip(walk(topo, data.columns, node), stages):
+    walked = walk(topo, data.symbols, sample_layer)
+    for (layer_idx, inputs, outputs), groups in zip(walked, stages):
         layer = topo.layers[layer_idx]
         cards = topo.layers[layer_idx - 1].n_out if layer_idx else ()
         triples = [g for g in groups if len(g) == 3]
         pairs = [mux_combine([below[a], below[b]], [cards[a], cards[b]]) for a, b, _ in triples]
         pair_cards = [cards[a] * cards[b] for a, b, _ in triples]
-        mi, h = _information(outputs + pairs + inputs,
+        mi, h = _information([outputs, *pairs, inputs],
                              list(layer.n_out) + pair_cards + list(layer.n_in),
                              y, data.n_class, n_h=layer.size + len(pairs))
         mi_out, mi_pair, mi_in = mi[:layer.size], mi[layer.size:-layer.size], mi[-layer.size:]

@@ -409,7 +409,7 @@ def save_model(model: DINModel, path) -> None:
 
 
 # top-level payload keys and the JSON value each must hold
-_PAYLOAD_TYPES = dict(beta=float, seed=int, feature_names=list, class_names=list,
+_PAYLOAD_TYPES = dict(beta=float, seed=int, feature_names=list[str], class_names=list[str],
                       class_alignment=list[int], n_out=list[int], quantizers=list, nodes=list)
 
 # the keys of each entry of a payload list, and the JSON value each must hold

@@ -18,29 +18,30 @@ is irrelevant on its own (the two inputs of an xor) would collapse to noise
 before the node that combines it with its sibling sees it.  The final node
 always solves its bottleneck, since its outputs must be aligned to classes.
 
-``walk`` is the one loop that moves symbols up the tree.  Its consumers
-differ only in the per-node hook: training solves and samples on the
-training stream, prediction and ``analysis.mi_flow`` sample on their own.
+``walk`` is the one loop that moves symbols up the tree, a layer at a
+time: a layer's inputs and outputs are each one ``(K, N)`` array, K nodes
+by N rows.  Its consumers differ only in the per-layer hook: training
+solves each node and samples the layer on the training stream, prediction
+and ``analysis.mi_flow`` sample on their own.
 
-Sampling is a table and a draw: ``channel_cdf`` turns a channel into its
-table of cumulative thresholds, the consumer gathers the columns of a
-node's input symbols, and ``sample_channel`` draws from them.  Each trained
-node holds its table as ``TrainedNode.thresholds``, built once when the
-node is made, by training or by ``load_model``; training, prediction and
-``analysis.mi_flow`` read it.  Since every ensemble repeat feeds layer 0 the
-same columns, prediction gathers the layer-0 thresholds once for all
-repeats.
+Sampling is a gather and a draw.  A layer's ``LayerTable`` holds its nodes'
+``channel_cdf`` tables side by side, built once per trained layer and once
+per loaded model and never saved; ``LayerTable.gather`` takes the
+thresholds of each input symbol, and ``sample_channel`` draws one uniform
+per symbol.  Every ensemble repeat feeds layer 0 the same columns, so
+prediction gathers the layer-0 thresholds once for all repeats.
 
 Each sampling call draws from one generator, ``default_rng([seed,
-purpose])``, consumed in walk order: node after node, and in an ensemble
-pass after pass.  So training, prediction and ``mi_flow`` are reproducible
-and never share draws.  The solver's start seeds come from ``derive_seed``.
+purpose])``, consumed in walk order: layer after layer, node after node
+within a layer, and in an ensemble pass after pass.  So training,
+prediction and ``mi_flow`` are reproducible and never share draws.  The
+solver's start seeds come from ``derive_seed``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -164,28 +165,29 @@ def tree_layer_sizes(D: int) -> tuple:
 # multiplexers
 
 def mux_combine(inputs, radices) -> np.ndarray:
-    """Losslessly pack parallel symbol vectors into one mixed-radix vector.
+    """Losslessly pack parallel symbol arrays into one mixed-radix array.
 
     The first input is the low-order digit: out = v0 + r0*v1 + r0*r1*v2 + ...
-    Every symbol must lie in ``[0, r)`` of its radix.
+    Every symbol must lie in ``[0, r)`` of its radix.  Inputs of any one
+    shape are packed elementwise, so a layer's groups pack in one call.
     """
     if len(inputs) != len(radices):
         raise ValidationError("need one radix per input vector")
     if len(inputs) < 2:
         raise ValidationError("a multiplexer combines at least two inputs")
     vecs = [np.asarray(v, dtype=np.int64) for v in inputs]
-    n = vecs[0].size
+    shape = vecs[0].shape
     for v, r in zip(vecs, radices):
-        if v.size != n:
-            raise ValidationError("input vectors must share one length")
+        if v.shape != shape:
+            raise ValidationError("input arrays must share one shape")
         # viewed unsigned, a negative symbol is >= 2**63: one scan checks both ends
-        if n and v.view(np.uint64).max() >= r:
+        if v.size and v.view(np.uint64).max() >= r:
             raise ValidationError(f"symbol outside [0, {r})")
-    out = vecs[0].copy()
-    scale = int(radices[0])
-    for v, r in zip(vecs[1:], radices[1:]):
-        out += scale * v
-        scale *= int(r)
+    # Horner's rule, v0 + r0*(v1 + r1*(v2 + ...)): no temporary beyond the output
+    out = vecs[-1].copy()
+    for v, r in zip(vecs[-2::-1], radices[-2::-1]):
+        out *= int(r)
+        out += v
     return out
 
 
@@ -210,14 +212,6 @@ class TrainedNode:
     channel: ConditionalMatrix   # n_in x n_out
     diagnostics: IBDiagnostics
     mi_in_y: float           # I(input; target) on the training estimates
-    # channel_cdf(channel.p), the sampling table: derived, so not an init
-    # argument, not compared and not saved
-    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        table = channel_cdf(self.channel.p)
-        table.flags.writeable = False
-        object.__setattr__(self, "thresholds", table)
 
 
 @dataclass(frozen=True)
@@ -230,8 +224,11 @@ class DINModel:
     class_alignment: tuple   # final output symbol -> class label index
     beta: float
     seed: int
+    trained_tables: InitVar[tuple] = None  # training's, so none is built twice
+    # one LayerTable per layer, derived from the nodes: not compared, not saved
+    tables: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, trained_tables):
         layers = self.topology.layers
         slots = {(i, k): (layers[i].n_in[k], layers[i].n_out[k])
                  for i, k in self.topology.slots}
@@ -250,6 +247,9 @@ class DINModel:
         if sorted(align) != list(range(self.topology.n_class)):
             raise ValidationError("class_alignment must be a bijection on the classes")
         object.__setattr__(self, "class_alignment", align)
+        object.__setattr__(self, "tables", trained_tables or tuple(
+            LayerTable.of([self.nodes[(i, k)].channel.p for k in range(layer.size)])
+            for i, layer in enumerate(layers)))
 
     @property
     def n_class(self) -> int:
@@ -261,28 +261,52 @@ def channel_cdf(channel: np.ndarray) -> np.ndarray:
 
     Column ``x`` holds the first ``n_out - 1`` partial sums of channel row
     ``x``; the last sum is left out (see ``sample_channel``).  The table is
-    contiguous, so gathering the columns of a symbol vector with
-    ``take(symbols, axis=1)`` reads each threshold row in one pass.
+    contiguous, so gathering the columns of a symbol array with
+    ``take(symbols, axis=1)`` reads each threshold row in one pass.  The
+    table of stacked channels is their tables side by side.
     """
     return np.ascontiguousarray(np.cumsum(channel, axis=1)[:, :-1].T)
 
 
-def sample_channel(thresholds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one output symbol per column of a gathered threshold table.
+@dataclass(frozen=True)
+class LayerTable:
+    """One layer's sampling table: ``channel_cdf`` of its nodes' stacked
+    channel rows (read-only), and the column where each node's part starts."""
 
-    ``thresholds`` is ``channel_cdf(channel).take(symbols, axis=1)``.
-    Inverse-CDF sampling with one uniform draw ``u[n]`` per column: the
-    output is the number of column ``n``'s thresholds that ``u[n]`` exceeds.
-    Channel entries are non-negative, so each cumulative row is
-    non-decreasing and the thresholds exceeded form a prefix; counting only
-    the first ``n_out - 1`` is therefore exactly the full count clamped to
-    ``n_out - 1``, which absorbs rows whose last threshold rounds below 1.
+    thresholds: np.ndarray   # (n_out - 1, total n_in of the layer)
+    offsets: np.ndarray      # (K, 1)
+
+    @classmethod
+    def of(cls, channels) -> LayerTable:
+        table = channel_cdf(np.concatenate(channels))
+        table.flags.writeable = False
+        offsets = np.cumsum([0] + [c.shape[0] for c in channels[:-1]])[:, None]
+        return cls(thresholds=table, offsets=offsets)
+
+    def gather(self, inputs: np.ndarray) -> np.ndarray:
+        """The ``(n_out - 1, K, N)`` thresholds of a layer's ``(K, N)`` input symbols."""
+        return self.thresholds.take(inputs + self.offsets, axis=1)
+
+
+def sample_channel(thresholds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one output symbol per input symbol from gathered thresholds.
+
+    ``thresholds`` is ``(n_out - 1, *shape)``, as ``LayerTable.gather``'s
+    ``(n_out - 1, K, N)``; one ``rng.random(shape)`` call draws a uniform
+    ``u`` per symbol in C order, the same stream as K draws of N.  The
+    output is the number of thresholds ``t <= u``: the standard inverse CDF,
+    so a symbol of probability 0 is never emitted, even at ``u = 0``.
+    Cumulative rows are non-decreasing, so counting only the first
+    ``n_out - 1`` thresholds clamps the count to ``n_out - 1``, which absorbs
+    rows whose last threshold rounds below 1.
     """
-    u = rng.random(thresholds.shape[1])
-    out = np.zeros(thresholds.shape[1], dtype=np.int64)
+    u = rng.random(thresholds.shape[1:])
+    counts = np.zeros(u.shape, dtype=np.min_scalar_type(len(thresholds)))
     for row in thresholds:
-        out += u > row
-    return out
+        counts += u >= row
+    # a layer's draws are large: free them before the int64 output is made
+    del u
+    return counts.astype(np.int64)
 
 
 def _align_classes(py_given_out: np.ndarray) -> tuple:
@@ -305,24 +329,28 @@ def _align_classes(py_given_out: np.ndarray) -> tuple:
     return tuple(assign[j] for j in range(n))
 
 
-def walk(topology: Topology, columns, node):
+def walk(topology: Topology, columns, layer):
     """Push symbol columns up the tree, one layer at a time.
 
-    ``node(layer, pos, symbols)`` maps a node's input symbols to its output
-    symbols; it is called in (layer, position) order.  After each layer the
-    walk yields ``(layer, inputs, outputs)`` and then muxes the outputs into
-    the next layer's inputs, so the caller sees a layer before the next one
-    is computed.
+    A layer's inputs and outputs are each one ``(K, N)`` int64 array, row k
+    for node k.  ``layer(layer_idx, inputs)`` returns a layer's outputs; it
+    is called in layer order.  After each layer the walk yields
+    ``(layer_idx, inputs, outputs)``, then muxes the outputs into the next
+    layer's inputs.  The groups are adjacent pairs and, in an odd layer, one
+    trailing triple (``_group_layer``), so one ``mux_combine`` call on
+    strided slices packs the pairs and one more the triple.
     """
-    inputs = [np.asarray(c, dtype=np.int64) for c in columns]
-    for layer_idx, layer in enumerate(topology.layers):
-        outputs = [node(layer_idx, k, inputs[k]) for k in range(layer.size)]
+    inputs = np.asarray(columns, dtype=np.int64)
+    for layer_idx, spec in enumerate(topology.layers):
+        outputs = layer(layer_idx, inputs)
         yield layer_idx, inputs, outputs
         if layer_idx < topology.depth:
-            inputs = [
-                mux_combine([outputs[m] for m in g], [layer.n_out[m] for m in g])
-                for g in topology.mux_groups[layer_idx]
-            ]
+            r = spec.n_out[0]  # every node of a layer has one output alphabet
+            n = 2 * sum(len(g) == 2 for g in topology.mux_groups[layer_idx])
+            packed = [mux_combine([outputs[0:n:2], outputs[1:n:2]], [r, r])] if n else []
+            if spec.size % 2:
+                packed.append(mux_combine(list(outputs[n:]), [r, r, r])[None])
+            inputs = packed[0] if len(packed) == 1 else np.concatenate(packed)
 
 
 def train_network(data: QuantizedDataset, topology: Topology, beta: float,
@@ -350,26 +378,30 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
             f"dataset has {data.n_class} classes, topology expects {topology.n_class}")
 
     nodes = {}
+    tables = []
     final_solution = None
     rng = np.random.default_rng([seed, _STREAM_TRAIN_SAMPLE])
 
-    def node(layer_idx, k, symbols):
+    def train_layer(layer_idx, inputs):
         nonlocal final_solution
         layer = topology.layers[layer_idx]
-        px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
-        problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out[k])
-        sol = solve_ib(problem, tol=tol, max_iter=max_iter,
-                       seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
-                       keep_input=layer_idx < topology.depth)
-        trained = nodes[(layer_idx, k)] = TrainedNode(
-            channel=sol.channel,
-            diagnostics=sol.diagnostics,
-            mi_in_y=mutual_information(px.probs, py_x.p),
-        )
-        final_solution = sol  # the walk ends on the final node
-        return sample_channel(trained.thresholds.take(symbols, axis=1), rng)
+        for k, symbols in enumerate(inputs):
+            px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
+            problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out[k])
+            sol = solve_ib(problem, tol=tol, max_iter=max_iter,
+                           seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
+                           keep_input=layer_idx < topology.depth)
+            nodes[(layer_idx, k)] = TrainedNode(
+                channel=sol.channel,
+                diagnostics=sol.diagnostics,
+                mi_in_y=mutual_information(px.probs, py_x.p),
+            )
+            final_solution = sol  # the walk ends on the final node
+        tables.append(LayerTable.of([nodes[(layer_idx, k)].channel.p
+                                     for k in range(layer.size)]))
+        return sample_channel(tables[-1].gather(inputs), rng)
 
-    for _ in walk(topology, data.columns, node):
+    for _ in walk(topology, data.symbols, train_layer):
         pass
 
     alignment = _align_classes(final_solution.py_given_out.p)
@@ -382,6 +414,7 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
         class_alignment=alignment,
         beta=float(beta),
         seed=int(seed),
+        trained_tables=tuple(tables),
     )
 
 
@@ -402,23 +435,19 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     if mode == "ensemble" and repeats < 1:
         raise ValidationError("ensemble needs repeats >= 1")
     passes = repeats if mode == "ensemble" else 1
-    topo = model.topology
     rng = np.random.default_rng([seed, _STREAM_PREDICT])
-    nodes = model.nodes
+    tables = model.tables
     # every repeat feeds layer 0 the same columns, so gather its thresholds once
-    first = [nodes[(0, k)].thresholds.take(np.asarray(c, dtype=np.int64), axis=1)
-             for k, c in enumerate(data.columns)]
+    first = tables[0].gather(data.symbols)
     align = np.asarray(model.class_alignment, dtype=np.int64)
 
-    def node(layer, pos, symbols):
-        if layer == 0:
-            return sample_channel(first[pos], rng)
-        return sample_channel(nodes[(layer, pos)].thresholds.take(symbols, axis=1), rng)
+    def sample_layer(layer, inputs):
+        return sample_channel(first if layer == 0 else tables[layer].gather(inputs), rng)
 
     votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
     rows = np.arange(data.n_rows)
     for _ in range(passes):
-        for _, _, outputs in walk(topo, data.columns, node):
+        for _, _, outputs in walk(model.topology, data.symbols, sample_layer):
             pass
         votes[rows, align[outputs[0]]] += 1
     return votes.argmax(axis=1)

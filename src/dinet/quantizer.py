@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,10 +242,13 @@ def apply_quantizer(spec: FeatureSpec, column: RawColumn) -> np.ndarray:
 class QuantizedDataset:
     """Integer symbol columns plus integer class labels."""
 
-    columns: tuple          # one int64 vector per feature
+    columns: tuple          # one int64 vector per feature, a row of ``symbols``
     cardinalities: tuple
     labels: np.ndarray
     n_class: int
+    # the columns as one (n_features, n_rows) array, the tree walk's layer-0
+    # input: derived, so not an init argument and not compared
+    symbols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = tuple(np.asarray(c, dtype=np.int64) for c in self.columns)
@@ -260,7 +263,9 @@ class QuantizedDataset:
                 raise ValidationError(f"symbols outside [0, {card})")
         if n and (labels.min() < 0 or labels.max() >= self.n_class):
             raise ValidationError(f"labels outside [0, {self.n_class})")
-        object.__setattr__(self, "columns", cols)
+        symbols = np.array(cols, dtype=np.int64).reshape(len(cols), n)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "columns", tuple(symbols))
         object.__setattr__(self, "cardinalities", tuple(int(c) for c in self.cardinalities))
         object.__setattr__(self, "labels", labels)
 

@@ -241,12 +241,14 @@ class TestMiFlow:
 
         rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
 
-        def node(layer, pos, symbols):
-            table = channel_cdf(model.nodes[(layer, pos)].channel.p)
-            return sample_channel(table.take(symbols, axis=1), rng)
+        def sample_node_by_node(layer, inputs):
+            return np.array([
+                sample_channel(channel_cdf(model.nodes[(layer, k)].channel.p).take(symbols, axis=1),
+                               rng)
+                for k, symbols in enumerate(inputs)])
 
         walked = [(list(inputs), list(outputs))
-                  for _, inputs, outputs in walk(topo, data.columns, node)]
+                  for _, inputs, outputs in walk(topo, data.columns, sample_node_by_node)]
         want_nodes = [NodeFlow(layer=i, position=k, mi_in_y=mi(inputs[k], layer.n_in[k]),
                                mi_out_y=mi(outputs[k], layer.n_out[k]),
                                h_out=ent(outputs[k], layer.n_out[k]))

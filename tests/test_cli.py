@@ -545,8 +545,7 @@ class TestCommands:
     @pytest.mark.parametrize("key, edit", [
         ("class_names", lambda names: names[::-1]),
         ("feature_names", lambda names: names[::-1]),
-        ("feature_names", lambda names: [[1]] + names[1:]),  # neither hashable nor sortable
-    ], ids=["class_names", "feature_names", "non-string-feature-name"])
+    ], ids=["class_names", "feature_names"])
     def test_inspect_refuses_a_table_the_model_does_not_name(self, config_file, tmp_path,
                                                              capsys, key, edit):
         model_out = tmp_path / "model.json"
@@ -562,6 +561,30 @@ class TestCommands:
                                       capsys=capsys)
             assert (code, out) == (1, "")
             assert self.one_error_line(err)["error"] == "SchemaMismatchError"
+        assert not flow_out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("feature_names", [1]),  # neither hashable nor sortable
+        ("feature_names", 7),
+        ("class_names", None),
+    ], ids=["feature_names-list", "feature_names-int", "class_names-null"])
+    def test_a_non_string_name_is_refused_at_load(self, config_file, tmp_path, capsys,
+                                                  key, value):
+        model_out = tmp_path / "model.json"
+        self.run("train", "--config", str(config_file), "--quiet",
+                 "--model-out", str(model_out), capsys=capsys)
+        doc = json.loads(model_out.read_text())
+        doc["payload"][key][0] = value
+        write_resigned(doc, model_out)
+        flow_out = tmp_path / "flow.csv"
+        for command in ("evaluate", "inspect"):
+            code, out, err = self.run(command, "--config", str(config_file), "--quiet",
+                                      "--model", str(model_out), "--out", str(flow_out),
+                                      capsys=capsys)
+            assert (code, out) == (1, "")
+            error = self.one_error_line(err)
+            assert error["error"] == "ModelFormatError"
+            assert f"key {key!r} must be list[str]" in error["message"]
         assert not flow_out.exists()
 
     @pytest.mark.parametrize("settings", ["smoke", "finebin"])

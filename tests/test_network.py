@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinet import (
@@ -178,7 +178,7 @@ def sample_channel_oracle(channel, symbols, rng):
     """The clamped inverse-CDF formula over the full (rows, n_out) comparison."""
     cum = np.cumsum(channel, axis=1)
     u = rng.random(symbols.size)
-    out = (u[:, None] > cum[symbols]).sum(axis=1)
+    out = (u[:, None] >= cum[symbols]).sum(axis=1)
     return np.minimum(out, channel.shape[1] - 1).astype(np.int64)
 
 
@@ -200,6 +200,16 @@ def channels(draw):
     return ConditionalMatrix(w / w.sum(axis=1, keepdims=True)).p
 
 
+class FixedDraws:
+    """A stand-in generator whose ``random(shape)`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=np.float64)
+
+    def random(self, shape):
+        return self.draws.reshape(shape)
+
+
 class TestSampling:
     @settings(max_examples=300, deadline=None)
     @given(channels(), st.data(), st.integers(0, 2**32 - 1))
@@ -214,17 +224,55 @@ class TestSampling:
 
     def test_draws_on_and_above_the_thresholds(self):
         # a valid row may sum to just below 1, so a draw can pass every
-        # threshold; a draw equal to a threshold does not pass it
+        # threshold; a draw equal to a threshold passes it, as the inverse
+        # CDF's "first symbol whose cumulative probability exceeds u" has it
         channel = ConditionalMatrix(np.array([[0.5, 0.5 - 1e-10]])).p
-
-        class FixedDraws:
-            def random(self, n):
-                return np.array([0.25, 0.5, 0.75, 1.0 - 1e-11])[:n]
-
+        draws = FixedDraws([0.25, 0.5, 0.75, 1.0 - 1e-11])
         symbols = np.zeros(4, dtype=np.int64)
-        got = sample_channel(channel_cdf(channel).take(symbols, axis=1), FixedDraws())
-        assert got.tolist() == [0, 0, 1, 1]
-        assert np.array_equal(got, sample_channel_oracle(channel, symbols, FixedDraws()))
+        got = sample_channel(channel_cdf(channel).take(symbols, axis=1), draws)
+        assert got.tolist() == [0, 1, 1, 1]
+        draws = FixedDraws([0.25, 0.5, 0.75, 1.0 - 1e-11])
+        assert np.array_equal(got, sample_channel_oracle(channel, symbols, draws))
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0 ** -53])
+    def test_keep_input_nodes_pass_every_symbol_for_every_draw(self, u):
+        # numpy's random() can return exactly 0.0
+        for n_in, n_out in ((3, 3), (2, 4), (1, 2)):
+            x = np.arange(n_in)
+            got = sample_channel(channel_cdf(np.eye(n_in, n_out)).take(x, axis=1),
+                                 FixedDraws([u] * n_in))
+            assert got.tolist() == x.tolist()
+
+    @pytest.mark.parametrize("u, want", [(0.0, 1), (0.4 - 2.0 ** -54, 1), (0.4, 2), (0.9, 2)])
+    def test_a_zero_probability_symbol_is_never_emitted(self, u, want):
+        channel = np.array([[0.0, 0.4, 0.6], [0.5, 0.0, 0.5]])
+        got = sample_channel(channel_cdf(channel).take([0], axis=1), FixedDraws([u]))
+        assert got.tolist() == [want]
+        # symbol 1 of the second row has no mass: a draw on its threshold skips it
+        got = sample_channel(channel_cdf(channel).take([1], axis=1), FixedDraws([0.5]))
+        assert got.tolist() == [2]
+
+    def test_a_wide_alphabet_counts_past_255(self):
+        channel = np.full((1, 300), 1 / 300)
+        symbols = np.zeros(3, dtype=np.int64)
+        draws = [0.0, 1.0 - 2.0 ** -53, 1 / 300]
+        got = sample_channel(channel_cdf(channel).take(symbols, axis=1), FixedDraws(draws))
+        assert got.dtype == np.int64 and got.tolist()[:2] == [0, 299]
+        assert np.array_equal(got, sample_channel_oracle(channel, symbols, FixedDraws(draws)))
+
+    @pytest.mark.parametrize("K, N", [(1, 5), (2, 7), (3, 1), (3, 0)])
+    def test_a_layer_draw_is_the_stream_of_its_nodes(self, K, N):
+        rng = np.random.default_rng(K * 100 + N)
+        chans = [ConditionalMatrix(rng.dirichlet(np.ones(3), size=4)).p for _ in range(K)]
+        x = rng.integers(0, 4, (K, N))
+        table = channel_cdf(np.concatenate(chans))
+        layer_rng, node_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_channel(table.take(x + 4 * np.arange(K)[:, None], axis=1), layer_rng)
+        want = [sample_channel(channel_cdf(c).take(row, axis=1), node_rng)
+                for c, row in zip(chans, x)]
+        assert got.shape == (K, N) and got.dtype == np.int64
+        assert np.array_equal(got, np.array(want).reshape(K, N))
+        assert layer_rng.bit_generator.state == node_rng.bit_generator.state
 
     def test_deterministic_rows_pass_through(self):
         chan = np.eye(3)
@@ -528,27 +576,29 @@ class TestWalk:
                 assert g[n_keys:] == pytest.approx(w[n_keys:], abs=1e-12)
 
     def test_train_solves_and_samples_each_node_once_in_order(self, monkeypatch):
+        """One solve per node in walk order, then one sample call per layer."""
         from dinet import network
 
         calls = []
-        tabled = []  # the channels handed to channel_cdf, in order
-        solve, cdf, sample = network.solve_ib, network.channel_cdf, network.sample_channel
+        walked = []  # the (layer, inputs, outputs) the training walk yields
+        solve, sample, walk = network.solve_ib, network.sample_channel, network.walk
 
         def recording_solve(problem, **kwargs):
             calls.append(("solve", kwargs["seed"]))
             return solve(problem, **kwargs)
 
-        def recording_cdf(channel):
-            tabled.append(channel)
-            return cdf(channel)
-
         def recording_sample(thresholds, rng):
-            calls.append(("sample", tabled[-1], rng, rng.bit_generator.state))
+            calls.append(("sample", thresholds, rng, rng.bit_generator.state))
             return sample(thresholds, rng)
 
+        def recording_walk(*args):
+            for item in walk(*args):
+                walked.append(item)
+                yield item
+
         monkeypatch.setattr(network, "solve_ib", recording_solve)
-        monkeypatch.setattr(network, "channel_cdf", recording_cdf)
         monkeypatch.setattr(network, "sample_channel", recording_sample)
+        monkeypatch.setattr(network, "walk", recording_walk)
         rng = np.random.default_rng(10)
         cards = [2, 3, 4, 2, 3]
         y = rng.integers(0, 2, 80)
@@ -557,26 +607,41 @@ class TestWalk:
         topo = Topology(cards=cards, n_out=(3, 3, 2))
         model = train_network(data, topo, beta=5.0, seed=4)
 
-        slots = [(i, k) for i, size in enumerate(topo.layer_sizes) for k in range(size)]
-        assert len(calls) == 2 * len(slots)
-        assert len(tabled) == len(slots)
-        # one generator serves every node, each drawing one uniform per row after the last
+        # each layer: its nodes' solves in position order, then the layer's one draw
+        assert [c[0] for c in calls] == [kind for size in topo.layer_sizes
+                                         for kind in ["solve"] * size + ["sample"]]
+        solves = [c for c in calls if c[0] == "solve"]
+        samples = [c for c in calls if c[0] == "sample"]
+        assert solves == [("solve", derive_seed(4, network._STREAM_IB, i, k))
+                          for i, k in topo.slots]
+        assert len(samples) == len(walked) == len(topo.layers)
+        # one generator serves every layer; a layer draws one uniform per node
+        # and row, after the rows of the layers before it
         oracle = np.random.default_rng([4, _STREAM_TRAIN_SAMPLE])
-        for (i, k), (solved, sampled) in zip(slots, zip(calls[::2], calls[1::2])):
-            assert solved == ("solve", derive_seed(4, network._STREAM_IB, i, k))
-            assert sampled[0] == "sample" and sampled[1] is model.nodes[(i, k)].channel.p
-            assert sampled[2] is calls[1][2]
-            assert sampled[3] == oracle.bit_generator.state
-            oracle.random(80)
+        for (i, inputs, _), layer, sampled in zip(walked, topo.layers, samples):
+            _, thresholds, sample_rng, state = sampled
+            assert sample_rng is samples[0][2]
+            assert state == oracle.bit_generator.state
+            for _ in range(layer.size):
+                oracle.random(80)
+            # the layer's thresholds are its trained nodes' tables at their inputs
+            want = np.stack([channel_cdf(model.nodes[(i, k)].channel.p).take(inputs[k], axis=1)
+                             for k in range(layer.size)], axis=1)
+            assert np.array_equal(thresholds, want)
 
 
 class TestKeptTables:
-    """Each trained node holds its sampling table, built once when the node is made."""
+    """The model holds one sampling table per layer, built once when the model is made."""
 
     @staticmethod
     def assert_tables(model):
-        for slot, node in model.nodes.items():
-            assert np.array_equal(node.thresholds, channel_cdf(node.channel.p)), slot
+        layers = model.topology.layers
+        assert len(model.tables) == len(layers)
+        for i, (layer, table) in enumerate(zip(layers, model.tables)):
+            cdfs = [channel_cdf(model.nodes[(i, k)].channel.p) for k in range(layer.size)]
+            assert np.array_equal(table.thresholds, np.concatenate(cdfs, axis=1)), i
+            assert table.offsets.tolist() == [[sum(layer.n_in[:k])] for k in range(layer.size)]
+            assert not table.thresholds.flags.writeable
 
     def test_trained_loaded_and_reloaded_nodes_hold_their_table(self, tmp_path):
         from dinet import load_model, save_model
@@ -589,18 +654,32 @@ class TestKeptTables:
         self.assert_tables(model)
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert "thresholds" not in path.read_text()  # derived, so never written
+        text = path.read_text()
+        for word in ("thresholds", "tables", "offsets"):  # derived, so never written
+            assert word not in text
         self.assert_tables(load_model(path))
 
     def test_table_is_derived_not_given(self):
-        from dinet.network import TrainedNode
+        import dataclasses
+
+        from dinet.network import DINModel
 
         data = toy_dataset(np.random.default_rng(6))
-        node = train_network(data, Topology(cards=(2, 3), n_out=(2, 2)), beta=10.0).nodes[(1, 0)]
+        model = train_network(data, Topology(cards=(2, 3), n_out=(2, 2)), beta=10.0)
+        fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
         with pytest.raises(TypeError):
-            TrainedNode(channel=node.channel, diagnostics=node.diagnostics,
-                        mi_in_y=node.mi_in_y, thresholds=node.thresholds)
-        assert not node.thresholds.flags.writeable
+            DINModel(**fields, tables=model.tables)
+        table = model.tables[0].thresholds
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+        # a model made from other nodes derives its tables from them
+        nodes = {key: dataclasses.replace(node, channel=ConditionalMatrix(
+            np.eye(node.channel.cols)[node.channel.p.argmax(axis=1)]))
+            for key, node in model.nodes.items()}
+        replaced = dataclasses.replace(model, nodes=nodes)
+        self.assert_tables(replaced)
+        assert not np.array_equal(replaced.tables[0].thresholds, table)
 
     @pytest.mark.parametrize("mode", ["stochastic", "ensemble"])
     def test_training_builds_each_table_once_and_its_readers_none(self, monkeypatch, mode):
@@ -621,9 +700,172 @@ class TestKeptTables:
                                 cardinalities=tuple(cards), labels=y, n_class=2)
         topo = Topology(cards=cards, n_out=(3, 3, 2))
         model = train_network(data, topo, beta=5.0, seed=1)
-        assert len(tabled) == len(topo.slots)
+        # one table per layer, of the layer's stacked channel rows
+        assert len(tabled) == len(topo.layers)
+        for i, (layer, stacked) in enumerate(zip(topo.layers, tabled)):
+            assert np.array_equal(stacked, np.concatenate(
+                [model.nodes[(i, k)].channel.p for k in range(layer.size)]))
         self.assert_tables(model)
         tabled.clear()
         predict_quantized(model, data, seed=2, mode=mode, repeats=3)
         mi_flow(model, data)
         assert tabled == []
+
+
+# ---------------------------------------------------------------------------
+# The node-by-node walk, training and prediction that the layer walk replaced,
+# kept verbatim as the reference that the layer walk must match draw for draw.
+# The one edit is the sampling rule, ``u >= t`` where it had ``u > t``: they
+# differ only on a draw exactly equal to a threshold.
+
+def reference_sample_channel(thresholds, rng):
+    u = rng.random(thresholds.shape[1])
+    out = np.zeros(thresholds.shape[1], dtype=np.int64)
+    for row in thresholds:
+        out += u >= row
+    return out
+
+
+def reference_walk(topology, columns, node):
+    inputs = [np.asarray(c, dtype=np.int64) for c in columns]
+    for layer_idx, layer in enumerate(topology.layers):
+        outputs = [node(layer_idx, k, inputs[k]) for k in range(layer.size)]
+        yield layer_idx, inputs, outputs
+        if layer_idx < topology.depth:
+            inputs = [
+                mux_combine([outputs[m] for m in g], [layer.n_out[m] for m in g])
+                for g in topology.mux_groups[layer_idx]
+            ]
+
+
+def reference_train(data, topology, beta, max_iter, seed):
+    """Each node's (channel, diagnostics, mi_in_y), the alignment and the generator."""
+    from dinet.ib import IBProblem, estimate_empirical, solve_ib
+    from dinet.infotheory import mutual_information
+    from dinet.network import _STREAM_IB, _align_classes
+
+    nodes = {}
+    final_solution = None
+    rng = np.random.default_rng([seed, _STREAM_TRAIN_SAMPLE])
+
+    def node(layer_idx, k, symbols):
+        nonlocal final_solution
+        layer = topology.layers[layer_idx]
+        px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
+        problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out[k])
+        sol = solve_ib(problem, max_iter=max_iter,
+                       seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
+                       keep_input=layer_idx < topology.depth)
+        nodes[(layer_idx, k)] = (sol.channel.p, sol.diagnostics,
+                                 mutual_information(px.probs, py_x.p))
+        final_solution = sol  # the walk ends on the final node
+        return reference_sample_channel(channel_cdf(sol.channel.p).take(symbols, axis=1), rng)
+
+    for _ in reference_walk(topology, data.columns, node):
+        pass
+    return nodes, _align_classes(final_solution.py_given_out.p), rng
+
+
+def reference_node(model, rng):
+    def node(layer, pos, symbols):
+        table = channel_cdf(model.nodes[(layer, pos)].channel.p)
+        return reference_sample_channel(table.take(symbols, axis=1), rng)
+    return node
+
+
+def reference_predict(model, data, seed, passes):
+    rng = np.random.default_rng([seed, _STREAM_PREDICT])
+    align = np.asarray(model.class_alignment, dtype=np.int64)
+    votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
+    rows = np.arange(data.n_rows)
+    for _ in range(passes):
+        for _, _, outputs in reference_walk(model.topology, data.columns,
+                                            reference_node(model, rng)):
+            pass
+        votes[rows, align[outputs[0]]] += 1
+    return votes.argmax(axis=1), rng
+
+
+@st.composite
+def reference_trees(draw):
+    """Tree settings: 1-7 features, so 3-way groups, n_out 1-3 per layer, and
+    alphabets of 1-4, so pass-through nodes, all occur."""
+    D = draw(st.integers(1, 7))
+    n_layers = len(tree_layer_sizes(D))
+    return dict(
+        cards=draw(st.lists(st.integers(1, 4), min_size=D, max_size=D)),
+        n_out=draw(st.lists(st.integers(1, 3), min_size=n_layers - 1, max_size=n_layers - 1)),
+        n_class=draw(st.integers(2, 3)), n_rows=draw(st.integers(1, 30)),
+        data_seed=draw(st.integers(0, 2**32 - 1)), seed=draw(st.integers(0, 99)))
+
+
+def reference_case(cards, n_out, n_class, n_rows, data_seed, seed):
+    rng = np.random.default_rng(data_seed)
+    data = QuantizedDataset(
+        columns=tuple(rng.integers(0, c, n_rows) for c in cards), cardinalities=tuple(cards),
+        labels=rng.integers(0, n_class, n_rows), n_class=n_class)
+    return data, Topology(cards=cards, n_out=[*n_out, n_class])
+
+
+class TestReferenceWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(reference_trees())
+    @example(dict(cards=[2, 2, 3], n_out=[1], n_class=2, n_rows=9, data_seed=1, seed=0))
+    @example(dict(cards=[2, 1, 3, 2, 2], n_out=[3, 1], n_class=3, n_rows=12, data_seed=2,
+                  seed=5))
+    def test_layer_walk_matches_the_node_by_node_reference(self, tree):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check_against_the_reference(monkeypatch, tree)
+
+    @staticmethod
+    def check_against_the_reference(monkeypatch, tree):
+        from dinet import analysis, network
+
+        data, topo = reference_case(**tree)
+        generators = []  # every generator a sample call draws from
+        sample = network.sample_channel
+
+        def recording_sample(thresholds, rng):
+            generators.append(rng)
+            return sample(thresholds, rng)
+
+        monkeypatch.setattr(network, "sample_channel", recording_sample)
+        monkeypatch.setattr(analysis, "sample_channel", recording_sample)
+
+        def last_state():
+            state = generators[-1].bit_generator.state
+            generators.clear()
+            return state
+
+        model = train_network(data, topo, beta=5.0, max_iter=20, seed=tree["seed"])
+        nodes, alignment, rng = reference_train(data, topo, 5.0, 20, tree["seed"])
+        assert last_state() == rng.bit_generator.state
+        assert model.class_alignment == alignment
+        for slot, (channel, diagnostics, mi_in_y) in nodes.items():
+            node = model.nodes[slot]
+            assert np.array_equal(node.channel.p, channel), slot
+            assert (node.diagnostics, node.mi_in_y) == (diagnostics, mi_in_y), slot
+
+        empty = QuantizedDataset(columns=tuple(np.zeros(0, np.int64) for _ in topo.cards),
+                                 cardinalities=topo.cards, labels=np.zeros(0, np.int64),
+                                 n_class=topo.n_class)
+        for rows in (data, empty):
+            for mode, passes in (("stochastic", 1), ("ensemble", 4)):
+                got = predict_quantized(model, rows, seed=7, mode=mode, repeats=passes)
+                want, rng = reference_predict(model, rows, 7, passes)
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+                assert last_state() == rng.bit_generator.state
+
+        # mi_flow over the reference's samples: the layer walk's arrays, row for row
+        rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
+
+        def walk_the_reference(topology, columns, _):
+            for layer, inputs, outputs in reference_walk(topology, columns,
+                                                         reference_node(model, rng)):
+                yield layer, np.array(inputs), np.array(outputs)
+
+        report = mi_flow(model, data)
+        state = last_state()
+        monkeypatch.setattr(analysis, "walk", walk_the_reference)
+        assert report == mi_flow(model, data)
+        assert state == rng.bit_generator.state

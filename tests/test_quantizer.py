@@ -444,3 +444,16 @@ class TestQuantizedDataset:
         q = QuantizedDataset(columns=(np.array([0, 1]), np.array([2, 0])),
                              cardinalities=(2, 3), labels=np.array([0, 1]), n_class=2)
         assert q.n_rows == 2 and q.n_features == 2
+
+    @pytest.mark.parametrize("n_features, n_rows", [(2, 3), (1, 0), (0, 4), (0, 0)])
+    def test_columns_are_the_rows_of_one_symbol_array(self, n_features, n_rows):
+        columns = [np.arange(n_rows) % 2 + k for k in range(n_features)]
+        q = QuantizedDataset(columns=[c.tolist() for c in columns],
+                             cardinalities=(n_features + 1,) * n_features,
+                             labels=np.zeros(n_rows, dtype=np.int64), n_class=1)
+        assert q.symbols.shape == (n_features, n_rows) and q.symbols.dtype == np.int64
+        assert len(q.columns) == n_features
+        for column, row, want in zip(q.columns, q.symbols, columns):
+            assert column.dtype == np.int64
+            assert n_rows == 0 or np.shares_memory(column, q.symbols)
+            assert np.array_equal(column, want) and np.array_equal(row, want)

@@ -1,0 +1,54 @@
+"""The benchmark tracer's contract with the package.
+
+``perfbench/tracer.py`` wraps module functions from outside and maps the
+``solve_ib`` calls of each ``train_network`` call to tree layers by their
+order, then cross-checks the per-layer iteration sums against the trained
+model's diagnostics.  These tests import the tracer as it is and train
+through it, so a change to the call order or to the bindings it wraps
+fails here.
+"""
+
+import importlib.util
+
+import pytest
+
+from dinet import analysis, cli, network
+from tests.conftest import REPO_ROOT
+from tests.test_cli import SETTINGS, SMOKE_CONFIG
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("settings", ["smoke", "finebin"])
+def test_traced_training_passes_the_cross_check(tracer_module, settings):
+    cfg = cli.apply_overrides(cli.load_config(SMOKE_CONFIG), list(SETTINGS[settings]))
+    data = cli.prepare_dataset(cfg)
+    tracer = tracer_module.Tracer()
+    originals = (network.solve_ib, network.sample_channel, analysis.mux_combine)
+    with tracer.installed():
+        result = cli.run_single(cfg, data, 0, keep_model=True)
+        model = result["model"]
+        analysis.mi_flow(model, cli.quantize_with(model.quantizers, result["splits"][0]))
+    assert (network.solve_ib, network.sample_channel, analysis.mux_combine) == originals
+
+    assert tracer.cross_check_failures == []
+    topo = model.topology
+    assert topo.layer_sizes == (24, 12, 6, 3, 1)
+    counts = tracer.counts
+    # one solve per node, and the traced per-layer iterations are the model's
+    assert counts["ib.solve.calls"] == len(topo.slots)
+    for layer in range(len(topo.layers)):
+        assert counts[f"ib.iterations.L{layer}"] == sum(
+            node.diagnostics.iterations for (i, _), node in model.nodes.items() if i == layer)
+    # train, predict (train and test rows) and mi_flow: one sample call per layer
+    # and one symbol per node and row
+    n_train, n_test = result["splits"][0].n_rows, result["splits"][1].n_rows
+    assert counts["network.sample.calls"] == 4 * len(topo.layers)
+    assert counts["network.sample_symbols"] == len(topo.slots) * (3 * n_train + n_test)
