@@ -16,11 +16,11 @@ Each statistic is computed once per vector: a node's I(out;y) and H(out)
 serve its own row and the bounds of the mux it feeds, and a group's last
 stage observes the next node's input, whose I(in;y) its row already holds.
 Only the intermediate pair of a three-way mux needs its own I(pair;y) and
-H(pair).  A layer's statistics come from one pass: each of its vectors is
-counted by its own ``bincount`` of (v, y) pairs into one shared buffer, the
-plug-in joints, their row and column sums and the integer row sums behind
-H(v) are all taken from that buffer, and ``infotheory.entropies`` computes
-every entropy in one call, bit for bit equal to ``entropy`` of each.
+H(pair).  While the walk is on a layer, one ``bincount`` counts the (v, y)
+pairs of all its vectors, so no layer's arrays outlive it.  After the walk
+the joints, their row and column sums and the integer row sums behind H(v)
+all come from the tree's counts, and one ``infotheory.entropies`` call
+takes every entropy, bit for bit equal to ``entropy`` of each.
 """
 
 from __future__ import annotations
@@ -123,36 +123,43 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
     return ConditionalMatrix(aligned)
 
 
-def _information(vectors, cards, y, n_class, n_h):
-    """Plug-in I(v;y) of every vector and H(v) of the first ``n_h``, in bits.
+def _count(vectors, cards, y, n_class):
+    """One ``bincount`` of every vector's ``v * n_class + y``, each in its own segment.
 
     ``vectors`` lists vectors and ``(K, N)`` blocks of them; vector i takes
-    symbols in ``[0, cards[i])``.  Returns two lists of floats, each value
-    equal bit for bit to ``joint_mutual_information`` of the joint
-    ``bincount(v * n_class + y) / N`` and to ``entropy(bincount(v) / N)``.
+    symbols in ``[0, cards[i])``, so its segment is ``cards[i] * n_class`` long.
     """
-    sizes = [c * n_class for c in cards]
-    bounds = [0, *itertools.accumulate(sizes)]
-    # one bincount counts every vector into its own segment; vstack copies,
-    # so the arithmetic can be in place
+    bounds = [0, *itertools.accumulate(c * n_class for c in cards)]
+    # vstack copies, so the arithmetic can be in place
     cells = np.vstack(vectors)
     cells *= n_class
     cells += y
     cells += np.array(bounds[:-1])[:, None]
-    counts = np.bincount(cells.ravel(), minlength=bounds[-1]).astype(np.float64)
-    joint = counts / y.size
+    return np.bincount(cells.ravel(), minlength=bounds[-1])
+
+
+def _information(counts, cards, has_h, n_class, n_rows):
+    """Plug-in I(v;y) of every vector and H(v) of those ``has_h`` flags, in bits.
+
+    ``counts`` is ``_count`` output, or several of them concatenated.  Returns
+    two lists of floats, equal bit for bit to ``joint_mutual_information`` of
+    each segment divided by ``n_rows`` and to ``entropy(bincount(v) / n_rows)``.
+    """
+    sizes = [c * n_class for c in cards]
+    joint = counts / n_rows
     rows = joint.reshape(-1, n_class).sum(axis=1)  # P(v) of each vector, back to back
     # column sums add a joint's rows in order; stacking joints of one size keeps that order
+    starts, card_of = np.cumsum([0, *sizes[:-1]]), np.array(cards)
     cols = np.empty((len(cards), n_class))
     for card in set(cards):
-        same = [i for i, c in enumerate(cards) if c == card]
-        at = np.array([bounds[i] for i in same])[:, None] + np.arange(card * n_class)
-        cols[same] = joint[at].reshape(len(same), card, n_class).sum(axis=1)
+        same = np.flatnonzero(card_of == card)
+        at = starts[same, None] + np.arange(card * n_class)
+        cols[same] = joint[at].reshape(same.size, card, n_class).sum(axis=1)
     # H(v) from the integer row sums, which are bincount(v) exactly
-    h_rows = counts[:bounds[n_h]].reshape(-1, n_class).sum(axis=1) / y.size
+    h_rows = counts.reshape(-1, n_class).sum(axis=1)[np.repeat(has_h, cards)] / n_rows
     k = len(cards)
     ent = entropies(np.concatenate((rows, cols.ravel(), joint, h_rows)),
-                    cards + [n_class] * k + sizes + cards[:n_h])
+                    cards + [n_class] * k + sizes + list(itertools.compress(cards, has_h)))
     mi = ent[:k] + ent[k:2 * k] - ent[2 * k:3 * k]
     mi[mi <= 0] = 0.0  # as joint_mutual_information: rounding can read below 0
     return mi.tolist(), ent[3 * k:].tolist()
@@ -176,27 +183,30 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     def sample_layer(layer, inputs):
         return sample_channel(model.tables[layer].gather(inputs), rng)
 
-    nodes = []
-    muxes = []
-    below = below_mi = below_h = None  # outputs, I(out;y) and H(out) of the previous layer
     # layer i > 0 is fed by mux stage i - 1 and its inputs are the groups'
     # last-stage outputs, so only the first pair of a 3-way group is muxed here
     stages = ((),) + topo.mux_groups
+    counts, cards, has_h = [], [], []  # each layer's, counted while the walk is on it
+    below = r = None  # outputs of the previous layer and their alphabet size
     walked = walk(topo, data.symbols, sample_layer)
     for (layer_idx, inputs, outputs), groups in zip(walked, stages):
         layer = topo.layers[layer_idx]
-        cards = topo.layers[layer_idx - 1].n_out if layer_idx else ()
-        triples = [g for g in groups if len(g) == 3]
-        pairs = [mux_combine([below[a], below[b]], [cards[a], cards[b]]) for a, b, _ in triples]
-        pair_cards = [cards[a] * cards[b] for a, b, _ in triples]
-        mi, h = _information([outputs, *pairs, inputs],
-                             list(layer.n_out) + pair_cards + list(layer.n_in),
-                             y, data.n_class, n_h=layer.size + len(pairs))
-        mi_out, mi_pair, mi_in = mi[:layer.size], mi[layer.size:-layer.size], mi[-layer.size:]
-        h_out, h_pair = h[:layer.size], h[layer.size:]
-        nodes.extend(NodeFlow(layer=layer_idx, position=k, mi_in_y=mi_in[k],
-                              mi_out_y=mi_out[k], h_out=h_out[k])
-                     for k in range(layer.size))
+        pairs = [mux_combine([below[g[0]], below[g[1]]], [r, r]) for g in groups if len(g) == 3]
+        layer_cards = [layer.n_out] * layer.size + [r * r for _ in pairs] + list(layer.n_in)
+        counts.append(_count([outputs, *pairs, inputs], layer_cards, y, data.n_class))
+        cards += layer_cards
+        has_h += [True] * (layer.size + len(pairs)) + [False] * layer.size
+        below, r = outputs, layer.n_out
+    mi, h = _information(np.concatenate(counts), cards, has_h, data.n_class, y.size)
+
+    nodes, muxes = [], []
+    mi, h = iter(mi), iter(h)
+    below_mi = below_h = None  # I(out;y) and H(out) of the previous layer
+    for layer_idx, (layer, groups) in enumerate(zip(topo.layers, stages)):
+        k, n_pair = layer.size, sum(len(g) == 3 for g in groups)
+        mi_out, mi_pair, mi_in = (list(itertools.islice(mi, n)) for n in (k, n_pair, k))
+        h_out, h_pair = (list(itertools.islice(h, n)) for n in (k, n_pair))
+        nodes += (NodeFlow(layer_idx, pos, *v) for pos, v in enumerate(zip(mi_in, mi_out, h_out)))
         pair_stats = iter(zip(mi_pair, h_pair))
         for g_idx, g in enumerate(groups):
             i_acc, h_acc = below_mi[g[0]], below_h[g[0]]
@@ -206,16 +216,11 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
                 else:  # the last pair is this layer's input for the group
                     i_pair, h_pair = mi_in[g_idx], None
                 i_other, h_other = below_mi[member], below_h[member]
-                muxes.append(MuxFlow(
-                    layer=layer_idx - 1,
-                    position=g_idx,
-                    stage=stage,
-                    lower_bound=max(i_acc, i_other),
-                    observed=i_pair,
-                    upper_bound=min(i_acc + h_other, i_other + h_acc),
-                ))
+                muxes.append(MuxFlow(layer=layer_idx - 1, position=g_idx, stage=stage,
+                                     lower_bound=max(i_acc, i_other), observed=i_pair,
+                                     upper_bound=min(i_acc + h_other, i_other + h_acc)))
                 i_acc, h_acc = i_pair, h_pair
-        below, below_mi, below_h = outputs, mi_out, h_out
+        below_mi, below_h = mi_out, h_out
     return MIFlowReport(nodes=tuple(nodes), muxes=tuple(muxes))
 
 

@@ -322,10 +322,10 @@ def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missin
     topo = Topology(cards=tuple(spec.cardinality for spec in specs),
                     n_out=(cfg.model.n_out,) * depth + (len(train.classes),))
     for i, layer in enumerate(topo.layers):
-        for n_in, n_out in zip(layer.n_in, layer.n_out):
-            if n_in * n_out > MAX_ARRAY_ENTRIES:
+        for n_in in layer.n_in:
+            if n_in * layer.n_out > MAX_ARRAY_ENTRIES:
                 raise ConfigError(
-                    f"a layer-{i} node channel of {n_in} x {n_out} entries exceeds the "
+                    f"a layer-{i} node channel of {n_in} x {layer.n_out} entries exceeds the "
                     f"limit of {MAX_ARRAY_ENTRIES}; lower model.n_out or the quantizer levels")
     rows = quantize_with(specs, train)
     model = train_network(

@@ -40,7 +40,6 @@ solver's start seeds come from ``derive_seed``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -75,7 +74,7 @@ def derive_seed(*parts: int) -> int:
 @dataclass(frozen=True)
 class LayerSpec:
     n_in: tuple          # per-node input cardinality
-    n_out: tuple         # per-node output cardinality
+    n_out: int           # output cardinality of every node of the layer
 
     @property
     def size(self) -> int:
@@ -114,17 +113,14 @@ class Topology:
         if any(v < 1 for v in n_out):
             raise ConfigError("n_out values must be >= 1")
 
-        layers = [LayerSpec(n_in=cards, n_out=(n_out[0],) * len(cards))]
-        mux_groups = []
-        for i in range(1, len(sizes)):
-            groups = _group_layer(sizes[i - 1])
-            n_in = tuple(math.prod(layers[-1].n_out[m] for m in g) for g in groups)
-            layers.append(LayerSpec(n_in=n_in, n_out=(n_out[i],) * sizes[i]))
-            mux_groups.append(groups)
+        mux_groups = tuple(_group_layer(size) for size in sizes[:-1])
+        layers = (LayerSpec(n_in=cards, n_out=n_out[0]),) + tuple(
+            LayerSpec(n_in=tuple(r ** len(g) for g in groups), n_out=v)
+            for r, v, groups in zip(n_out, n_out[1:], mux_groups))
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "n_out", n_out)
-        object.__setattr__(self, "layers", tuple(layers))
-        object.__setattr__(self, "mux_groups", tuple(mux_groups))
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "mux_groups", mux_groups)
 
     @property
     def depth(self) -> int:
@@ -230,7 +226,7 @@ class DINModel:
 
     def __post_init__(self, trained_tables):
         layers = self.topology.layers
-        slots = {(i, k): (layers[i].n_in[k], layers[i].n_out[k])
+        slots = {(i, k): (layers[i].n_in[k], layers[i].n_out)
                  for i, k in self.topology.slots}
         if set(self.nodes) != set(slots):
             raise ValidationError("one trained node per topology slot required")
@@ -345,11 +341,10 @@ def walk(topology: Topology, columns, layer):
         outputs = layer(layer_idx, inputs)
         yield layer_idx, inputs, outputs
         if layer_idx < topology.depth:
-            r = spec.n_out[0]  # every node of a layer has one output alphabet
             n = 2 * sum(len(g) == 2 for g in topology.mux_groups[layer_idx])
-            packed = [mux_combine([outputs[0:n:2], outputs[1:n:2]], [r, r])] if n else []
+            packed = [mux_combine([outputs[0:n:2], outputs[1:n:2]], [spec.n_out] * 2)] if n else []
             if spec.size % 2:
-                packed.append(mux_combine(list(outputs[n:]), [r, r, r])[None])
+                packed.append(mux_combine(list(outputs[n:]), [spec.n_out] * 3)[None])
             inputs = packed[0] if len(packed) == 1 else np.concatenate(packed)
 
 
@@ -387,7 +382,7 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
         layer = topology.layers[layer_idx]
         for k, symbols in enumerate(inputs):
             px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
-            problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out[k])
+            problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out)
             sol = solve_ib(problem, tol=tol, max_iter=max_iter,
                            seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
                            keep_input=layer_idx < topology.depth)

@@ -3,9 +3,12 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinet import (
     ConditionalMatrix,
@@ -16,10 +19,12 @@ from dinet import (
     ValidationError,
     check_bounds,
     compose_full_matrix,
+    make_synthetic_ckd,
     mi_flow,
     train_network,
 )
-from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _information
+from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _count, _information
+from dinet.cli import apply_overrides, load_config, prepare_dataset, run_single
 from dinet.errors import ResourceError
 from dinet.ib import IBDiagnostics
 from dinet.infotheory import entropy, joint_mutual_information
@@ -27,9 +32,12 @@ from dinet.network import (
     _STREAM_MIFLOW,
     channel_cdf,
     mux_combine,
+    quantize_features,
     sample_channel,
+    tree_layer_sizes,
     walk,
 )
+from tests.conftest import REPO_ROOT
 
 
 def hand_model(channels_by_slot, topo, n_class=2, alignment=None):
@@ -52,7 +60,7 @@ def random_model(D, rng, n_out=2, n_class=2):
     channels = {}
     for li, layer in enumerate(topo.layers):
         for k in range(layer.size):
-            channels[(li, k)] = rng.dirichlet(np.ones(layer.n_out[k]), size=layer.n_in[k])
+            channels[(li, k)] = rng.dirichlet(np.ones(layer.n_out), size=layer.n_in[k])
     return hand_model(channels, topo, n_class=n_class)
 
 
@@ -68,7 +76,7 @@ def brute_force_compose(model):
         for li, layer in enumerate(topo.layers):
             nxt = {}
             for symbols, pr in paths.items():
-                for outs in itertools.product(*[range(layer.n_out[k])
+                for outs in itertools.product(*[range(layer.n_out)
                                                 for k in range(layer.size)]):
                     p = pr
                     for k in range(layer.size):
@@ -80,7 +88,7 @@ def brute_force_compose(model):
                     else:
                         key = tuple(
                             int(mux_combine([np.array([outs[m]]) for m in g],
-                                            [layer.n_out[m] for m in g])[0])
+                                            [layer.n_out] * len(g))[0])
                             for g in topo.mux_groups[li])
                     nxt[key] = nxt.get(key, 0.0) + p
             paths = nxt
@@ -143,6 +151,69 @@ def trained_toy(seed=0, n=400):
     return data, train_network(data, topo, beta=10.0, seed=seed)
 
 
+def assert_plugin_flow(model, data):
+    """Assert that ``mi_flow`` equals, bit for bit, the plug-in formula on the walk's samples.
+
+    The joint is bincount(v * n_class + y) / N and I = H(row sums) + H(column
+    sums) - H(joint), read as 0.0 where rounding takes it to 0 or below; H(v)
+    is the entropy of bincount(v) / N.  The CSV writes repr() of each value, so
+    a last-ulp or sign-of-zero change would change its bytes.  Returns the report.
+    """
+    topo, y, n_class = model.topology, data.labels, data.n_class
+
+    def h(p):
+        nz = p[p > 0]
+        return 0.0 - float((nz * np.log2(nz)).sum())
+
+    def mi(v, card):
+        joint = np.bincount(v * n_class + y, minlength=card * n_class).reshape(card, n_class)
+        joint = joint.astype(np.float64) / v.size
+        value = h(joint.sum(axis=1)) + h(joint.sum(axis=0)) - h(joint.ravel())
+        return value if value > 0 else 0.0
+
+    def ent(v, card):
+        return h(np.bincount(v, minlength=card).astype(np.float64) / v.size)
+
+    rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
+
+    def sample_node_by_node(layer, inputs):
+        return np.array([
+            sample_channel(channel_cdf(model.nodes[(layer, k)].channel.p).take(symbols, axis=1),
+                           rng)
+            for k, symbols in enumerate(inputs)])
+
+    walked = [(list(inputs), list(outputs))
+              for _, inputs, outputs in walk(topo, data.columns, sample_node_by_node)]
+    want_nodes = [NodeFlow(layer=i, position=k, mi_in_y=mi(inputs[k], layer.n_in[k]),
+                           mi_out_y=mi(outputs[k], layer.n_out),
+                           h_out=ent(outputs[k], layer.n_out))
+                  for i, ((inputs, outputs), layer) in enumerate(zip(walked, topo.layers))
+                  for k in range(layer.size)]
+    want_muxes = []
+    for i, groups in enumerate(topo.mux_groups):
+        outputs, card = walked[i][1], topo.layers[i].n_out
+        for g_idx, g in enumerate(groups):
+            acc, acc_card = outputs[g[0]], card
+            for stage, m in enumerate(g[1:]):
+                pair = mux_combine([acc, outputs[m]], [acc_card, card])
+                i_acc, i_other = mi(acc, acc_card), mi(outputs[m], card)
+                want_muxes.append(MuxFlow(
+                    layer=i, position=g_idx, stage=stage,
+                    lower_bound=max(i_acc, i_other),
+                    observed=mi(pair, acc_card * card),
+                    upper_bound=min(i_acc + ent(outputs[m], card), i_other + ent(acc, acc_card))))
+                acc, acc_card = pair, acc_card * card
+
+    report = mi_flow(model, data)
+    assert report.nodes == tuple(want_nodes)
+    assert report.muxes == tuple(want_muxes)
+    report.to_csv("got.csv")
+    MIFlowReport(nodes=tuple(want_nodes), muxes=tuple(want_muxes)).to_csv("want.csv")
+    with open("got.csv", "rb") as got, open("want.csv", "rb") as want:
+        assert got.read() == want.read()
+    return report
+
+
 class TestMiFlow:
     def test_report_shape_and_nonnegativity(self):
         data, model = trained_toy()
@@ -166,7 +237,8 @@ class TestMiFlow:
                 below += formula < 0
                 v = np.repeat(np.arange(card), n_class)
                 y = np.tile(np.arange(n_class), card)
-                (flow,), _ = _information([v], [card], y, n_class, n_h=0)
+                (flow,), _ = _information(_count([v], [card], y, n_class), [card], [False],
+                                          n_class, y.size)
                 for mi in (joint_mutual_information(joint), flow):
                     # copysign tells 0.0 from -0.0
                     assert math.copysign(1.0, mi) == 1.0, (card, n_class, mi)
@@ -211,13 +283,7 @@ class TestMiFlow:
     @pytest.mark.parametrize("cards", [[2, 3, 4, 2, 3, 2, 3], [10, 11, 10, 11, 10, 11, 10]],
                              ids=["alphabets_2_to_4", "alphabets_10_to_11"])
     def test_values_are_exactly_the_plugin_formula(self, cards):
-        """Every figure equals, bit for bit, the plug-in formula on the walk's samples.
-
-        The joint is bincount(v * card_y + y) / N and I = H(row sums) + H(column
-        sums) - H(joint); H(v) is the entropy of bincount(v) / N.  The CSV writes
-        repr() of each value, so a last-ulp change would change its bytes.  With
-        10-11 symbols every layer-0 joint has 20 or more entries, some of them zero.
-        """
+        """With 10-11 symbols every layer-0 joint has 20 or more entries, some of them zero."""
         rng = np.random.default_rng(11)
         y = rng.integers(0, 2, 200)
         columns = tuple(np.where(rng.random(200) < 0.6, y, rng.integers(0, c, 200))
@@ -226,54 +292,53 @@ class TestMiFlow:
                                 n_class=2)
         topo = Topology(cards=cards, n_out=(3, 3, 2))  # two 3-way groups
         model = train_network(data, topo, beta=5.0, seed=3)
+        assert sum(m.stage == 1 for m in assert_plugin_flow(model, data).muxes) == 2
 
-        def h(p):
-            nz = p[p > 0]
-            return float(-(nz * np.log2(nz)).sum())
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_values_are_exactly_the_plugin_formula_on_random_trees(self, draw):
+        """1-9 features (odd layers, 3-way groups, a one-node tree), alphabets of
+        1-12 symbols, 1-4 outputs per layer and 1-60 rows, whose labels may leave
+        a class out; channels mix spread and deterministic rows."""
+        D = draw.draw(st.integers(1, 9), label="D")
+        cards = draw.draw(st.lists(st.integers(1, 12), min_size=D, max_size=D), label="cards")
+        n_out = draw.draw(st.lists(st.integers(1, 4), min_size=len(tree_layer_sizes(D)),
+                                   max_size=len(tree_layer_sizes(D))), label="n_out")
+        n_rows = draw.draw(st.integers(1, 60), label="N")
+        y = np.array(draw.draw(st.lists(st.integers(0, n_out[-1] - 1), min_size=n_rows,
+                                        max_size=n_rows), label="labels"))
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        data = QuantizedDataset(columns=tuple(rng.integers(0, c, n_rows) for c in cards),
+                                cardinalities=tuple(cards), labels=y, n_class=n_out[-1])
+        topo = Topology(cards=cards, n_out=n_out)
+        channels = {}
+        for li, layer in enumerate(topo.layers):
+            for k, n_in in enumerate(layer.n_in):
+                chan = rng.dirichlet(np.full(layer.n_out, 0.5), size=n_in)
+                point = rng.random(n_in) < 0.3
+                chan[point] = np.eye(layer.n_out)[rng.integers(0, layer.n_out, point.sum())]
+                channels[(li, k)] = chan
+        assert_plugin_flow(hand_model(channels, topo, n_class=n_out[-1]), data)
 
-        def mi(v, card):
-            joint = np.bincount(v * 2 + y, minlength=card * 2).reshape(card, 2)
-            joint = joint.astype(np.float64) / v.size
-            return h(joint.sum(axis=1)) + h(joint.sum(axis=0)) - h(joint.ravel())
-
-        def ent(v, card):
-            return h(np.bincount(v, minlength=card).astype(np.float64) / v.size)
-
-        rng = np.random.default_rng([model.seed, _STREAM_MIFLOW])
-
-        def sample_node_by_node(layer, inputs):
-            return np.array([
-                sample_channel(channel_cdf(model.nodes[(layer, k)].channel.p).take(symbols, axis=1),
-                               rng)
-                for k, symbols in enumerate(inputs)])
-
-        walked = [(list(inputs), list(outputs))
-                  for _, inputs, outputs in walk(topo, data.columns, sample_node_by_node)]
-        want_nodes = [NodeFlow(layer=i, position=k, mi_in_y=mi(inputs[k], layer.n_in[k]),
-                               mi_out_y=mi(outputs[k], layer.n_out[k]),
-                               h_out=ent(outputs[k], layer.n_out[k]))
-                      for i, ((inputs, outputs), layer) in enumerate(zip(walked, topo.layers))
-                      for k in range(layer.size)]
-        want_muxes = []
-        for i, groups in enumerate(topo.mux_groups):
-            outputs, out_cards = walked[i][1], topo.layers[i].n_out
-            for g_idx, g in enumerate(groups):
-                acc, acc_card = outputs[g[0]], out_cards[g[0]]
-                for stage, m in enumerate(g[1:]):
-                    other, card = outputs[m], out_cards[m]
-                    pair = mux_combine([acc, other], [acc_card, card])
-                    i_acc, i_other = mi(acc, acc_card), mi(other, card)
-                    want_muxes.append(MuxFlow(
-                        layer=i, position=g_idx, stage=stage,
-                        lower_bound=max(i_acc, i_other),
-                        observed=mi(pair, acc_card * card),
-                        upper_bound=min(i_acc + ent(other, card), i_other + ent(acc, acc_card))))
-                    acc, acc_card = pair, acc_card * card
-
-        report = mi_flow(model, data)
-        assert sum(m.stage == 1 for m in report.muxes) == 2
-        assert report.nodes == tuple(want_nodes)
-        assert report.muxes == tuple(want_muxes)
+    def test_a_large_batch_peaks_at_one_layer_of_arrays(self):
+        """Under tracemalloc, ``mi_flow`` on 4000 rows of 24 features peaks at most
+        2.5 MiB above its start.  A layer-0 array is 750 KiB, and the layer-0
+        gather and draw alone reach 2.39 MiB.  Keeping every layer's vectors to
+        count them after the walk, not while the walk is on the layer, reads 5.0 MiB."""
+        cfg = apply_overrides(load_config(REPO_ROOT / "configs" / "synthetic_smoke.json"),
+                              ["workers=1"])
+        model = run_single(cfg, prepare_dataset(cfg), 0, keep_model=True)["model"]
+        batch = quantize_features(model, make_synthetic_ckd(n_rows=4000, seed=1))
+        assert batch.symbols.shape == (24, 4000)
+        mi_flow(model, batch)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mi_flow(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2.5 * 2**20
 
     def test_empty_table_is_refused(self):
         _, model = trained_toy()

@@ -477,7 +477,7 @@ def propagate_oracle(topology, channels, columns, rng, record=None):
             return sampled[0]
         groups = topology.mux_groups[layer_idx]
         current = [
-            mux_combine([sampled[m] for m in g], [layer.n_out[m] for m in g])
+            mux_combine([sampled[m] for m in g], [layer.n_out] * len(g))
             for g in groups
         ]
 
@@ -555,7 +555,7 @@ class TestWalk:
         got_nodes = [(n.layer, n.position, n.mi_in_y, n.mi_out_y, n.h_out) for n in report.nodes]
         want_muxes = []
         for i, groups in enumerate(topo.mux_groups):
-            outputs, cards = record[i][1], topo.layers[i].n_out
+            outputs, cards = record[i][1], [topo.layers[i].n_out] * len(record[i][1])
             for g_idx, g in enumerate(groups):
                 acc, acc_card = outputs[g[0]], cards[g[0]]
                 for stage, m in enumerate(g[1:]):
@@ -733,7 +733,7 @@ def reference_walk(topology, columns, node):
         yield layer_idx, inputs, outputs
         if layer_idx < topology.depth:
             inputs = [
-                mux_combine([outputs[m] for m in g], [layer.n_out[m] for m in g])
+                mux_combine([outputs[m] for m in g], [layer.n_out] * len(g))
                 for g in topology.mux_groups[layer_idx]
             ]
 
@@ -752,7 +752,7 @@ def reference_train(data, topology, beta, max_iter, seed):
         nonlocal final_solution
         layer = topology.layers[layer_idx]
         px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
-        problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out[k])
+        problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out)
         sol = solve_ib(problem, max_iter=max_iter,
                        seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
                        keep_input=layer_idx < topology.depth)
