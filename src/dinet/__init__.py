@@ -20,13 +20,13 @@ from .ib import (
     estimate_empirical,
     ib_step,
     lagrangian,
+    posteriors,
     solve_ib,
 )
 from .infotheory import ConditionalMatrix, DiscreteDistribution
 from .network import (
     DINModel,
     Topology,
-    TrainedNode,
     mux_combine,
     mux_split,
     predict,
@@ -58,7 +58,6 @@ __all__ = [
     "ResourceError",
     "SchemaMismatchError",
     "Topology",
-    "TrainedNode",
     "ValidationError",
     "apply_quantizer",
     "check_bounds",
@@ -74,6 +73,7 @@ __all__ = [
     "mi_flow",
     "mux_combine",
     "mux_split",
+    "posteriors",
     "predict",
     "predict_quantized",
     "save_model",

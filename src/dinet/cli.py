@@ -28,21 +28,24 @@ import numpy as np
 from .analysis import MIFlowReport, mi_flow
 from .dataio import (
     CKD_URL,
+    DEFAULT_MISSING_TOKENS,
     RawDataset,
     fetch_ckd,
     json_error,
     load_dataset,
     load_model,
-    read_text,
+    read_json,
     save_model,
     split,
     write_text,
 )
 from . import network
 from .errors import ConfigError, DatasetFormatError, DinetError, ResourceError
+from .ib import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .network import (Topology, derive_seed, predict, quantize_features, train_network,
                       tree_layer_sizes)
-from .quantizer import CATEGORICAL, CONTINUOUS, QuantizedDataset, fit_quantizer, quantize_with
+from .quantizer import (CATEGORICAL, CATEGORICAL_MAX_DISTINCT, CONTINUOUS, QuantizedDataset,
+                        fit_quantizer, quantize_with)
 from .synthetic import make_synthetic_ckd
 
 _RUN_TAG = 7          # purpose tag for per-run seed derivation
@@ -66,7 +69,7 @@ class DatasetConfig:
     format: str = "arff"              # csv | arff | synthetic
     target: str = "class"
     positive_class: str = "ckd"
-    missing_tokens: list[str] = field(default_factory=lambda: ["?", ""])
+    missing_tokens: list[str] = field(default_factory=lambda: list(DEFAULT_MISSING_TOKENS))
     delimiter: str = ","
     synthetic_rows: int = 400
     synthetic_seed: int = 7
@@ -75,7 +78,7 @@ class DatasetConfig:
 @dataclass
 class QuantizerConfig:
     default_levels: int | None = None     # None: one bin per distinct value
-    categorical_max_distinct: int = 16
+    categorical_max_distinct: int = CATEGORICAL_MAX_DISTINCT
     overrides: dict = field(default_factory=dict)
 
 
@@ -83,8 +86,8 @@ class QuantizerConfig:
 class ModelConfig:
     beta: float = 5.0
     n_out: int = 3                    # output alphabet of every node below the class node
-    tol: float = 1e-8
-    max_iter: int = 500
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
 
 
 @dataclass
@@ -189,10 +192,7 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        raw = json.loads(read_text(p, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
+    raw = read_json(p, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
     return config_from_dict(raw)
@@ -207,7 +207,7 @@ def apply_overrides(cfg: ExperimentConfig, assignments) -> ExperimentConfig:
         key, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             parsed = value
         node = d
         parts = key.split(".")

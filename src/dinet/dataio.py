@@ -1,7 +1,9 @@
 """Dataset ingestion (CSV / minimal ARFF), splitting, model persistence.
 
 Every file is read by ``read_text`` (strict UTF-8: a bad byte is the
-caller's format error, naming its line) and written by ``write_text`` (UTF-8
+caller's format error, naming its line), a JSON file through ``read_json``
+(text that is not JSON, or nests too deeply to parse, is that error too),
+and written by ``write_text`` (UTF-8
 bytes, line ends as given on every platform, parent directory made on
 demand); a path that cannot be read or written raises ``ResourceError``.
 
@@ -18,10 +20,10 @@ written with shortest-repr encoding.  ``json_error`` is the one rule for
 which JSON value a field may hold, read from a type annotation; model
 payloads and config files are both checked with it.  A version-2 payload
 holds only what fixes the model: one ``n_out`` per layer and, per node, its
-channel and training diagnostics.  The tree is read from the row count of
-each layer-0 channel and ``n_out``; the mux wiring and every other node's
-shape are derived, so a payload loads only when the model rebuilt from it
-writes back the same JSON values.
+channel and its ``IBDiagnostics``, each field under its own name.  The tree
+is read from the row count of each layer-0 channel and ``n_out``; the mux
+wiring and every other node's shape are derived, so a payload loads only
+when the model rebuilt from it writes back the same JSON values.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from .errors import (
     ValidationError,
     naming_os_errors,
 )
-from .ib import IBDiagnostics
+from .ib import IBDiagnostics, IBSolution
 from .infotheory import ConditionalMatrix
-from .network import DINModel, Topology, TrainedNode
+from .network import DINModel, Topology
 from .quantizer import FeatureSpec, RawColumn
 
 DEFAULT_MISSING_TOKENS = ("?", "")
@@ -115,6 +117,18 @@ def read_text(path, error) -> str:
     except UnicodeDecodeError as exc:
         line = len(_LINE_END.split(raw[:exc.start].decode("utf-8")))
         raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json(path, error):
+    """The JSON value in ``path``; text that is not JSON, or that nests too
+    deeply for the parser, raises ``error`` naming the path."""
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise error(f"{path}: not valid JSON (nested too deeply to read)") from None
 
 
 def write_text(path, text: str) -> None:
@@ -376,19 +390,9 @@ def _model_payload(model: DINModel) -> dict:
         "class_alignment": list(model.class_alignment),
         "n_out": list(model.topology.n_out),
         "quantizers": [asdict(s) for s in model.quantizers],
-        "nodes": [
-            {
-                "layer": layer,
-                "position": pos,
-                "channel": node.channel.p.tolist(),
-                "mi_in_y": node.mi_in_y,
-                "iterations": node.diagnostics.iterations,
-                "converged": node.diagnostics.converged,
-                "i_in_out": node.diagnostics.i_in_out,
-                "i_y_out": node.diagnostics.i_y_out,
-            }
-            for (layer, pos), node in sorted(model.nodes.items())
-        ],
+        "nodes": [{"layer": layer, "position": pos, "channel": node.channel.p.tolist(),
+                   **asdict(node.diagnostics)}
+                  for (layer, pos), node in sorted(model.nodes.items())],
     }
 
 
@@ -412,11 +416,13 @@ def save_model(model: DINModel, path) -> None:
 _PAYLOAD_TYPES = dict(beta=float, seed=int, feature_names=list[str], class_names=list[str],
                       class_alignment=list[int], n_out=list[int], quantizers=list, nodes=list)
 
+# a node's scalars are its diagnostics, each under its field name
+_DIAGNOSTIC_TYPES = typing.get_type_hints(IBDiagnostics)
+
 # the keys of each entry of a payload list, and the JSON value each must hold
 _ENTRY_TYPES = {
     "node": ("nodes", dict(layer=int, position=int, channel=list[list[float]],
-                           iterations=int, converged=bool, mi_in_y=float, i_in_out=float,
-                           i_y_out=float)),
+                           **_DIAGNOSTIC_TYPES)),
     "quantizer": ("quantizers", dict(kind=str, has_missing=bool, name=str, levels=int | None,
                                      vmin=float | None, vmax=float | None,
                                      categories=list[str | float])),
@@ -442,10 +448,7 @@ def load_model(path) -> DINModel:
     same JSON values, so a file loads exactly when ``save_model`` could
     have written it, except that a float may be written as an integer.
     """
-    try:
-        doc = json.loads(read_text(path, ModelFormatError))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
+    doc = read_json(path, ModelFormatError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
@@ -476,19 +479,10 @@ def load_model(path) -> DINModel:
 
 
 def _model_from_payload(payload: dict) -> DINModel:
-    nodes = {}
-    for nd in payload["nodes"]:
-        diag = IBDiagnostics(
-            iterations=nd["iterations"],
-            i_in_out=nd["i_in_out"],
-            i_y_out=nd["i_y_out"],
-            converged=nd["converged"],
-        )
-        nodes[(nd["layer"], nd["position"])] = TrainedNode(
-            channel=ConditionalMatrix(np.array(nd["channel"], dtype=np.float64)),
-            diagnostics=diag,
-            mi_in_y=nd["mi_in_y"],
-        )
+    nodes = {(nd["layer"], nd["position"]): IBSolution(
+        ConditionalMatrix(np.array(nd["channel"], dtype=np.float64)),
+        IBDiagnostics(**{key: nd[key] for key in _DIAGNOSTIC_TYPES}))
+        for nd in payload["nodes"]}
     # the tree is fixed by n_out and the layer-0 alphabets, each channel's row count
     cards = [node.channel.rows for (layer, _), node in sorted(nodes.items()) if layer == 0]
     return DINModel(

@@ -33,19 +33,24 @@ reduce and is not compressed: its channel is the identity embedding
 losslessly as a multiplexer does, and its diagnostics read zero
 iterations, converged.  The network asks this of every node below the
 final one.
+
+``solve_ib`` returns the record a trained model keeps per node: an
+``IBSolution`` of the channel and its ``IBDiagnostics``, whose fields are
+also the node's scalars in a model file.  What a channel induces, the
+output marginal and class posterior, comes from ``posteriors(problem,
+channel)`` when it is wanted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .infotheory import ConditionalMatrix, DiscreteDistribution, entropy
+from .infotheory import ConditionalMatrix, DiscreteDistribution, entropy, mutual_information
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
@@ -82,39 +87,24 @@ class IBProblem:
 
 @dataclass(frozen=True)
 class IBDiagnostics:
-    """How the solve ended; an information that rounding reads below 0 is stored as 0.0."""
+    """How the solve ended and the node's point in the information plane.
+
+    An information that rounding reads below 0 is stored as 0.0.
+    """
 
     iterations: int          # evaluations of the self-consistent update
     i_in_out: float          # I(in;out)
     i_y_out: float           # I(y;out)
     converged: bool
+    mi_in_y: float           # I(in;y), what the input carries about the class
 
 
 @dataclass(frozen=True)
 class IBSolution:
-    """Learned channel plus the marginal/posterior it induces.
-
-    ``p_out`` and ``py_given_out`` are built from the channel on first read
-    and kept: training reads them for the final node only.
-    """
+    """A trained node: its channel P(out|in) and how the solve ended."""
 
     channel: ConditionalMatrix
     diagnostics: IBDiagnostics
-    _src: _Source = field(repr=False, compare=False)
-
-    @cached_property
-    def _induced(self):
-        with np.errstate(**_QUIET):
-            p_out, py_out = _posteriors(self._src, self.channel.p)
-        return DiscreteDistribution(p_out), ConditionalMatrix(py_out)
-
-    @property
-    def p_out(self) -> DiscreteDistribution:
-        return self._induced[0]
-
-    @property
-    def py_given_out(self) -> ConditionalMatrix:
-        return self._induced[1]
 
 
 def estimate_empirical(x_symbols, y_labels, n_in: int, n_class: int):
@@ -194,17 +184,6 @@ def _bayes(src: _Source, channel):
     return p_out, joint.T @ src.py_x
 
 
-def _posteriors(src: _Source, channel):
-    """Output marginal and class posterior induced by a channel.
-
-    Outputs with zero marginal get the global class prior as posterior;
-    the update gives them zero weight anyway.
-    """
-    p_out, py_out = _bayes(src, channel)
-    py_out[p_out == 0] = src.prior
-    return p_out, py_out
-
-
 _NEG_HUGE = -1e300  # finite stand-in for log2(0): keeps 0*log terms at 0, not nan
 
 
@@ -260,6 +239,21 @@ def ib_step(problem: IBProblem, channel: ConditionalMatrix) -> ConditionalMatrix
     src = _source(problem)
     with np.errstate(**_QUIET):
         return ConditionalMatrix(_step(src, problem.beta, channel.p))
+
+
+def posteriors(problem: IBProblem,
+               channel: ConditionalMatrix) -> tuple[DiscreteDistribution, ConditionalMatrix]:
+    """The output marginal P(out) and class posterior P(y|out) a channel induces.
+
+    An output of zero marginal gets the class prior as its posterior; the
+    update gives it zero weight anyway.
+    """
+    _check_channel(problem, channel)
+    src = _source(problem)
+    with np.errstate(**_QUIET):
+        p_out, py_out = _bayes(src, channel.p)
+    py_out[p_out == 0] = src.prior
+    return DiscreteDistribution(p_out), ConditionalMatrix(py_out)
 
 
 def _plogp(a) -> float:
@@ -392,9 +386,6 @@ def solve_ib(problem: IBProblem, tol: float = DEFAULT_TOL,
             start = _init_channel(problem.n_in, problem.n_out, np.random.default_rng(seed))
             channel, iterations, converged = _squarem(src, problem.beta, start, tol, max_iter)
         i_in_out, i_y_out = (0.0 if v <= 0 else v for v in _information(src, channel))
-
-    return IBSolution(
-        channel=ConditionalMatrix(channel),
-        diagnostics=IBDiagnostics(iterations, i_in_out, i_y_out, converged),
-        _src=src,
-    )
+    mi_in_y = mutual_information(problem.px.probs, problem.py_given_x.p)
+    return IBSolution(ConditionalMatrix(channel),
+                      IBDiagnostics(iterations, i_in_out, i_y_out, converged, mi_in_y))

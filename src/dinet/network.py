@@ -8,7 +8,8 @@ one way to build a tree: the layer-0 alphabets and one output alphabet per
 layer fix it, and its layer shapes and mux groups are derived from them.
 Layers train in order: each node solves its own bottleneck problem against
 the target, then stochastically emits the symbol stream the next layer
-trains on.
+trains on.  The model keeps each node as ``solve_ib`` returned it, an
+``IBSolution`` of channel and diagnostics.
 
 A node below the final layer whose output alphabet can hold its input
 (``n_in <= n_out``) has nothing to compress and keeps its input, as a mux
@@ -45,15 +46,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SchemaMismatchError, ValidationError
-from .ib import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    IBDiagnostics,
-    IBProblem,
-    estimate_empirical,
-    solve_ib,
-)
-from .infotheory import ConditionalMatrix, mutual_information
+from .ib import DEFAULT_MAX_ITER, DEFAULT_TOL, IBProblem, estimate_empirical, posteriors, solve_ib
 from .quantizer import QuantizedDataset, quantize_with
 
 # stream purposes for seed derivation
@@ -204,16 +197,9 @@ def mux_split(symbols, radices):
 # trained model
 
 @dataclass(frozen=True)
-class TrainedNode:
-    channel: ConditionalMatrix   # n_in x n_out
-    diagnostics: IBDiagnostics
-    mi_in_y: float           # I(input; target) on the training estimates
-
-
-@dataclass(frozen=True)
 class DINModel:
     topology: Topology
-    nodes: dict              # (layer, position) -> TrainedNode
+    nodes: dict              # (layer, position) -> the node's IBSolution
     quantizers: tuple        # FeatureSpec per layer-0 node, () when trained on symbols
     feature_names: tuple
     class_names: tuple
@@ -356,7 +342,8 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
 
     Each node gets empirical estimates from its (possibly sampled) input
     stream, solves its bottleneck problem, then emits one stochastic
-    realization that feeds the muxes of the next layer.  A non-final node
+    realization that feeds the muxes of the next layer.  The final node's
+    class posteriors align its outputs to the classes.  A non-final node
     with ``n_in <= n_out`` keeps its input (see the module docstring).  A
     node that fails to converge is recorded in its diagnostics, not fatal.
     """
@@ -374,24 +361,18 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
 
     nodes = {}
     tables = []
-    final_solution = None
+    final_problem = None
     rng = np.random.default_rng([seed, _STREAM_TRAIN_SAMPLE])
 
     def train_layer(layer_idx, inputs):
-        nonlocal final_solution
+        nonlocal final_problem
         layer = topology.layers[layer_idx]
         for k, symbols in enumerate(inputs):
             px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
-            problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out)
-            sol = solve_ib(problem, tol=tol, max_iter=max_iter,
-                           seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
-                           keep_input=layer_idx < topology.depth)
-            nodes[(layer_idx, k)] = TrainedNode(
-                channel=sol.channel,
-                diagnostics=sol.diagnostics,
-                mi_in_y=mutual_information(px.probs, py_x.p),
-            )
-            final_solution = sol  # the walk ends on the final node
+            final_problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out)
+            nodes[(layer_idx, k)] = solve_ib(final_problem, tol=tol, max_iter=max_iter,
+                                             seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
+                                             keep_input=layer_idx < topology.depth)
         tables.append(LayerTable.of([nodes[(layer_idx, k)].channel.p
                                      for k in range(layer.size)]))
         return sample_channel(tables[-1].gather(inputs), rng)
@@ -399,14 +380,15 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
     for _ in walk(topology, data.symbols, train_layer):
         pass
 
-    alignment = _align_classes(final_solution.py_given_out.p)
+    # the walk ends on the final node, whose outputs are aligned to classes
+    _, py_out = posteriors(final_problem, nodes[(topology.depth, 0)].channel)
     return DINModel(
         topology=topology,
         nodes=nodes,
         quantizers=tuple(quantizers),
         feature_names=tuple(feature_names),
         class_names=tuple(class_names),
-        class_alignment=alignment,
+        class_alignment=_align_classes(py_out.p),
         beta=float(beta),
         seed=int(seed),
         trained_tables=tuple(tables),

@@ -15,7 +15,6 @@ from dinet import (
     DINModel,
     QuantizedDataset,
     Topology,
-    TrainedNode,
     ValidationError,
     check_bounds,
     compose_full_matrix,
@@ -26,7 +25,7 @@ from dinet import (
 from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _count, _information
 from dinet.cli import apply_overrides, load_config, prepare_dataset, run_single
 from dinet.errors import ResourceError
-from dinet.ib import IBDiagnostics
+from dinet.ib import IBDiagnostics, IBSolution
 from dinet.infotheory import entropy, joint_mutual_information
 from dinet.network import (
     _STREAM_MIFLOW,
@@ -41,12 +40,8 @@ from tests.conftest import REPO_ROOT
 
 
 def hand_model(channels_by_slot, topo, n_class=2, alignment=None):
-    nodes = {}
-    for (layer, pos), chan in channels_by_slot.items():
-        chan = ConditionalMatrix(chan)
-        nodes[(layer, pos)] = TrainedNode(
-            channel=chan, diagnostics=IBDiagnostics(0, 0.0, 0.0, True),
-            mi_in_y=0.0)
+    nodes = {slot: IBSolution(ConditionalMatrix(chan), IBDiagnostics(0, 0.0, 0.0, True, 0.0))
+             for slot, chan in channels_by_slot.items()}
     return DINModel(topology=topo, nodes=nodes, quantizers=(), feature_names=(),
                     class_names=tuple(str(i) for i in range(n_class)),
                     class_alignment=alignment or tuple(range(n_class)),

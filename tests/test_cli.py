@@ -806,10 +806,63 @@ class TestCommands:
         assert self.one_error_line(err) == {
             "error": "ConfigError", "message": f"{p}: line 1: not UTF-8 text (invalid start byte)"}
 
+    @pytest.mark.parametrize("source", ["config", "override", "model"])
+    def test_deeply_nested_json_exits_as_one_line(self, config_file, tmp_path, capsys, source):
+        """A value nested beyond what json.loads parses, and the deepest one it
+        parses, which reaches the type rule's repr and a model's checksum."""
+        model = tmp_path / "model.json"
+
+        def run(depth):
+            deep = "[" * depth + "]" * depth
+            argv = ["experiment", "--config", str(config_file), "--quiet"]
+            if source == "config":
+                config_file.write_text(json.dumps(SYNTH_CONFIG)[:-1] + f', "runs": {deep}}}')
+            elif source == "override":
+                argv += ["--set", "runs=" + deep]
+            else:  # signed by hand: json.dumps would need more stack than the loader has
+                payload = '{"beta":' + deep + "}"
+                sha256 = hashlib.sha256(payload.encode()).hexdigest()
+                model.write_text('{"format": "dinet-model", "version": 2, '
+                                 f'"sha256": "{sha256}", "payload": {payload}}}')
+                argv = ["inspect", "--config", str(config_file), "--model", str(model),
+                        "--out", ""]
+            code, out, err = self.run(*argv, capsys=capsys)
+            assert out == ""
+            record = self.one_error_line(err)
+            return code, record["error"], record["message"]
+
+        path = model if source == "model" else config_file
+        code, error = (1, "ModelFormatError") if source == "model" else (2, "ConfigError")
+        refused = f"{path}: not valid JSON (nested too deeply to read)"
+        if source == "override":  # a value that is not JSON is a string
+            refused = "runs must be int, got '" + "[" * 39
+        assert run(30000 if source == "override" else 100000) == (code, error, refused)
+
+        limit = deepest_json_list()
+        depth = next(d for d in range(limit, 0, -1) if run(d)[2] != refused)
+        assert depth > limit - 20
+        typed = "runs must be int"
+        if source == "model":
+            typed = f"{path}: payload key 'beta' must be float"
+        assert run(depth) == (code, error, f"{typed}, got {'[' * 40}")
+
     def test_config_file_not_found_exits_2(self, tmp_path, capsys):
         code, _, err = self.run("train", "--config", str(tmp_path / "nope.json"),
                                 capsys=capsys)
         assert code == 2
+
+
+def deepest_json_list():
+    """The deepest nested list ``json.loads`` parses when called from here."""
+    low, high = 1, 5000
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
 
 
 def test_importing_the_cli_leaves_urllib_request_unloaded():

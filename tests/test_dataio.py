@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dinet import (
@@ -341,7 +341,7 @@ class TestModelPersistence:
         assert (back.beta, back.seed) == (model.beta, model.seed)
         for key, node in model.nodes.items():
             assert np.array_equal(back.nodes[key].channel.p, node.channel.p)
-            assert back.nodes[key].mi_in_y == node.mi_in_y
+            assert back.nodes[key].diagnostics == node.diagnostics
 
     def test_integer_categories_load_as_the_floats_they_stand_for(self, tmp_path):
         # a JSON number may be written as an integer; "4" must still find category 4.0
@@ -521,6 +521,13 @@ class TestMalformedPayload:
         doc = json.loads(json.dumps(model_doc))
         del doc["payload"][key]
         with pytest.raises(ModelFormatError, match=key):
+            load_model(write_resigned(doc, tmp_path / "model.json"))
+
+    @pytest.mark.parametrize("key", NODE_KEYS)
+    def test_node_missing_key(self, model_doc, tmp_path, key):
+        doc = json.loads(json.dumps(model_doc))
+        del doc["payload"]["nodes"][0][key]
+        with pytest.raises(ModelFormatError, match=f"node 0 lacks key '{key}'"):
             load_model(write_resigned(doc, tmp_path / "model.json"))
 
     @pytest.mark.parametrize("edit", [
@@ -718,23 +725,31 @@ class TestRandomText:
         @settings(max_examples=400, deadline=None)
         @given(st.lists(lines, max_size=8), st.sampled_from(["\n", "\r\n"]),
                st.sampled_from([b"", b"\xff", b"\xc3"]), st.floats(0, 1))
+        # an ARFF file whose second @DATA line is a class value outside the declared set
+        @example(["@attribute class {x,y}", "@data", "x", "@DATA"], "\n", b"", 0.0)
         def check(rows, newline, junk, where):
             text = newline.join(rows)
             raw = text.encode("utf-8")
             cut = int(where * len(raw))  # junk bytes make the file invalid UTF-8
             blob = raw[:cut] + junk + raw[cut:]
-            with tempfile.TemporaryDirectory() as tmp:
+            with tempfile.TemporaryDirectory() as tmp, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 path = Path(tmp) / f"table.{fmt}"
                 path.write_bytes(blob)
                 try:
                     data = load_dataset(path, format=fmt, target="class")
                 except DatasetFormatError as exc:
-                    line = error_line(path, str(exc))
-                    # both parsers count "\r", "\n" and "\r\n" as line ends
-                    n_lines = len(re.split("\r\n|\r|\n", blob.decode("utf-8", "replace")))
-                    assert line is not None and 1 <= line <= n_lines, str(exc)
-                    return
-            assert all(col.codes.size == data.n_rows for col in data.columns)
+                    messages = [str(exc)]
+                else:
+                    messages = []
+                    assert all(col.codes.size == data.n_rows for col in data.columns)
+            # errors and warnings alike name a line; both parsers count "\r",
+            # "\n" and "\r\n" as line ends
+            n_lines = len(re.split("\r\n|\r|\n", blob.decode("utf-8", "replace")))
+            for message in messages + [str(w.message) for w in caught]:
+                line = error_line(path, message)
+                assert line is not None and 1 <= line <= n_lines, message
 
         check()
 
@@ -744,8 +759,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def hand_built_model():
     """A two-feature model whose every number is fixed by hand."""
-    from dinet import ConditionalMatrix, DINModel, FeatureSpec, Topology, TrainedNode
-    from dinet.ib import IBDiagnostics
+    from dinet import ConditionalMatrix, DINModel, FeatureSpec, IBDiagnostics, IBSolution, Topology
 
     specs = (FeatureSpec(kind="continuous", has_missing=False, name="age", levels=2,
                          vmin=0.1, vmax=2.5),
@@ -754,9 +768,8 @@ def hand_built_model():
     channels = {(0, 0): [[0.75, 0.25], [0.1, 0.9]],
                 (0, 1): [[1 / 3, 2 / 3], [0.5, 0.5], [1.0, 0.0]],
                 (1, 0): [[0.2, 0.8], [0.6, 0.4], [0.3, 0.7], [1.0, 0.0]]}
-    nodes = {slot: TrainedNode(channel=ConditionalMatrix(np.array(p)),
-                               diagnostics=IBDiagnostics(7 * i, 0.1 * i, 1 / 3, i != 1),
-                               mi_in_y=1 / 7)
+    nodes = {slot: IBSolution(ConditionalMatrix(np.array(p)),
+                              IBDiagnostics(7 * i, 0.1 * i, 1 / 3, i != 1, 1 / 7))
              for i, (slot, p) in enumerate(channels.items())}
     return DINModel(topology=Topology(cards=(2, 3), n_out=(2, 2)), nodes=nodes,
                     quantizers=specs, feature_names=("age", "flag"),

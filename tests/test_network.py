@@ -323,7 +323,7 @@ class TestTrainNetwork:
         topo = Topology(cards=(2, 3), n_out=(2, 2))
         model = train_network(data, topo, beta=5.0, seed=1)
         for node in model.nodes.values():
-            assert node.diagnostics.i_y_out <= node.mi_in_y + 1e-9
+            assert node.diagnostics.i_y_out <= node.diagnostics.mi_in_y + 1e-9
 
     def test_schema_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -371,7 +371,7 @@ class TestPassThrough:
             node = model.nodes[(0, k)]
             assert np.array_equal(node.channel.p, np.eye(n_in, 4))
             assert node.diagnostics.iterations == 0
-            assert node.diagnostics.i_y_out == pytest.approx(node.mi_in_y, abs=1e-12)
+            assert node.diagnostics.i_y_out == pytest.approx(node.diagnostics.mi_in_y, abs=1e-12)
 
     def test_final_node_always_solves(self):
         rng = np.random.default_rng(9)
@@ -740,16 +740,16 @@ def reference_walk(topology, columns, node):
 
 def reference_train(data, topology, beta, max_iter, seed):
     """Each node's (channel, diagnostics, mi_in_y), the alignment and the generator."""
-    from dinet.ib import IBProblem, estimate_empirical, solve_ib
+    from dinet.ib import IBProblem, estimate_empirical, posteriors, solve_ib
     from dinet.infotheory import mutual_information
     from dinet.network import _STREAM_IB, _align_classes
 
     nodes = {}
-    final_solution = None
+    final = None
     rng = np.random.default_rng([seed, _STREAM_TRAIN_SAMPLE])
 
     def node(layer_idx, k, symbols):
-        nonlocal final_solution
+        nonlocal final
         layer = topology.layers[layer_idx]
         px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
         problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out)
@@ -758,12 +758,12 @@ def reference_train(data, topology, beta, max_iter, seed):
                        keep_input=layer_idx < topology.depth)
         nodes[(layer_idx, k)] = (sol.channel.p, sol.diagnostics,
                                  mutual_information(px.probs, py_x.p))
-        final_solution = sol  # the walk ends on the final node
+        final = problem, sol.channel  # the walk ends on the final node
         return reference_sample_channel(channel_cdf(sol.channel.p).take(symbols, axis=1), rng)
 
     for _ in reference_walk(topology, data.columns, node):
         pass
-    return nodes, _align_classes(final_solution.py_given_out.p), rng
+    return nodes, _align_classes(posteriors(*final)[1].p), rng
 
 
 def reference_node(model, rng):
@@ -844,7 +844,8 @@ class TestReferenceWalk:
         for slot, (channel, diagnostics, mi_in_y) in nodes.items():
             node = model.nodes[slot]
             assert np.array_equal(node.channel.p, channel), slot
-            assert (node.diagnostics, node.mi_in_y) == (diagnostics, mi_in_y), slot
+            assert node.diagnostics == diagnostics, slot
+            assert node.diagnostics.mi_in_y == mi_in_y, slot
 
         empty = QuantizedDataset(columns=tuple(np.zeros(0, np.int64) for _ in topo.cards),
                                  cardinalities=topo.cards, labels=np.zeros(0, np.int64),
