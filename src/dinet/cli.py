@@ -59,6 +59,11 @@ _PRED_TEST_TAG = 4
 # big"; below it, an array that does not fit fails as out of memory.
 MAX_ARRAY_ENTRIES = 2 ** 40
 
+# quantizer.overrides is the one config value that nests (a valid one, two
+# levels); copying a config recurses about two frames a level, so a deeper
+# value is refused here, far below the interpreter's recursion limit
+MAX_OVERRIDE_DEPTH = 100
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -124,6 +129,9 @@ class ExperimentConfig:
 
     def validate(self):
         _check_types(self)
+        if _nesting(self.quantizer.overrides) > MAX_OVERRIDE_DEPTH:
+            raise ConfigError(
+                f"quantizer.overrides nests more than {MAX_OVERRIDE_DEPTH} levels deep")
         if self.model.beta <= 0:
             raise ConfigError("model.beta must be positive")
         if self.model.tol <= 0 or self.model.max_iter < 1:
@@ -165,6 +173,16 @@ def _check_types(section, prefix=""):
             _check_types(value, f"{name}.")
         elif error := json_error(value, hint, prefix + name):
             raise ConfigError(error)
+
+
+def _nesting(value) -> int:
+    """How many levels of objects and arrays the JSON ``value`` nests; it is
+    walked a level at a time, so no value is too deep to measure."""
+    depth, level = 0, [value]
+    while containers := [c for c in level if isinstance(c, (dict, list))]:
+        depth += 1
+        level = [v for c in containers for v in (c.values() if isinstance(c, dict) else c)]
+    return depth
 
 
 def _build(cls, data: dict, where: str):

@@ -23,7 +23,9 @@ always solves its bottleneck, since its outputs must be aligned to classes.
 time: a layer's inputs and outputs are each one ``(K, N)`` array, K nodes
 by N rows.  Its consumers differ only in the per-layer hook: training
 solves each node and samples the layer on the training stream, prediction
-and ``analysis.mi_flow`` sample on their own.
+and ``analysis.mi_flow`` sample on their own.  Inputs are int64; outputs
+stay in the narrow unsigned type ``sample_channel`` counts in, and the walk
+packs them by Horner's rule straight into the next layer's int64 inputs.
 
 Sampling is a gather and a draw.  A layer's ``LayerTable`` holds its nodes'
 ``channel_cdf`` tables side by side, built once per trained layer and once
@@ -41,6 +43,7 @@ solver's start seeds come from ``derive_seed``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -172,11 +175,30 @@ def mux_combine(inputs, radices) -> np.ndarray:
         # viewed unsigned, a negative symbol is >= 2**63: one scan checks both ends
         if v.size and v.view(np.uint64).max() >= r:
             raise ValidationError(f"symbol outside [0, {r})")
-    # Horner's rule, v0 + r0*(v1 + r1*(v2 + ...)): no temporary beyond the output
-    out = vecs[-1].copy()
-    for v, r in zip(vecs[-2::-1], radices[-2::-1]):
-        out *= int(r)
-        out += v
+    return _pack(vecs, radices, np.empty(shape, dtype=np.int64))
+
+
+def _pack(digits, radices, out) -> np.ndarray:
+    """Pack in-range digits into the int64 array ``out`` and return it, unchecked.
+
+    Horner's rule, v0 + r0*(v1 + r1*(v2 + ...)).  It runs in the narrowest
+    integer type that holds the digits, every radix and every packed value
+    (each partial sum is at most the packed value), so ``uint8`` samples
+    pack as ``uint8`` and are widened in one copy into ``out``; int64 digits
+    pack in ``out`` itself.  Digits are read where they lie, in any layout.
+    """
+    radices = [int(r) for r in radices]
+    top = max(math.prod(radices) - 1, *radices)
+    kind = np.result_type(*digits, np.min_scalar_type(top))
+    # no narrower integer type (int64 and uint64 promote to float64): pack in ``out``
+    narrow = kind.kind in "iu" and kind.itemsize < out.itemsize
+    acc = np.empty(out.shape, kind) if narrow else out
+    np.copyto(acc, digits[-1])
+    for v, r in zip(digits[-2::-1], radices[-2::-1]):
+        acc *= r
+        acc += v
+    if acc is not out:
+        np.copyto(out, acc)
     return out
 
 
@@ -281,14 +303,16 @@ def sample_channel(thresholds: np.ndarray, rng: np.random.Generator) -> np.ndarr
     Cumulative rows are non-decreasing, so counting only the first
     ``n_out - 1`` thresholds clamps the count to ``n_out - 1``, which absorbs
     rows whose last threshold rounds below 1.
+
+    The counts are returned in the smallest unsigned type that holds
+    ``n_out - 1`` (``uint8`` up to 256 symbols), the type they are counted
+    in; they lie in ``[0, n_out)`` by construction, so no caller re-checks them.
     """
     u = rng.random(thresholds.shape[1:])
     counts = np.zeros(u.shape, dtype=np.min_scalar_type(len(thresholds)))
     for row in thresholds:
-        counts += u >= row
-    # a layer's draws are large: free them before the int64 output is made
-    del u
-    return counts.astype(np.int64)
+        counts += (u >= row).view(np.uint8)  # booleans as bytes: no casting loop for uint8
+    return counts
 
 
 def _align_classes(py_given_out: np.ndarray) -> tuple:
@@ -314,24 +338,29 @@ def _align_classes(py_given_out: np.ndarray) -> tuple:
 def walk(topology: Topology, columns, layer):
     """Push symbol columns up the tree, one layer at a time.
 
-    A layer's inputs and outputs are each one ``(K, N)`` int64 array, row k
-    for node k.  ``layer(layer_idx, inputs)`` returns a layer's outputs; it
-    is called in layer order.  After each layer the walk yields
-    ``(layer_idx, inputs, outputs)``, then muxes the outputs into the next
-    layer's inputs.  The groups are adjacent pairs and, in an odd layer, one
-    trailing triple (``_group_layer``), so one ``mux_combine`` call on
-    strided slices packs the pairs and one more the triple.
+    A layer's inputs are one ``(K, N)`` int64 array, row k for node k.
+    ``layer(layer_idx, inputs)`` returns the layer's outputs as one
+    ``(K, N)`` integer array, each symbol in ``[0, n_out)``, as
+    ``sample_channel`` makes them; it is called in layer order.  After each
+    layer the walk yields ``(layer_idx, inputs, outputs)``, then muxes the
+    outputs into the next layer's inputs.  The groups are adjacent pairs
+    and, in an odd layer, one trailing triple (``_group_layer``), so the
+    pairs pack from strided slices into the rows of one new int64 array and
+    the triple into its last row.  The outputs are read where they lie, in
+    their own dtype, and not range-checked again: ``mux_combine`` is the
+    checked mux for other callers.
     """
     inputs = np.asarray(columns, dtype=np.int64)
     for layer_idx, spec in enumerate(topology.layers):
         outputs = layer(layer_idx, inputs)
         yield layer_idx, inputs, outputs
         if layer_idx < topology.depth:
-            n = 2 * sum(len(g) == 2 for g in topology.mux_groups[layer_idx])
-            packed = [mux_combine([outputs[0:n:2], outputs[1:n:2]], [spec.n_out] * 2)] if n else []
+            groups = topology.mux_groups[layer_idx]
+            inputs = np.empty((len(groups), outputs.shape[1]), dtype=np.int64)
+            n = 2 * sum(len(g) == 2 for g in groups)
+            _pack([outputs[0:n:2], outputs[1:n:2]], [spec.n_out] * 2, inputs[:n // 2])
             if spec.size % 2:
-                packed.append(mux_combine(list(outputs[n:]), [spec.n_out] * 3)[None])
-            inputs = packed[0] if len(packed) == 1 else np.concatenate(packed)
+                _pack(outputs[n:], [spec.n_out] * 3, inputs[-1])
 
 
 def train_network(data: QuantizedDataset, topology: Topology, beta: float,

@@ -20,6 +20,7 @@ from dinet import (
     compose_full_matrix,
     make_synthetic_ckd,
     mi_flow,
+    predict_quantized,
     train_network,
 )
 from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _count, _information
@@ -209,6 +210,30 @@ def assert_plugin_flow(model, data):
     return report
 
 
+@pytest.fixture(scope="module")
+def large_batch():
+    """The smoke config's run-0 model and a 4000-row, 24-feature batch for it."""
+    cfg = apply_overrides(load_config(REPO_ROOT / "configs" / "synthetic_smoke.json"),
+                          ["workers=1"])
+    model = run_single(cfg, prepare_dataset(cfg), 0, keep_model=True)["model"]
+    batch = quantize_features(model, make_synthetic_ckd(n_rows=4000, seed=1))
+    assert batch.symbols.shape == (24, 4000)
+    return model, batch
+
+
+def traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` holds at its peak under tracemalloc, above its start,
+    measured on a second call so that the first call's one-off allocations are made."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 class TestMiFlow:
     def test_report_shape_and_nonnegativity(self):
         data, model = trained_toy()
@@ -315,25 +340,18 @@ class TestMiFlow:
                 channels[(li, k)] = chan
         assert_plugin_flow(hand_model(channels, topo, n_class=n_out[-1]), data)
 
-    def test_a_large_batch_peaks_at_one_layer_of_arrays(self):
+    def test_a_large_batch_peaks_at_one_layer_of_arrays(self, large_batch):
         """Under tracemalloc, ``mi_flow`` on 4000 rows of 24 features peaks at most
         2.5 MiB above its start.  A layer-0 array is 750 KiB, and the layer-0
         gather and draw alone reach 2.39 MiB.  Keeping every layer's vectors to
         count them after the walk, not while the walk is on the layer, reads 5.0 MiB."""
-        cfg = apply_overrides(load_config(REPO_ROOT / "configs" / "synthetic_smoke.json"),
-                              ["workers=1"])
-        model = run_single(cfg, prepare_dataset(cfg), 0, keep_model=True)["model"]
-        batch = quantize_features(model, make_synthetic_ckd(n_rows=4000, seed=1))
-        assert batch.symbols.shape == (24, 4000)
-        mi_flow(model, batch)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            mi_flow(model, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start <= 2.5 * 2**20
+        assert traced_peak(mi_flow, *large_batch) <= 2.5 * 2**20
+
+    def test_a_large_predict_pass_packs_narrow_outputs_in_place(self, large_batch):
+        """One stochastic pass over the same batch peaks at most 3.5 MiB above its
+        start (3.21 MiB).  Widening each layer's samples to int64 before the
+        mux, and muxing them into new arrays that are then joined, reads 3.86 MiB."""
+        assert traced_peak(predict_quantized, *large_batch) <= 3.5 * 2**20
 
     def test_empty_table_is_refused(self):
         _, model = trained_toy()

@@ -66,6 +66,26 @@ def cfg(config_file):
     return load_config(config_file)
 
 
+def json_values():
+    return st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                        max_leaves=30)
+
+
+def recursive_nesting(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(recursive_nesting, value), default=0)
+    return 0
+
+
+@given(json_values())
+def test_nesting_counts_levels_of_objects_and_arrays(value):
+    assert cli._nesting(value) == recursive_nesting(value)
+
+
 class TestConfig:
     def test_defaults_follow_reference_setup(self):
         c = ExperimentConfig()
@@ -845,6 +865,26 @@ class TestCommands:
         if source == "model":
             typed = f"{path}: payload key 'beta' must be float"
         assert run(depth) == (code, error, f"{typed}, got {'[' * 40}")
+
+    @pytest.mark.parametrize("depth", [600, 900])
+    @pytest.mark.parametrize("source", ["config", "override"])
+    def test_deeply_nested_override_exits_2_as_one_line(self, config_file, capsys, depth,
+                                                         source):
+        """An override value that parses but nests hundreds of levels deep is
+        refused when the config is validated, before anything copies it; the
+        copy recursed past the interpreter's limit and escaped as a traceback."""
+        deep = '{"a": ' * depth + "{}" + "}" * depth
+        argv = ["experiment", "--config", str(config_file), "--quiet"]
+        if source == "config":
+            cfg = dict(SYNTH_CONFIG, quantizer={"overrides": {"lab_1": "DEEP"}})
+            config_file.write_text(json.dumps(cfg).replace('"DEEP"', deep))
+        else:
+            argv += ["--set", f'quantizer.overrides={{"lab_1": {deep}}}']
+        code, out, err = self.run(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert self.one_error_line(err) == {
+            "error": "ConfigError",
+            "message": f"quantizer.overrides nests more than {cli.MAX_OVERRIDE_DEPTH} levels deep"}
 
     def test_config_file_not_found_exits_2(self, tmp_path, capsys):
         code, _, err = self.run("train", "--config", str(tmp_path / "nope.json"),

@@ -27,6 +27,7 @@ from dinet.network import (
     derive_seed,
     sample_channel,
     tree_layer_sizes,
+    walk,
 )
 
 
@@ -174,6 +175,51 @@ def test_mux_combine_checks_ranges_and_packs_like_python_ints(case):
     assert got.dtype == np.int64 and got.tolist() == want
 
 
+# the digit dtypes a layer's outputs come in, with the largest radix each holds
+PACK_DTYPES = {np.uint8: 2**8, np.uint16: 2**16, np.int64: 2**20}
+
+
+@st.composite
+def layer_outputs(draw):
+    """One layer's ``(K, N)`` outputs in one dtype, every digit in ``[0, r)``."""
+    dtype = draw(st.sampled_from(list(PACK_DTYPES)))
+    r = draw(st.integers(1, PACK_DTYPES[dtype]))
+    K, N = draw(st.integers(2, 7)), draw(st.integers(0, 3))
+    digit = st.integers(0, r - 1) | st.sampled_from([0, r - 1])
+    rows = draw(st.lists(st.lists(digit, min_size=N, max_size=N), min_size=K, max_size=K))
+    return np.array(rows, dtype=dtype).reshape(K, N), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_outputs())
+@example((np.array([[255], [255], [255]], dtype=np.uint8), 256))
+@example((np.zeros((5, 0), dtype=np.uint16), 300))
+@example((np.full((3, 2), 1625, dtype=np.uint16), 1626))  # packs past 2**32
+def test_walk_packs_like_mux_combine_and_python_ints(case):
+    """The walk packs a layer's pairs and trailing triple, read in their own
+    dtype, into the next layer's int64 inputs exactly as the checked mux does."""
+    outputs, r = case
+    K, N = outputs.shape
+    topo = Topology(cards=(1,) * K, n_out=(r,) + (1,) * (len(tree_layer_sizes(K)) - 1))
+    seen = {}
+
+    def hook(layer, inputs):
+        seen[layer] = inputs
+        return outputs if layer == 0 else np.zeros(inputs.shape, dtype=np.uint8)
+
+    for _ in walk(topo, np.zeros((K, N), dtype=np.int64), hook):
+        pass
+    groups = topo.mux_groups[0]
+    got = seen[1]
+    assert got.dtype == np.int64 and got.shape == (len(groups), N)
+    checked = [mux_combine([outputs[m] for m in g], [r] * len(g)) for g in groups]
+    assert np.array_equal(got, np.array(checked).reshape(got.shape))
+    digits = outputs.tolist()
+    want = [[sum(digits[m][j] * r ** s for s, m in enumerate(g)) for j in range(N)]
+            for g in groups]
+    assert got.tolist() == want
+
+
 def sample_channel_oracle(channel, symbols, rng):
     """The clamped inverse-CDF formula over the full (rows, n_out) comparison."""
     cum = np.cumsum(channel, axis=1)
@@ -219,7 +265,8 @@ class TestSampling:
         got = sample_channel(channel_cdf(channel).take(symbols, axis=1),
                              np.random.default_rng(seed))
         want = sample_channel_oracle(channel, symbols, np.random.default_rng(seed))
-        assert got.dtype == np.int64 and got.shape == symbols.shape
+        # counted in, and returned as, the narrowest type that holds n_out - 1
+        assert got.dtype == np.uint8 and got.shape == symbols.shape
         assert np.array_equal(got, want)
 
     def test_draws_on_and_above_the_thresholds(self):
@@ -257,7 +304,7 @@ class TestSampling:
         symbols = np.zeros(3, dtype=np.int64)
         draws = [0.0, 1.0 - 2.0 ** -53, 1 / 300]
         got = sample_channel(channel_cdf(channel).take(symbols, axis=1), FixedDraws(draws))
-        assert got.dtype == np.int64 and got.tolist()[:2] == [0, 299]
+        assert got.dtype == np.uint16 and got.tolist()[:2] == [0, 299]
         assert np.array_equal(got, sample_channel_oracle(channel, symbols, FixedDraws(draws)))
 
     @pytest.mark.parametrize("K, N", [(1, 5), (2, 7), (3, 1), (3, 0)])
@@ -270,7 +317,7 @@ class TestSampling:
         got = sample_channel(table.take(x + 4 * np.arange(K)[:, None], axis=1), layer_rng)
         want = [sample_channel(channel_cdf(c).take(row, axis=1), node_rng)
                 for c, row in zip(chans, x)]
-        assert got.shape == (K, N) and got.dtype == np.int64
+        assert got.shape == (K, N) and got.dtype == np.uint8
         assert np.array_equal(got, np.array(want).reshape(K, N))
         assert layer_rng.bit_generator.state == node_rng.bit_generator.state
 

@@ -52,3 +52,24 @@ def test_traced_training_passes_the_cross_check(tracer_module, settings):
     n_train, n_test = result["splits"][0].n_rows, result["splits"][1].n_rows
     assert counts["network.sample.calls"] == 4 * len(topo.layers)
     assert counts["network.sample_symbols"] == len(topo.slots) * (3 * n_train + n_test)
+
+
+def test_traced_ensemble_predict_samples_each_layer_once_a_pass(tracer_module):
+    """The ensemble-predict workload's contract: one sample call per layer and
+    one symbol per node and row in every pass, and the walk packs its own
+    muxes, so no traced ``mux_combine`` call is made."""
+    cfg = cli.apply_overrides(cli.load_config(SMOKE_CONFIG), list(SETTINGS["smoke"]))
+    result = cli.run_single(cfg, cli.prepare_dataset(cfg), 0, keep_model=True)
+    model = result["model"]
+    batch = cli.quantize_with(model.quantizers, result["splits"][1])
+    tracer = tracer_module.Tracer()
+    originals = (network.predict_quantized, network.sample_channel, network.mux_combine)
+    with tracer.installed():
+        network.predict_quantized(model, batch, mode="ensemble", repeats=3)
+    assert (network.predict_quantized, network.sample_channel, network.mux_combine) == originals
+
+    topo, counts = model.topology, tracer.counts
+    assert counts["network.predict.calls"] == 1
+    assert counts["network.sample.calls"] == 3 * len(topo.layers)
+    assert counts["network.sample_symbols"] == 3 * len(topo.slots) * batch.n_rows
+    assert counts["network.mux.calls"] == 0
