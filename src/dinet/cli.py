@@ -291,6 +291,29 @@ def prepare_dataset(cfg: ExperimentConfig) -> RawDataset:
     return data
 
 
+def _splittable_dataset(cfg: ExperimentConfig) -> RawDataset:
+    """``prepare_dataset``, refusing a ``split`` that the table cannot give.
+
+    ``dataio.split`` would refuse it too, in every run, as a
+    ``ValidationError``; checked once here, before run 0, it is a
+    ``ConfigError`` that names its key.
+    """
+    data = prepare_dataset(cfg)
+    n_train, fraction = cfg.split.n_train, cfg.split.positive_fraction
+    if n_train >= data.n_rows:
+        raise ConfigError(f"split.n_train must be below the table's {data.n_rows} rows, "
+                          f"got {n_train}")
+    if cfg.split.stratify == "balanced":
+        have_pos = int(np.sum(data.labels == data.classes.index(cfg.dataset.positive_class)))
+        want_pos = int(round(n_train * fraction))  # as ``dataio.split`` draws them
+        if want_pos > have_pos or n_train - want_pos > data.n_rows - have_pos:
+            raise ConfigError(
+                f"split.n_train={n_train} at split.positive_fraction={fraction} needs "
+                f"{want_pos} positive and {n_train - want_pos} negative rows; the table "
+                f"has {have_pos} positive and {data.n_rows - have_pos} negative")
+    return data
+
+
 def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=()):
     """One fitted spec per feature of the training rows.
 
@@ -531,7 +554,7 @@ def _write_mi_flow(model, rows: QuantizedDataset, path) -> MIFlowReport:
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
-    data = prepare_dataset(cfg)
+    data = _splittable_dataset(cfg)
     result = run_single(cfg, data, run_index=0, keep_model=True)
     model = result["model"]
     model_path = _flag_or(args.model_out, cfg.outputs.model)
@@ -545,7 +568,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     model = load_model(args.model)
-    data = prepare_dataset(cfg)
+    data = _splittable_dataset(cfg)
     run_seed, train, test = split_for_run(cfg, data, 0)
     rows, tag = {"train": (train, _PRED_TRAIN_TAG), "test": (test, _PRED_TEST_TAG),
                  "all": (data, _PRED_TEST_TAG)}[args.split]
@@ -556,7 +579,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_experiment(cfg: ExperimentConfig, args) -> int:
-    data = prepare_dataset(cfg)
+    data = _splittable_dataset(cfg)
     report = run_experiment(cfg, data, progress=_progress_printer(args))
     text = report_json(report)
     _write(_flag_or(args.out, cfg.outputs.metrics), text)

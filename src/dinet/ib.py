@@ -168,7 +168,8 @@ _QUIET = {"invalid": "ignore", "divide": "ignore", "under": "ignore", "over": "i
 # The update, the guard and the extrapolation run on arrays of a few dozen
 # entries, where a numpy call costs more than its arithmetic.  So they call
 # the ufuncs and their reductions directly (``np.add.reduce`` is what
-# ``ndarray.sum`` runs), write into buffers they own and test rarely; every
+# ``ndarray.sum`` runs), take products with ``np.dot`` (the BLAS call of
+# ``@``, with less dispatch), write into buffers they own and test rarely; every
 # value kept is the same floating-point operation, in the same order, as in
 # the plain expressions that tests/test_ib.py keeps as the reference.
 _sum = np.add.reduce
@@ -178,10 +179,10 @@ _max = np.maximum.reduce
 
 def _bayes(src: _Source, channel):
     """Output marginal and class posterior; a zero-marginal output's row is NaN (0/0)."""
-    p_out = src.px @ channel
+    p_out = np.dot(src.px, channel)
     joint = np.multiply(src.px_col, channel)            # p(in, out)
     np.divide(joint, p_out, out=joint)
-    return p_out, joint.T @ src.py_x
+    return p_out, np.dot(joint.T, src.py_x)
 
 
 _NEG_HUGE = -1e300  # finite stand-in for log2(0): keeps 0*log terms at 0, not nan
@@ -190,7 +191,7 @@ _NEG_HUGE = -1e300  # finite stand-in for log2(0): keeps 0*log terms at 0, not n
 def _weights(src: _Source, beta, p_out, log_q):
     """The update's unnormalised rows p_out * 2^(-beta d), their sums, and d."""
     # d(i, j) = KL(P(y|in=i) || P(y|out=j)) in bits; a support gap makes it huge or inf
-    d = src.py_x @ log_q.T
+    d = np.dot(src.py_x, log_q.T)
     np.subtract(src.plogp, d, out=d)
     # cap at 0: float error can push d a hair below zero.  No lower cap is
     # needed: exp2 of anything below -1075 is exactly 0.
@@ -264,11 +265,11 @@ def _plogp(a) -> float:
     the dot NaN (0 * log2 0) and only then are they picked out.
     """
     a = a.ravel()
-    s = a @ np.log2(a)
+    s = np.dot(a, np.log2(a))
     if s == s:
         return float(s)
     nz = a[a > 0]
-    return float(nz @ np.log2(nz))
+    return float(np.dot(nz, np.log2(nz)))
 
 
 def _information(src: _Source, channel):
@@ -277,7 +278,7 @@ def _information(src: _Source, channel):
     p_out = _sum(joint, axis=0)
     h_out = -_plogp(p_out)
     i_in_out = src.h_in + h_out + _plogp(joint)
-    i_y_out = src.h_y + h_out + _plogp(joint.T @ src.py_x)
+    i_y_out = src.h_y + h_out + _plogp(np.dot(joint.T, src.py_x))
     return i_in_out, i_y_out
 
 

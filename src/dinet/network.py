@@ -32,13 +32,18 @@ Sampling is a gather and a draw.  A layer's ``LayerTable`` holds its nodes'
 per loaded model and never saved; ``LayerTable.gather`` takes the
 thresholds of each input symbol, and ``sample_channel`` draws one uniform
 per symbol.  Every ensemble repeat feeds layer 0 the same columns, so
-prediction gathers the layer-0 thresholds once for all repeats.
+prediction gathers the layer-0 thresholds once for all repeats.  An
+ensemble row leaves the walk once no remaining pass can change its
+majority, and later passes walk the open rows only.
 
 Each sampling call draws from one generator, ``default_rng([seed,
 purpose])``, consumed in walk order: layer after layer, node after node
-within a layer, and in an ensemble pass after pass.  So training,
-prediction and ``mi_flow`` are reproducible and never share draws.  The
-solver's start seeds come from ``derive_seed``.
+within a layer, and in an ensemble pass after pass.  A pass with settled
+rows still draws for every row and keeps the open rows' draws, and the
+draws of passes that no row needs are skipped by advancing the generator,
+so the open rows see the uniforms they would see if every row were walked.
+So training, prediction and ``mi_flow`` are reproducible and never share
+draws.  The solver's start seeds come from ``derive_seed``.
 """
 
 from __future__ import annotations
@@ -308,7 +313,15 @@ def sample_channel(thresholds: np.ndarray, rng: np.random.Generator) -> np.ndarr
     ``n_out - 1`` (``uint8`` up to 256 symbols), the type they are counted
     in; they lie in ``[0, n_out)`` by construction, so no caller re-checks them.
     """
-    u = rng.random(thresholds.shape[1:])
+    return _count(thresholds, rng.random(thresholds.shape[1:]))
+
+
+def _count(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per entry of ``u``, the number of ``thresholds`` rows with ``t <= u``.
+
+    The one sampling rule: ``sample_channel`` and the open-row passes of
+    ``predict_quantized`` both count through it.
+    """
     counts = np.zeros(u.shape, dtype=np.min_scalar_type(len(thresholds)))
     for row in thresholds:
         counts += (u >= row).view(np.uint8)  # booleans as bytes: no casting loop for uint8
@@ -433,6 +446,13 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     label).  All passes draw from one generator, each after the previous
     one, so ensemble with repeats=1 is stochastic exactly and R repeats are
     the first R passes of R + 1.
+
+    A row leaves the walk once no remaining pass can change its vote
+    (``_settled``); later passes walk the open rows only.  Every pass still
+    draws each layer's full ``(K, N)`` block and keeps the open rows'
+    columns, and once no row is open the generator is advanced past the
+    draws left, so every row sees the uniforms of the full computation and
+    the generator ends where it leaves it.
     """
     if tuple(data.cardinalities) != model.topology.cards:
         raise SchemaMismatchError("dataset cardinalities do not match the model")
@@ -442,21 +462,56 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
         raise ValidationError("ensemble needs repeats >= 1")
     passes = repeats if mode == "ensemble" else 1
     rng = np.random.default_rng([seed, _STREAM_PREDICT])
-    tables = model.tables
+    topology, tables, n = model.topology, model.tables, data.n_rows
+    symbols = data.symbols
     # every repeat feeds layer 0 the same columns, so gather its thresholds once
-    first = tables[0].gather(data.symbols)
-    align = np.asarray(model.class_alignment, dtype=np.int64)
+    first = tables[0].gather(symbols)
 
     def sample_layer(layer, inputs):
-        return sample_channel(first if layer == 0 else tables[layer].gather(inputs), rng)
+        thresholds = first if layer == 0 else tables[layer].gather(inputs)
+        if len(rows) == n:
+            return sample_channel(thresholds, rng)
+        # the layer's full draw, of which the open rows keep theirs
+        u = rng.random((topology.layer_sizes[layer], n))
+        return _count(thresholds, u.take(rows, axis=1))
 
-    votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
-    rows = np.arange(data.n_rows)
-    for _ in range(passes):
-        for _, _, outputs in walk(model.topology, data.symbols, sample_layer):
+    labels = np.empty(n, dtype=np.intp)
+    rows = np.arange(n)       # the data row of each open column
+    votes = np.zeros((model.n_class, n), dtype=np.int64)  # class by open row
+    for done in range(1, passes + 1):
+        for _, _, outputs in walk(topology, symbols, sample_layer):
             pass
-        votes[rows, align[outputs[0]]] += 1
-    return votes.argmax(axis=1)
+        for symbol, label in enumerate(model.class_alignment):
+            votes[label] += outputs[0] == symbol
+        if 2 * done < passes:  # no row can be settled yet
+            continue
+        lead = votes.argmax(axis=0)
+        settled = _settled(votes, lead, passes - done)
+        labels[rows[settled]] = lead[settled]
+        if settled.all():
+            # one 64-bit word per double: skip the draws of the passes left
+            rng.bit_generator.advance((passes - done) * len(topology.slots) * n)
+            break
+        if settled.any():
+            keep = ~settled
+            rows, votes, symbols = rows[keep], votes[:, keep], symbols[:, keep]
+            first = first[:, :, keep]
+    return labels
+
+
+def _settled(votes: np.ndarray, lead: np.ndarray, remaining: int) -> np.ndarray:
+    """Rows whose leading class no ``remaining`` further votes can overtake.
+
+    ``votes`` is class by row and ``lead`` its ``argmax(axis=0)``, ties to
+    the smaller label.  A class k can take the lead when all the remaining
+    votes go to it, so the lead L is settled when for every other k
+    ``v_k + remaining < v_L``, or ``==`` with ``L < k`` (a tie stays L's).
+    """
+    cols = np.arange(votes.shape[1])
+    # a class below L needs one vote more than a tie to take the lead
+    gap = votes[lead, cols] - votes - (np.arange(len(votes))[:, None] < lead)
+    gap[lead, cols] = remaining  # L cannot overtake itself
+    return gap.min(axis=0) >= remaining
 
 
 def quantize_features(model: DINModel, dataset) -> QuantizedDataset:

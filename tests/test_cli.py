@@ -703,6 +703,48 @@ class TestCommands:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["experiment", "train", "evaluate"])
+    @pytest.mark.parametrize("override, key", [
+        ("split.n_train=400", "split.n_train must be below the table's 400 rows"),
+        ("split.n_train=1000", "split.n_train must be below the table's 400 rows"),
+        ("split.positive_fraction=0", "split.positive_fraction=0 needs 0 positive and 200 "),
+        ("split.n_train=399", "needs 200 positive and 199 negative rows"),
+    ])
+    def test_an_impossible_split_exits_2_before_run_0(self, capsys, monkeypatch, override, key,
+                                                      command, workers):
+        # a real pool of two, even where this machine has one CPU
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = [command, "--config", str(SMOKE_CONFIG), "--set", override,
+                "--set", f"workers={workers}", "--set", 'outputs.metrics=""',
+                "--set", 'outputs.model=""', "--set", 'outputs.mi_flow=""']
+        argv += {"experiment": ["--quiet"], "train": [],
+                 "evaluate": ["--model", str(REPO_ROOT / "tests" / "fixtures" / "model.json")]
+                 }[command]
+        code, out, err = self.run(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        record = self.one_error_line(err)
+        assert record["error"] == "ConfigError"
+        assert key in record["message"]
+        assert not record["message"].startswith("run 0 failed")
+
+    def test_the_cli_split_check_is_the_split_that_draws(self):
+        """Every split the check lets through draws; every one it refuses does not."""
+        data = prepare_dataset(load_config(SMOKE_CONFIG))
+        for stratify in ("none", "balanced"):
+            for n_train in (1, 158, 159, 160, 241, 242, 398, 399, 400):
+                for fraction in (0.0, 0.25, 0.5, 0.6, 1.0):
+                    cfg = apply_overrides(load_config(SMOKE_CONFIG), [
+                        f"split.n_train={n_train}", f"split.stratify={stratify}",
+                        f"split.positive_fraction={fraction}"])
+                    try:
+                        cli._splittable_dataset(cfg)
+                    except ConfigError:
+                        with pytest.raises(ValidationError):
+                            cli.split_for_run(cfg, data, 0)
+                    else:
+                        cli.split_for_run(cfg, data, 0)
+
     @pytest.mark.parametrize("override", [
         'quantizer.overrides={"lab_1": 3}',
         'quantizer.overrides={"lab_1": {"levels": "abc"}}',

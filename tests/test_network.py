@@ -917,3 +917,89 @@ class TestReferenceWalk:
         monkeypatch.setattr(analysis, "walk", walk_the_reference)
         assert report == mi_flow(model, data)
         assert state == rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# An ensemble row leaves the walk once its majority is settled.
+
+def settled_after(votes, remaining):
+    """Whether no ``remaining`` further votes can change a row's majority,
+    ties to the smaller label: the leader's lead over each other class."""
+    lead = max(range(len(votes)), key=lambda k: (votes[k], -k))
+    return all(votes[k] + remaining < votes[lead]
+               or (votes[k] + remaining == votes[lead] and lead < k)
+               for k in range(len(votes)) if k != lead)
+
+
+@st.composite
+def ensemble_cases(draw):
+    """A tree of 2-4 classes whose final channel is the trained one, uniform
+    (so an even count of votes often ties), or one-hot (every row settles
+    at the first pass that can settle it), and 1-41 passes."""
+    import dataclasses
+
+    tree = draw(reference_trees())
+    tree["n_class"] = draw(st.integers(2, 4))
+    data, topo = reference_case(**tree)
+    model = train_network(data, topo, beta=5.0, max_iter=20, seed=tree["seed"])
+    final = (topo.depth, 0)
+    n_in, n_class = topo.layers[-1].n_in[0], topo.n_class
+    channel = {"trained": model.nodes[final].channel.p,
+               "uniform": np.full((n_in, n_class), 1 / n_class),
+               "one-hot": np.eye(n_class)[np.arange(n_in) % n_class]}[
+        draw(st.sampled_from(["trained", "uniform", "one-hot"]))]
+    nodes = dict(model.nodes)
+    nodes[final] = dataclasses.replace(nodes[final], channel=ConditionalMatrix(channel))
+    return dataclasses.replace(model, nodes=nodes), data, draw(st.integers(1, 41))
+
+
+class TestSettledRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 11), st.data())
+    def test_the_rule_is_exact(self, n_class, passes, data):
+        """``_settled`` holds exactly when every split of the remaining votes
+        leaves the leader the majority (ties to the smaller label)."""
+        from dinet.network import _settled
+
+        done = data.draw(st.integers(0, passes))
+        rows = data.draw(st.lists(st.lists(st.integers(0, n_class - 1), min_size=done,
+                                           max_size=done), min_size=1, max_size=8))
+        votes = np.array([np.bincount(r, minlength=n_class) for r in rows]).T
+        lead = votes.argmax(axis=0)
+        got = _settled(votes, lead, passes - done)
+        for j, row in enumerate(votes.T):
+            ends = (row + np.bincount(rest, minlength=n_class)
+                    for rest in itertools.combinations_with_replacement(
+                        range(n_class), passes - done))
+            assert got[j] == all(end.argmax() == lead[j] for end in ends), row
+            assert got[j] == settled_after(row.tolist(), passes - done), row
+
+    @settings(max_examples=80, deadline=None)
+    @given(ensemble_cases(), st.integers(0, 99))
+    def test_predictions_and_generator_are_those_of_the_full_votes(self, case, seed):
+        from dinet import network
+
+        model, data, passes = case
+        generators = []  # the generator of the passes with every row open
+        sample = network.sample_channel
+
+        def recording_sample(thresholds, rng):
+            generators.append(rng)
+            return sample(thresholds, rng)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(network, "sample_channel", recording_sample)
+            got = predict_quantized(model, data, seed=seed, mode="ensemble", repeats=passes)
+        want, rng = reference_predict(model, data, seed, passes)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert generators[-1].bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 4000, 25 * 46 * 400])
+    def test_advance_skips_as_many_draws_on_the_predict_stream(self, n):
+        drawn = np.random.default_rng([5, _STREAM_PREDICT])
+        for size in (n // 3, n - n // 3):
+            drawn.random(size)
+        skipped = np.random.default_rng([5, _STREAM_PREDICT])
+        skipped.bit_generator.advance(n)
+        assert skipped.bit_generator.state == drawn.bit_generator.state
+        assert np.array_equal(skipped.random(9), drawn.random(9))
