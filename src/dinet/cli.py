@@ -40,7 +40,8 @@ from .dataio import (
     write_text,
 )
 from . import network
-from .errors import ConfigError, DatasetFormatError, DinetError, ResourceError
+from .errors import (ConfigError, DatasetFormatError, DinetError, ResourceError, ValidationError,
+                     naming_os_errors)
 from .ib import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .network import (Topology, derive_seed, predict, quantize_features, train_network,
                       tree_layer_sizes)
@@ -291,27 +292,18 @@ def prepare_dataset(cfg: ExperimentConfig) -> RawDataset:
     return data
 
 
-def _splittable_dataset(cfg: ExperimentConfig) -> RawDataset:
-    """``prepare_dataset``, refusing a ``split`` that the table cannot give.
+def _splittable_dataset(cfg: ExperimentConfig):
+    """``prepare_dataset``'s table and run 0's ``split_for_run`` of it.
 
-    ``dataio.split`` would refuse it too, in every run, as a
-    ``ValidationError``; checked once here, before run 0, it is a
-    ``ConfigError`` that names its key.
+    ``dataio.split`` alone decides which splits a table can give, from its
+    counts only, so run 0's refusal is every run's: drawn here, before run 0
+    and any pool, it is a ``ConfigError`` (exit 2) with ``split``'s message.
     """
     data = prepare_dataset(cfg)
-    n_train, fraction = cfg.split.n_train, cfg.split.positive_fraction
-    if n_train >= data.n_rows:
-        raise ConfigError(f"split.n_train must be below the table's {data.n_rows} rows, "
-                          f"got {n_train}")
-    if cfg.split.stratify == "balanced":
-        have_pos = int(np.sum(data.labels == data.classes.index(cfg.dataset.positive_class)))
-        want_pos = int(round(n_train * fraction))  # as ``dataio.split`` draws them
-        if want_pos > have_pos or n_train - want_pos > data.n_rows - have_pos:
-            raise ConfigError(
-                f"split.n_train={n_train} at split.positive_fraction={fraction} needs "
-                f"{want_pos} positive and {n_train - want_pos} negative rows; the table "
-                f"has {have_pos} positive and {data.n_rows - have_pos} negative")
-    return data
+    try:
+        return data, split_for_run(cfg, data, 0)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=()):
@@ -520,6 +512,14 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+def _say(text: str, stream: str = "stdout"):
+    """Write ``text`` to ``sys.<stream>`` and flush it; an ``OSError`` is a ``ResourceError``."""
+    with naming_os_errors("write to", stream):
+        out = getattr(sys, stream)
+        out.write(text)
+        out.flush()
+
+
 def _write(path, text):
     """Write ``text`` to ``path``; as for every output, an empty path means "do not write"."""
     if path:
@@ -541,7 +541,7 @@ def _progress_printer(args):
                 "test_accuracy": result["test"]["accuracy"],
                 "iterations": result["iterations"],
                 "nonconverged": result["nonconverged"]}
-        print(json.dumps(line, sort_keys=True), file=sys.stderr)
+        _say(json.dumps(line, sort_keys=True) + "\n", "stderr")
 
     return emit
 
@@ -554,7 +554,7 @@ def _write_mi_flow(model, rows: QuantizedDataset, path) -> MIFlowReport:
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
-    data = _splittable_dataset(cfg)
+    data, _ = _splittable_dataset(cfg)
     result = run_single(cfg, data, run_index=0, keep_model=True)
     model = result["model"]
     model_path = _flag_or(args.model_out, cfg.outputs.model)
@@ -562,45 +562,44 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         save_model(model, model_path)
     _write(_flag_or(args.metrics_out, cfg.outputs.metrics), report_json(result["train"]))
     _write_mi_flow(model, result["trained_on"], _flag_or(args.miflow_out, cfg.outputs.mi_flow))
-    print(report_json(result["train"]), end="")
+    _say(report_json(result["train"]))
     return 0
 
 
 def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     model = load_model(args.model)
-    data = _splittable_dataset(cfg)
-    run_seed, train, test = split_for_run(cfg, data, 0)
+    data, (run_seed, train, test) = _splittable_dataset(cfg)
     rows, tag = {"train": (train, _PRED_TRAIN_TAG), "test": (test, _PRED_TEST_TAG),
                  "all": (data, _PRED_TEST_TAG)}[args.split]
     metrics = evaluate_on(model, rows, cfg, derive_seed(run_seed, tag))
     _write(args.out, report_json(metrics))
-    print(report_json(metrics), end="")
+    _say(report_json(metrics))
     return 0
 
 
 def cmd_experiment(cfg: ExperimentConfig, args) -> int:
-    data = _splittable_dataset(cfg)
+    data, _ = _splittable_dataset(cfg)
     report = run_experiment(cfg, data, progress=_progress_printer(args))
     text = report_json(report)
     _write(_flag_or(args.out, cfg.outputs.metrics), text)
-    print(text, end="")
+    _say(text)
     return 0
 
 
 def cmd_inspect(cfg: ExperimentConfig, args) -> int:
     model = load_model(args.model)
     flow = _write_mi_flow(model, quantize_features(model, prepare_dataset(cfg)), args.out)
-    print(json.dumps({"nodes": len(flow.nodes), "muxes": len(flow.muxes),
-                      "csv": str(Path(args.out)) if args.out else None}, sort_keys=True))
+    _say(json.dumps({"nodes": len(flow.nodes), "muxes": len(flow.muxes),
+                     "csv": str(Path(args.out)) if args.out else None}, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_fetch(args) -> int:
     path = fetch_ckd(args.dest, url=args.url, sha256=args.sha256)
     if args.sha256 is None:
-        print(json.dumps({"warning": "archive checksum not verified; "
-                          "pass --sha256 to pin it"}), file=sys.stderr)
-    print(json.dumps({"dataset": str(path)}))
+        _say(json.dumps({"warning": "archive checksum not verified; "
+                         "pass --sha256 to pin it"}) + "\n", "stderr")
+    _say(json.dumps({"dataset": str(path)}) + "\n")
     return 0
 
 
@@ -664,8 +663,10 @@ def main(argv=None) -> int:
     except (DinetError, MemoryError) as exc:
         if isinstance(exc, MemoryError):  # also re-raised here from pool workers
             exc = ResourceError(f"out of memory: {exc}")
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        try:
+            _say(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n", "stderr")
+        except ResourceError:  # stderr itself cannot be written: only the exit code is left
+            return 1
         return 2 if isinstance(exc, (ConfigError, DatasetFormatError)) else 1
 
 

@@ -347,12 +347,14 @@ def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",
 
     ``stratify='balanced'`` fills the training set with the requested class
     mix (positive_fraction of ``positive_label``); everything not drawn for
-    training becomes the test set.
+    training becomes the test set.  A refusal names the config's ``split.*``
+    keys and depends only on the table's row and class counts, never on ``seed``.
     """
     if not 0 < n_train < data.n_rows:
-        raise ValidationError(f"n_train must be in (0, {data.n_rows}), got {n_train}")
+        raise ValidationError(f"split.n_train must be below the table's {data.n_rows} rows "
+                              f"and above 0, got {n_train}")
     if not 0 <= positive_fraction <= 1:
-        raise ValidationError(f"positive_fraction must be in [0, 1], got {positive_fraction}")
+        raise ValidationError(f"split.positive_fraction must be in [0, 1], got {positive_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.n_rows)
     if stratify == "none":
@@ -368,8 +370,9 @@ def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",
         have_neg = data.n_rows - have_pos
         if want_pos > have_pos or want_neg > have_neg:
             raise ValidationError(
-                f"cannot draw {want_pos} positive + {want_neg} negative rows: "
-                f"dataset has {have_pos} positive and {have_neg} negative")
+                f"split.n_train={n_train} at split.positive_fraction={positive_fraction} "
+                f"needs {want_pos} positive and {want_neg} negative rows; the table has "
+                f"{have_pos} positive and {have_neg} negative")
         # the first want_pos positive and want_neg negative rows of the order train
         drawn = np.where(is_pos, np.cumsum(is_pos) <= want_pos, np.cumsum(~is_pos) <= want_neg)
         train_idx, test_idx = order[drawn], order[~drawn]

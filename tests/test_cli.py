@@ -745,6 +745,60 @@ class TestCommands:
                     else:
                         cli.split_for_run(cfg, data, 0)
 
+    @pytest.mark.parametrize("command", ["experiment", "train", "evaluate"])
+    def test_the_pre_run_refusal_is_the_split_refusal(self, capsys, monkeypatch, command):
+        message = "split.n_train=200 is refused by a stand-in split"
+
+        def refuse(*args, **kwargs):
+            raise ValidationError(message)
+
+        monkeypatch.setattr(cli, "split", refuse)
+        argv = [command, "--config", str(SMOKE_CONFIG), "--quiet", "--set", 'outputs.metrics=""',
+                "--set", 'outputs.model=""', "--set", 'outputs.mi_flow=""']
+        if command == "evaluate":
+            argv += ["--model", str(REPO_ROOT / "tests" / "fixtures" / "model.json")]
+        code, out, err = self.run(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert self.one_error_line(err) == {"error": "ConfigError", "message": message}
+
+    def test_an_unwritable_stderr_exits_1_with_nothing_more(self, capsys, monkeypatch):
+        class Full:
+            def write(self, *args):
+                raise OSError(28, "No space left on device")
+
+            flush = write
+
+        monkeypatch.setattr(sys, "stderr", Full())
+        # the progress line fails first, then the error line that reports it
+        code, out, _ = self.run("experiment", "--config", str(SMOKE_CONFIG), "--set", "runs=1",
+                                "--set", 'outputs.metrics=""', capsys=capsys)
+        assert (code, out) == (1, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["train", "evaluate", "experiment", "inspect"])
+    def test_an_unwritable_stdout_is_one_resource_error_line(self, tmp_path, capsys, command):
+        model = tmp_path / "model.json"
+        no_files = ["--set", 'outputs.metrics=""', "--set", 'outputs.model=""',
+                    "--set", 'outputs.mi_flow=""', "--set", "runs=1"]
+        assert self.run("train", "--config", str(SMOKE_CONFIG), "--quiet", *no_files,
+                        "--model-out", str(model), capsys=capsys)[0] == 0
+        argv = {"train": [], "experiment": [],
+                "evaluate": ["--model", str(model)],
+                "inspect": ["--model", str(model), "--out", str(tmp_path / "flow.csv")]}[command]
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src),
+                                                            os.environ.get("PYTHONPATH", "")]))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "dinet", command, "--config", str(SMOKE_CONFIG),
+                 "--quiet", *no_files, *argv], stdout=full, stderr=subprocess.PIPE,
+                text=True, env=env, cwd=tmp_path)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        record = self.one_error_line(done.stderr)
+        assert record == {"error": "ResourceError",
+                          "message": "cannot write to stdout: No space left on device"}
+
     @pytest.mark.parametrize("override", [
         'quantizer.overrides={"lab_1": 3}',
         'quantizer.overrides={"lab_1": {"levels": "abc"}}',
