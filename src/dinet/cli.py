@@ -512,12 +512,29 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def _say(text: str, stream: str = "stdout"):
-    """Write ``text`` to ``sys.<stream>`` and flush it; an ``OSError`` is a ``ResourceError``."""
-    with naming_os_errors("write to", stream):
-        out = getattr(sys, stream)
-        out.write(text)
-        out.flush()
+def _say(text: str, out=None):
+    """Write ``text`` to ``out`` (stdout by default) and flush it; an ``OSError`` is a
+    ``ResourceError`` naming the stream."""
+    out = sys.stdout if out is None else out
+    with naming_os_errors("write to", "stderr" if out is sys.stderr else "stdout"):
+        try:
+            out.write(text)
+            out.flush()
+        except OSError:
+            _discard_pending(out)
+            raise
+
+
+def _discard_pending(out):
+    """Point ``out``'s descriptor at the null device: a failed flush keeps its bytes, and the
+    interpreter's flush at exit would fail on them again (a second message, exit 120)."""
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _write(path, text):
@@ -541,7 +558,7 @@ def _progress_printer(args):
                 "test_accuracy": result["test"]["accuracy"],
                 "iterations": result["iterations"],
                 "nonconverged": result["nonconverged"]}
-        _say(json.dumps(line, sort_keys=True) + "\n", "stderr")
+        _say(json.dumps(line, sort_keys=True) + "\n", sys.stderr)
 
     return emit
 
@@ -598,7 +615,7 @@ def cmd_fetch(args) -> int:
     path = fetch_ckd(args.dest, url=args.url, sha256=args.sha256)
     if args.sha256 is None:
         _say(json.dumps({"warning": "archive checksum not verified; "
-                         "pass --sha256 to pin it"}) + "\n", "stderr")
+                         "pass --sha256 to pin it"}) + "\n", sys.stderr)
     _say(json.dumps({"dataset": str(path)}) + "\n")
     return 0
 
@@ -664,7 +681,7 @@ def main(argv=None) -> int:
         if isinstance(exc, MemoryError):  # also re-raised here from pool workers
             exc = ResourceError(f"out of memory: {exc}")
         try:
-            _say(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n", "stderr")
+            _say(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n", sys.stderr)
         except ResourceError:  # stderr itself cannot be written: only the exit code is left
             return 1
         return 2 if isinstance(exc, (ConfigError, DatasetFormatError)) else 1

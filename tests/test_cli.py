@@ -785,19 +785,33 @@ class TestCommands:
         argv = {"train": [], "experiment": [],
                 "evaluate": ["--model", str(model)],
                 "inspect": ["--model", str(model), "--out", str(tmp_path / "flow.csv")]}[command]
-        src = Path(cli.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src),
-                                                            os.environ.get("PYTHONPATH", "")]))
-        with open("/dev/full", "w") as full:
-            done = subprocess.run(
-                [sys.executable, "-m", "dinet", command, "--config", str(SMOKE_CONFIG),
-                 "--quiet", *no_files, *argv], stdout=full, stderr=subprocess.PIPE,
-                text=True, env=env, cwd=tmp_path)
+        done = self.run_on_full(command, "--quiet", *no_files, *argv, cwd=tmp_path)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         record = self.one_error_line(done.stderr)
         assert record == {"error": "ResourceError",
                           "message": "cannot write to stdout: No space left on device"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_an_unwritable_stdout_and_stderr_exit_1(self, tmp_path):
+        # the progress line fails on stderr before the report fails on stdout
+        done = self.run_on_full("experiment", "--set", "runs=1", "--set", 'outputs.metrics=""',
+                                cwd=tmp_path, stderr_too=True)
+        assert done.returncode == 1
+
+    @staticmethod
+    def run_on_full(command, *argv, cwd, stderr_too=False):
+        """Run the CLI in a child whose stdout (and stderr, if asked) is ``/dev/full``, with
+        the interpreter's default buffering, so its flush at exit is part of the outcome."""
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src),
+                                                            os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            return subprocess.run(
+                [sys.executable, "-m", "dinet", command, "--config", str(SMOKE_CONFIG), *argv],
+                stdout=full, stderr=full if stderr_too else subprocess.PIPE, text=True, env=env,
+                cwd=cwd)
 
     @pytest.mark.parametrize("override", [
         'quantizer.overrides={"lab_1": 3}',
