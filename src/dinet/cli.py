@@ -448,9 +448,9 @@ def _run_indexed(cfg: ExperimentConfig, data: RawDataset, run_index: int):
 _worker_job = None  # (config, table) of a pool worker process, set by _pool_init
 
 
-def _pool_init(cfg_dict, data):
+def _pool_init(cfg, data):
     global _worker_job
-    _worker_job = (config_from_dict(cfg_dict), data)
+    _worker_job = (cfg, data)
 
 
 def _pool_run(run_index):
@@ -465,7 +465,7 @@ def _pool_results(cfg: ExperimentConfig, data: RawDataset, n_workers: int):
     with ``cfg.runs``; runs still queued when one fails are cancelled.
     """
     with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
-                             initargs=(config_to_dict(cfg), data)) as pool:
+                             initargs=(cfg, data)) as pool:
         queued = deque()
         try:
             for r in range(cfg.runs):
@@ -543,11 +543,6 @@ def _write(path, text):
         write_text(path, text)
 
 
-def _flag_or(flag, configured):
-    """An output flag's path; the config's only when the flag is absent ("" is "do not write")."""
-    return configured if flag is None else flag
-
-
 def _progress_printer(args):
     if args.quiet:
         return None
@@ -574,11 +569,10 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
     data, _ = _splittable_dataset(cfg)
     result = run_single(cfg, data, run_index=0, keep_model=True)
     model = result["model"]
-    model_path = _flag_or(args.model_out, cfg.outputs.model)
-    if model_path:
-        save_model(model, model_path)
-    _write(_flag_or(args.metrics_out, cfg.outputs.metrics), report_json(result["train"]))
-    _write_mi_flow(model, result["trained_on"], _flag_or(args.miflow_out, cfg.outputs.mi_flow))
+    if cfg.outputs.model:
+        save_model(model, cfg.outputs.model)
+    _write(cfg.outputs.metrics, report_json(result["train"]))
+    _write_mi_flow(model, result["trained_on"], cfg.outputs.mi_flow)
     _say(report_json(result["train"]))
     return 0
 
@@ -598,7 +592,7 @@ def cmd_experiment(cfg: ExperimentConfig, args) -> int:
     data, _ = _splittable_dataset(cfg)
     report = run_experiment(cfg, data, progress=_progress_printer(args))
     text = report_json(report)
-    _write(_flag_or(args.out, cfg.outputs.metrics), text)
+    _write(cfg.outputs.metrics, text)
     _say(text)
     return 0
 
@@ -620,8 +614,15 @@ def cmd_fetch(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ``ConfigError``, so it reaches the user as one JSON line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dinet",
         description="Train and evaluate tree-structured information-bottleneck classifiers.",
     )
@@ -635,24 +636,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train once and write model/metrics/MI-flow")
     add_common(p)
-    p.add_argument("--model-out", default=None)
-    p.add_argument("--metrics-out", default=None)
-    p.add_argument("--miflow-out", default=None)
+    p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on a split")
     add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--split", choices=["train", "test", "all"], default="test")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_evaluate)
 
     p = sub.add_parser("experiment", help="repeated splits, aggregated metrics")
     add_common(p)
-    p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_experiment)
 
     p = sub.add_parser("inspect", help="emit the MI-flow CSV for a saved model")
     add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_inspect)
 
     p = sub.add_parser("fetch-data", help="download the kidney-disease dataset")
     p.add_argument("--dest", default="data/ckd")
@@ -663,20 +664,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "fetch-data":
             return cmd_fetch(args)
-        cfg = apply_overrides(load_config(args.config), args.overrides)
-        if args.command == "train":
-            return cmd_train(cfg, args)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args)
-        if args.command == "experiment":
-            return cmd_experiment(cfg, args)
-        if args.command == "inspect":
-            return cmd_inspect(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(apply_overrides(load_config(args.config), args.overrides), args)
     except (DinetError, MemoryError) as exc:
         if isinstance(exc, MemoryError):  # also re-raised here from pool workers
             exc = ResourceError(f"out of memory: {exc}")

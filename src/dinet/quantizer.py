@@ -147,7 +147,8 @@ def fit_quantizer(column: RawColumn, requested_levels: int | None = None,
     if numeric and not np.isfinite(x).all():
         bad = column.cells[seen[np.isfinite(x).argmin()]]
         raise ValidationError(f"feature {name!r}: non-finite value {bad!r}")
-    n_values = 1 + int(np.count_nonzero(np.diff(np.sort(x))))  # as len(set(floats)): -0.0 == 0.0
+    # as len(set(floats)): -0.0 == 0.0; only a numeric column's numbers are all finite
+    n_values = 1 + int(np.count_nonzero(np.diff(np.sort(x)))) if numeric else 0
     if kind is None:
         few = requested_levels is None and n_values <= categorical_max_distinct
         kind = CATEGORICAL if not numeric or few else CONTINUOUS

@@ -243,7 +243,7 @@ class TestCriterion4Determinism:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             code = main(["experiment", "--config", str(cfg_path), "--quiet",
-                         "--out", str(out)])
+                         "--set", f"outputs.metrics={out}"])
             capsys.readouterr()
             assert code == 0
             outs.append(out.read_bytes())

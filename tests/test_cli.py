@@ -380,10 +380,10 @@ class TestCommands:
         r1 = tmp_path / "r1.json"
         r2 = tmp_path / "r2.json"
         code, out, _ = self.run("experiment", "--config", str(config_file),
-                                "--quiet", "--out", str(r1), capsys=capsys)
+                                "--quiet", "--set", f"outputs.metrics={r1}", capsys=capsys)
         assert code == 0
         code, _, _ = self.run("experiment", "--config", str(config_file),
-                              "--quiet", "--out", str(r2), capsys=capsys)
+                              "--quiet", "--set", f"outputs.metrics={r2}", capsys=capsys)
         assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
         report = json.loads(out)
@@ -423,8 +423,8 @@ class TestCommands:
         flow_out = tmp_path / "flow.csv"
         code, out, _ = self.run(
             "train", "--config", str(config_file), "--quiet",
-            "--model-out", str(model_out), "--metrics-out", str(metrics_out),
-            "--miflow-out", str(flow_out), capsys=capsys)
+            "--set", f"outputs.model={model_out}", "--set", f"outputs.metrics={metrics_out}",
+            "--set", f"outputs.mi_flow={flow_out}", capsys=capsys)
         assert code == 0
         assert model_out.exists() and metrics_out.exists() and flow_out.exists()
         metrics = json.loads(metrics_out.read_text())
@@ -451,8 +451,9 @@ class TestCommands:
             monkeypatch.setattr(module, "quantize_with", recording_quantize(module))
         model_out, flow_out = tmp_path / "model.json", tmp_path / "flow.csv"
         code, _, _ = self.run("train", "--config", str(config), "--quiet",
-                              "--model-out", str(model_out), "--miflow-out", str(flow_out),
-                              "--metrics-out", "", capsys=capsys)
+                              "--set", f"outputs.model={model_out}",
+                              "--set", f"outputs.mi_flow={flow_out}",
+                              "--set", 'outputs.metrics=""', capsys=capsys)
         monkeypatch.undo()
         assert code == 0
         cfg = load_config(config)
@@ -486,18 +487,12 @@ class TestCommands:
         assert (node["kind"], node["layer"], node["position"]) == ("node", "0", "0")
         assert (node["mi_in_y"], node["mi_out_y"], node["h_out"]) == ("0.0", "0.0", "0.0")
 
-    @pytest.mark.parametrize("empty, form", [
-        (key, form) for form in ("set", "flag") for key in ("model", "metrics", "mi_flow")
-    ], ids=["model", "metrics", "mi_flow", "model-flag", "metrics-flag", "mi_flow-flag"])
-    def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty, form):
+    @pytest.mark.parametrize("empty", ["model", "metrics", "mi_flow"])
+    def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty):
         paths = {key: str(tmp_path / f"{key}.out") for key in ("model", "metrics", "mi_flow")}
         paths[empty] = ""
-        if form == "set":
-            args = [arg for key, path in paths.items()
-                    for arg in ("--set", f"outputs.{key}={json.dumps(path)}")]
-        else:  # the config keeps its default paths under out/, which an empty flag overrides
-            flags = {"model": "--model-out", "metrics": "--metrics-out", "mi_flow": "--miflow-out"}
-            args = [arg for key, path in paths.items() for arg in (flags[key], path)]
+        args = [arg for key, path in paths.items()
+                for arg in ("--set", f"outputs.{key}={json.dumps(path)}")]
         code, out, err = self.run("train", "--config", str(config_file), "--quiet", *args,
                                   capsys=capsys)
         assert (code, err) == (0, "")
@@ -507,7 +502,7 @@ class TestCommands:
 
     def test_experiment_skips_an_empty_output_path(self, config_file, tmp_path, capsys):
         code, out, err = self.run("experiment", "--config", str(config_file), "--quiet",
-                                  "--out", "", capsys=capsys)
+                                  "--set", 'outputs.metrics=""', capsys=capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)["runs"] == 2
         assert [p.name for p in tmp_path.iterdir()] == [config_file.name]
@@ -515,7 +510,7 @@ class TestCommands:
     def test_inspect_skips_an_empty_output_path(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"
         self.run("train", "--config", str(config_file), "--quiet",
-                 "--model-out", str(model_out), capsys=capsys)
+                 "--set", f"outputs.model={model_out}", capsys=capsys)
         code, out, _ = self.run("inspect", "--config", str(config_file), "--quiet",
                                 "--model", str(model_out), "--out", "", capsys=capsys)
         assert code == 0
@@ -538,7 +533,7 @@ class TestCommands:
     def test_evaluate_matches_experiment_run_zero(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"
         code, _, _ = self.run("train", "--config", str(config_file), "--quiet",
-                              "--model-out", str(model_out), capsys=capsys)
+                              "--set", f"outputs.model={model_out}", capsys=capsys)
         assert code == 0
         code, out, _ = self.run("evaluate", "--config", str(config_file), "--quiet",
                                 "--model", str(model_out), "--split", "test",
@@ -553,7 +548,7 @@ class TestCommands:
     def test_inspect_emits_csv(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"
         self.run("train", "--config", str(config_file), "--quiet",
-                 "--model-out", str(model_out), capsys=capsys)
+                 "--set", f"outputs.model={model_out}", capsys=capsys)
         flow_out = tmp_path / "flow.csv"
         code, out, _ = self.run("inspect", "--config", str(config_file), "--quiet",
                                 "--model", str(model_out), "--out", str(flow_out),
@@ -570,7 +565,7 @@ class TestCommands:
                                                              capsys, key, edit):
         model_out = tmp_path / "model.json"
         self.run("train", "--config", str(config_file), "--quiet",
-                 "--model-out", str(model_out), capsys=capsys)
+                 "--set", f"outputs.model={model_out}", capsys=capsys)
         doc = json.loads(model_out.read_text())
         doc["payload"][key] = edit(doc["payload"][key])
         write_resigned(doc, model_out)
@@ -592,7 +587,7 @@ class TestCommands:
                                                   key, value):
         model_out = tmp_path / "model.json"
         self.run("train", "--config", str(config_file), "--quiet",
-                 "--model-out", str(model_out), capsys=capsys)
+                 "--set", f"outputs.model={model_out}", capsys=capsys)
         doc = json.loads(model_out.read_text())
         doc["payload"][key][0] = value
         write_resigned(doc, model_out)
@@ -614,8 +609,9 @@ class TestCommands:
         base = ["--config", str(SMOKE_CONFIG), "--quiet",
                 *[arg for item in SETTINGS[settings] for arg in ("--set", item)]]
         model_out, flow_out = tmp_path / "m.json", tmp_path / "flow.csv"
-        code, _, err = self.run("train", *base, "--model-out", str(model_out),
-                                "--metrics-out", "", "--miflow-out", "", capsys=capsys)
+        code, _, err = self.run("train", *base, "--set", f"outputs.model={model_out}",
+                                "--set", 'outputs.metrics=""', "--set", 'outputs.mi_flow=""',
+                                capsys=capsys)
         assert (code, err) == (0, "")
         code, out, err = self.run("inspect", *base, "--model", str(model_out),
                                   "--out", str(flow_out), capsys=capsys)
@@ -678,13 +674,51 @@ class TestCommands:
         record = json.loads(lines[0])
         assert f"feature 'age': non-finite value '{token}'" in record["message"]
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ['{"model": {"beta": -3}}', "[1, 2]"],
+                             ids=["negative-beta", "not-an-object"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text):
         p = tmp_path / "cfg.json"
-        p.write_text('{"model": {"beta": -3}}')
+        p.write_text(text)
         code, _, err = self.run("experiment", "--config", str(p), "--quiet",
                                 capsys=capsys)
         assert code == 2
-        assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+        assert self.one_error_line(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--config", str(SMOKE_CONFIG), "--bogus"],
+        ["experiment"],
+        ["evaluate", "--config", str(SMOKE_CONFIG), "--model", "m.json", "--split", "all-rows"],
+        [],
+        ["train", "--config", str(SMOKE_CONFIG), "--model-out", "x"],
+    ], ids=["unknown-flag", "no-config", "bad-split", "no-command", "removed-flag"])
+    def test_a_usage_error_is_one_config_error_line(self, tmp_path, capsys, argv):
+        code, out, err = self.run(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert self.one_error_line(err)["error"] == "ConfigError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["-h"], ["experiment", "--help"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (info.value.code, err) == (0, "")
+        assert out.startswith("usage: dinet")
+
+    @pytest.mark.parametrize("table, line", [
+        ("a,class\n1,x\n2," + "y" * (csv.field_size_limit() + 1) + "\n", 3),
+        ("a,class\n1,x\n2,\n", 3),
+    ], ids=["cell-over-the-field-limit", "empty-target-cell"])
+    def test_a_table_error_exits_2_naming_its_line(self, tmp_path, capsys, table, line):
+        data = tmp_path / "table.csv"
+        data.write_text(table)
+        code, out, err = self.run("experiment", "--config", str(SMOKE_CONFIG), "--quiet",
+                                  "--set", "dataset.format=csv", "--set", f"dataset.path={data}",
+                                  capsys=capsys)
+        assert (code, out) == (2, "")
+        record = self.one_error_line(err)
+        assert record["error"] == "DatasetFormatError"
+        assert record["message"].startswith(f"{data}: line {line}: ")
 
     @pytest.mark.parametrize("override", [
         "model.beta=abc", "runs=1.5", 'seed="x"', "split.n_train=abc",
@@ -694,6 +728,8 @@ class TestCommands:
         'dataset.missing_tokens="?"', "model.n_out=[3.0, 2]", 'dataset.delimiter=""',
         "split.positive_fraction=1.5", "split.positive_fraction=-0.5",
         "quantizer.default_levels=1", "split.n_train=0", "model.n_out=[3]", "model.n_out=0",
+        "model.tol=0", "model.max_iter=0", "workers=0", "prediction.mode=vote",
+        "dataset.format=xml", "nope.beta=1", "dataset.positive_class=nope",
     ])
     def test_mistyped_override_exits_2(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
@@ -727,23 +763,6 @@ class TestCommands:
         assert record["error"] == "ConfigError"
         assert key in record["message"]
         assert not record["message"].startswith("run 0 failed")
-
-    def test_the_cli_split_check_is_the_split_that_draws(self):
-        """Every split the check lets through draws; every one it refuses does not."""
-        data = prepare_dataset(load_config(SMOKE_CONFIG))
-        for stratify in ("none", "balanced"):
-            for n_train in (1, 158, 159, 160, 241, 242, 398, 399, 400):
-                for fraction in (0.0, 0.25, 0.5, 0.6, 1.0):
-                    cfg = apply_overrides(load_config(SMOKE_CONFIG), [
-                        f"split.n_train={n_train}", f"split.stratify={stratify}",
-                        f"split.positive_fraction={fraction}"])
-                    try:
-                        cli._splittable_dataset(cfg)
-                    except ConfigError:
-                        with pytest.raises(ValidationError):
-                            cli.split_for_run(cfg, data, 0)
-                    else:
-                        cli.split_for_run(cfg, data, 0)
 
     @pytest.mark.parametrize("command", ["experiment", "train", "evaluate"])
     def test_the_pre_run_refusal_is_the_split_refusal(self, capsys, monkeypatch, command):
@@ -781,7 +800,7 @@ class TestCommands:
         no_files = ["--set", 'outputs.metrics=""', "--set", 'outputs.model=""',
                     "--set", 'outputs.mi_flow=""', "--set", "runs=1"]
         assert self.run("train", "--config", str(SMOKE_CONFIG), "--quiet", *no_files,
-                        "--model-out", str(model), capsys=capsys)[0] == 0
+                        "--set", f"outputs.model={model}", capsys=capsys)[0] == 0
         argv = {"train": [], "experiment": [],
                 "evaluate": ["--model", str(model)],
                 "inspect": ["--model", str(model), "--out", str(tmp_path / "flow.csv")]}[command]
@@ -870,13 +889,13 @@ class TestCommands:
         assert record["error"] == "ConfigError"
         assert str(cli.MAX_ARRAY_ENTRIES) in record["message"]
 
-    @pytest.mark.parametrize("flag", ["--model-out", "--metrics-out", "--miflow-out"])
-    def test_unwritable_output_exits_1_naming_it(self, config_file, tmp_path, capsys, flag):
-        paths = {f: str(tmp_path / f"{f[2:]}.out")
-                 for f in ("--model-out", "--metrics-out", "--miflow-out")}
-        paths[flag] = str(tmp_path)  # a directory
+    @pytest.mark.parametrize("key", ["model", "metrics", "mi_flow"])
+    def test_unwritable_output_exits_1_naming_it(self, config_file, tmp_path, capsys, key):
+        paths = {k: str(tmp_path / f"{k}.out") for k in ("model", "metrics", "mi_flow")}
+        paths[key] = str(tmp_path)  # a directory
         code, out, err = self.run("train", "--config", str(config_file), "--quiet",
-                                  *[arg for item in paths.items() for arg in item],
+                                  *[arg for k, path in paths.items()
+                                    for arg in ("--set", f"outputs.{k}={path}")],
                                   capsys=capsys)
         assert (code, out) == (1, "")
         record = self.one_error_line(err)
@@ -900,7 +919,7 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "train_network", exhausted)
         code, out, err = self.run("train", "--config", str(config_file), "--quiet",
-                                  "--model-out", str(tmp_path / "m.json"), capsys=capsys)
+                                  "--set", f"outputs.model={tmp_path / 'm.json'}", capsys=capsys)
         assert (code, out) == (1, "")
         assert "Traceback" not in err
         assert self.one_error_line(err) == {

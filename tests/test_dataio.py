@@ -258,6 +258,31 @@ class TestFetch:
         with pytest.raises(DatasetFormatError, match="zip"):
             fetch_ckd(tmp_path / "data", url=blob.as_uri())
 
+    @pytest.mark.parametrize("pinned", [True, False], ids=["sha256", "unverified"])
+    def test_fetch_data_prints_the_table_path(self, archive, tmp_path, capsys, pinned):
+        from dinet.cli import main
+
+        dest = tmp_path / "data"
+        argv = ["fetch-data", "--dest", str(dest), "--url", archive.as_uri()]
+        if pinned:
+            argv += ["--sha256", hashlib.sha256(archive.read_bytes()).hexdigest()]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"dataset": str(dest / "chronic_kidney_disease_full.arff")}
+        assert [json.loads(line) for line in err.splitlines()] == ([] if pinned else [
+            {"warning": "archive checksum not verified; pass --sha256 to pin it"}])
+
+    def test_fetch_data_of_an_archive_without_arff_exits_2(self, archive, tmp_path, capsys):
+        from dinet.cli import main
+
+        with zipfile.ZipFile(archive, "w") as zf:
+            zf.writestr("Chronic_Kidney_Disease/README.txt", "no table here")
+        code = main(["fetch-data", "--dest", str(tmp_path / "data"), "--url", archive.as_uri()])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "DatasetFormatError", "message": "archive contained no ARFF files"}]
+
 
 class TestRealKidneyTable:
     """Sanity checks on the fetched UCI file (skipped until fetched)."""

@@ -597,6 +597,42 @@ class TestReferenceCycle:
         assert caps == {*range(1, 8), DEFAULT_MAX_ITER}
 
 
+class TestNonFiniteProposal:
+    def test_a_refused_proposal_goes_on_from_x2_as_the_reference_does(self, monkeypatch):
+        """Each solve's first projected proposal is made NaN, as a row of negative
+        entries clipped to 0/0 would be; the cycle refuses it and goes on from x2."""
+        from dinet import ib
+
+        def nan_first(project, calls):
+            def first_is_nan(proposal, fallback, src):
+                x = project(proposal, fallback, src)
+                if not calls:
+                    x[0, 0] = np.nan
+                calls.append(None)
+                return x
+            return first_is_nan
+
+        project, reference_project = ib._project, _project
+        refused = changed = 0
+        for prob, max_iter, seed in reference_cases():
+            plain = solve_ib(prob, max_iter=max_iter, seed=seed)
+            calls, reference_calls = [], []
+            monkeypatch.setattr(ib, "_project", nan_first(project, calls))
+            monkeypatch.setitem(globals(), "_project", nan_first(reference_project,
+                                                                 reference_calls))
+            sol = solve_ib(prob, max_iter=max_iter, seed=seed)
+            channel, _, _, diagnostics, _, _ = reference_solve(prob, DEFAULT_TOL, max_iter, seed)
+            monkeypatch.undo()
+            where = (prob.n_in, prob.n_class, prob.n_out, prob.beta, max_iter, seed)
+            assert len(calls) == len(reference_calls), where
+            assert np.array_equal(sol.channel.p, channel), where
+            assert sol.diagnostics == diagnostics, where
+            refused += bool(calls)
+            changed += sol.diagnostics != plain.diagnostics
+        # the refusal is reached, and it changes what many solves do
+        assert refused >= 20 and changed >= 10, (refused, changed)
+
+
 class TestLargeBeta:
     def test_overflowing_distortions_solve_without_a_warning(self, monkeypatch):
         """At a large beta the stand-in distortion times -beta overflows to -inf, silently."""

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinet import (
@@ -396,6 +396,9 @@ def split_columns(draw):
 class TestFitMatchesPerCellReference:
     @settings(max_examples=800, deadline=None)
     @given(split_columns())
+    # a text column with two infinite cells: its distinct numbers were counted, inf - inf
+    @example(([float("inf"), "yes", " inf"], [0, 1, 2], [],
+              dict(requested_levels=None, kind=None, name="f", categorical_max_distinct=16)))
     def test_fit_and_apply_on_a_split(self, case):
         cells, train_rows, test_rows, options = case
         column = raw(cells)
