@@ -60,11 +60,6 @@ _PRED_TEST_TAG = 4
 # big"; below it, an array that does not fit fails as out of memory.
 MAX_ARRAY_ENTRIES = 2 ** 40
 
-# quantizer.overrides is the one config value that nests (a valid one, two
-# levels); copying a config recurses about two frames a level, so a deeper
-# value is refused here, far below the interpreter's recursion limit
-MAX_OVERRIDE_DEPTH = 100
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -130,9 +125,16 @@ class ExperimentConfig:
 
     def validate(self):
         _check_types(self)
-        if _nesting(self.quantizer.overrides) > MAX_OVERRIDE_DEPTH:
-            raise ConfigError(
-                f"quantizer.overrides nests more than {MAX_OVERRIDE_DEPTH} levels deep")
+        for name, override in self.quantizer.overrides.items():
+            levels = override.get("levels") if isinstance(override, dict) else None
+            if not (isinstance(override, dict) and set(override) <= {"kind", "levels"}
+                    and override.get("kind") in (None, CATEGORICAL, CONTINUOUS)
+                    and json_error(levels, int | None, "") is None
+                    and (levels is None or levels >= 2)):
+                raise ConfigError(
+                    f"quantizer.overrides.{name} must be an object with an optional kind "
+                    f"({CATEGORICAL!r} or {CONTINUOUS!r}) and levels (an int >= 2 or null), "
+                    f"got {override!r:.40}")
         if self.model.beta <= 0:
             raise ConfigError("model.beta must be positive")
         if self.model.tol <= 0 or self.model.max_iter < 1:
@@ -176,16 +178,6 @@ def _check_types(section, prefix=""):
             raise ConfigError(error)
 
 
-def _nesting(value) -> int:
-    """How many levels of objects and arrays the JSON ``value`` nests; it is
-    walked a level at a time, so no value is too deep to measure."""
-    depth, level = 0, [value]
-    while containers := [c for c in level if isinstance(c, (dict, list))]:
-        depth += 1
-        level = [v for c in containers for v in (c.values() if isinstance(c, dict) else c)]
-    return depth
-
-
 def _build(cls, data: dict, where: str):
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
@@ -203,10 +195,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, kwargs, "the top level").validate()
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
@@ -219,7 +207,7 @@ def load_config(path) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, assignments) -> ExperimentConfig:
     """Apply dotted key=value overrides (values parsed as JSON, else string)."""
-    d = config_to_dict(cfg)
+    d = dataclasses.asdict(cfg)
     for item in assignments or ():
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -289,6 +277,8 @@ def prepare_dataset(cfg: ExperimentConfig) -> RawDataset:
     if ds.positive_class not in data.classes:
         raise ConfigError(
             f"positive_class {ds.positive_class!r} not among classes {list(data.classes)}")
+    if unknown := set(cfg.quantizer.overrides) - set(data.feature_names):
+        raise ConfigError(f"quantizer.overrides name unknown features {sorted(unknown)}")
     return data
 
 
@@ -309,24 +299,15 @@ def _splittable_dataset(cfg: ExperimentConfig):
 def fit_quantizers(train: RawDataset, qcfg: QuantizerConfig, reserve_missing=()):
     """One fitted spec per feature of the training rows.
 
-    Features named in ``reserve_missing`` get a missing symbol even when no
-    training cell is missing; it then has zero training mass.
+    ``qcfg`` is a validated ``QuantizerConfig``, whose overrides name features
+    of the table (``prepare_dataset`` checks the names); only their ``kind``
+    and ``levels`` are read here.  Features named in ``reserve_missing`` get a
+    missing symbol even when no training cell is missing; it then has zero
+    training mass.
     """
-    unknown = set(qcfg.overrides) - set(train.feature_names)
-    if unknown:
-        raise ConfigError(f"quantizer overrides name unknown features {sorted(unknown)}")
     specs = []
     for i, name in enumerate(train.feature_names):
         override = qcfg.overrides.get(name, {})
-        levels = override.get("levels") if isinstance(override, dict) else None
-        if not (isinstance(override, dict) and set(override) <= {"kind", "levels"}
-                and override.get("kind") in (None, CATEGORICAL, CONTINUOUS)
-                and json_error(levels, int | None, name) is None
-                and (levels is None or levels >= 2)):
-            raise ConfigError(
-                f"quantizer override for {name!r} must be an object with an optional "
-                f"kind ({CATEGORICAL!r} or {CONTINUOUS!r}) and levels (an int >= 2), "
-                f"got {override!r}")
         kind = override.get("kind")
         if kind is None and train.kinds[i] == "nominal":
             kind = CATEGORICAL
@@ -632,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (dotted path)")
-        p.add_argument("--quiet", action="store_true", help="suppress stderr progress")
 
     p = sub.add_parser("train", help="train once and write model/metrics/MI-flow")
     add_common(p)
@@ -647,6 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="repeated splits, aggregated metrics")
     add_common(p)
+    p.add_argument("--quiet", action="store_true", help="suppress stderr progress")
     p.set_defaults(run=cmd_experiment)
 
     p = sub.add_parser("inspect", help="emit the MI-flow CSV for a saved model")

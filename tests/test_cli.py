@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,6 @@ from dinet.cli import (
     apply_overrides,
     compute_metrics,
     config_from_dict,
-    config_to_dict,
     load_config,
     main,
     prepare_dataset,
@@ -29,7 +29,7 @@ from dinet.cli import (
 )
 from dinet import cli
 from dinet.network import tree_layer_sizes
-from dinet.errors import ConfigError, ValidationError
+from dinet.errors import ConfigError, DinetError, ValidationError
 from tests.conftest import REPO_ROOT
 from tests.test_dataio import write_resigned, write_table
 
@@ -66,26 +66,6 @@ def cfg(config_file):
     return load_config(config_file)
 
 
-def json_values():
-    return st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=3),
-                        lambda inner: st.lists(inner, max_size=3)
-                        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-                        max_leaves=30)
-
-
-def recursive_nesting(value):
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return 1 + max(map(recursive_nesting, value), default=0)
-    return 0
-
-
-@given(json_values())
-def test_nesting_counts_levels_of_objects_and_arrays(value):
-    assert cli._nesting(value) == recursive_nesting(value)
-
-
 class TestConfig:
     def test_defaults_follow_reference_setup(self):
         c = ExperimentConfig()
@@ -118,7 +98,7 @@ class TestConfig:
             apply_overrides(cfg, ["justakey"])
 
     def test_round_trips_through_dict(self, cfg):
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_quantizer_overrides_reach_the_specs(self):
         from dinet.cli import QuantizerConfig, fit_quantizers
@@ -133,10 +113,12 @@ class TestConfig:
         assert specs["lab_2"].kind == "categorical"
         assert specs["lab_3"].levels == 12
         assert specs["flag_15"].kind == "categorical"   # nominal hint from loader
-        with pytest.raises(ConfigError, match="bins"):
-            fit_quantizers(data, QuantizerConfig(overrides={"lab_1": {"bins": 3}}))
+        with pytest.raises(ConfigError, match=r"^quantizer\.overrides\.lab_1 must be an object .*"
+                                              r", got \{'bins': 3\}$"):
+            config_from_dict({"quantizer": {"overrides": {"lab_1": {"bins": 3}}}})
+        unknown = {"overrides": {"lab0": {}, "lab_1": {}}}
         with pytest.raises(ConfigError, match=r"unknown features \['lab0'\]"):
-            fit_quantizers(data, QuantizerConfig(overrides={"lab0": {}, "lab_1": {}}))
+            prepare_dataset(config_from_dict(dict(SYNTH_CONFIG, quantizer=unknown)))
 
 
 def _leaf_keys(d, prefix=""):
@@ -147,7 +129,7 @@ def _leaf_keys(d, prefix=""):
             yield prefix + key
 
 
-KNOWN_KEYS = sorted(_leaf_keys(config_to_dict(ExperimentConfig()))) + [
+KNOWN_KEYS = sorted(_leaf_keys(dataclasses.asdict(ExperimentConfig()))) + [
     "dataset", "model", "split"]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -163,6 +145,32 @@ def test_override_returns_a_config_or_raises_config_error(key, value):
     except ConfigError:
         return
     assert isinstance(out, ExperimentConfig)
+
+
+@pytest.fixture(scope="module")
+def synth_table():
+    return prepare_dataset(config_from_dict(SYNTH_CONFIG))
+
+
+# any JSON value, and objects of the two override keys holding any JSON value
+OVERRIDE_VALUES = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["categorical", "continuous"]) | JSON_VALUES,
+    "levels": st.integers() | JSON_VALUES})
+
+
+@settings(max_examples=300, deadline=None)
+@given(OVERRIDE_VALUES)
+def test_an_override_is_refused_when_read_or_fits(synth_table, value):
+    try:
+        cfg = config_from_dict(dict(SYNTH_CONFIG, quantizer={"overrides": {"lab_1": value}}))
+    except ConfigError:
+        return
+    try:
+        specs = cli.fit_quantizers(synth_table, cfg.quantizer)
+    except DinetError:
+        return
+    spec = specs[synth_table.feature_names.index("lab_1")]
+    assert spec.kind == value.get("kind") or value.get("kind") is None
 
 
 class TestMetrics:
@@ -422,7 +430,7 @@ class TestCommands:
         metrics_out = tmp_path / "metrics.json"
         flow_out = tmp_path / "flow.csv"
         code, out, _ = self.run(
-            "train", "--config", str(config_file), "--quiet",
+            "train", "--config", str(config_file),
             "--set", f"outputs.model={model_out}", "--set", f"outputs.metrics={metrics_out}",
             "--set", f"outputs.mi_flow={flow_out}", capsys=capsys)
         assert code == 0
@@ -450,7 +458,7 @@ class TestCommands:
         for module in quantize_with:
             monkeypatch.setattr(module, "quantize_with", recording_quantize(module))
         model_out, flow_out = tmp_path / "model.json", tmp_path / "flow.csv"
-        code, _, _ = self.run("train", "--config", str(config), "--quiet",
+        code, _, _ = self.run("train", "--config", str(config),
                               "--set", f"outputs.model={model_out}",
                               "--set", f"outputs.mi_flow={flow_out}",
                               "--set", 'outputs.metrics=""', capsys=capsys)
@@ -479,7 +487,7 @@ class TestCommands:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         with pytest.warns(UserWarning, match="'const' is constant"):
-            code, _, _ = self.run("train", "--config", str(p), "--quiet", capsys=capsys)
+            code, _, _ = self.run("train", "--config", str(p), capsys=capsys)
         assert code == 0
         with open(flow_out, newline="") as fh:
             node = next(csv.DictReader(fh))
@@ -493,7 +501,7 @@ class TestCommands:
         paths[empty] = ""
         args = [arg for key, path in paths.items()
                 for arg in ("--set", f"outputs.{key}={json.dumps(path)}")]
-        code, out, err = self.run("train", "--config", str(config_file), "--quiet", *args,
+        code, out, err = self.run("train", "--config", str(config_file), *args,
                                   capsys=capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)["accuracy"] >= 0.9
@@ -509,9 +517,9 @@ class TestCommands:
 
     def test_inspect_skips_an_empty_output_path(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"
-        self.run("train", "--config", str(config_file), "--quiet",
+        self.run("train", "--config", str(config_file),
                  "--set", f"outputs.model={model_out}", capsys=capsys)
-        code, out, _ = self.run("inspect", "--config", str(config_file), "--quiet",
+        code, out, _ = self.run("inspect", "--config", str(config_file),
                                 "--model", str(model_out), "--out", "", capsys=capsys)
         assert code == 0
         assert json.loads(out) == {"nodes": 46, "muxes": 23, "csv": None}
@@ -532,10 +540,10 @@ class TestCommands:
 
     def test_evaluate_matches_experiment_run_zero(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"
-        code, _, _ = self.run("train", "--config", str(config_file), "--quiet",
+        code, _, _ = self.run("train", "--config", str(config_file),
                               "--set", f"outputs.model={model_out}", capsys=capsys)
         assert code == 0
-        code, out, _ = self.run("evaluate", "--config", str(config_file), "--quiet",
+        code, out, _ = self.run("evaluate", "--config", str(config_file),
                                 "--model", str(model_out), "--split", "test",
                                 capsys=capsys)
         assert code == 0
@@ -547,10 +555,10 @@ class TestCommands:
 
     def test_inspect_emits_csv(self, config_file, tmp_path, capsys):
         model_out = tmp_path / "model.json"
-        self.run("train", "--config", str(config_file), "--quiet",
+        self.run("train", "--config", str(config_file),
                  "--set", f"outputs.model={model_out}", capsys=capsys)
         flow_out = tmp_path / "flow.csv"
-        code, out, _ = self.run("inspect", "--config", str(config_file), "--quiet",
+        code, out, _ = self.run("inspect", "--config", str(config_file),
                                 "--model", str(model_out), "--out", str(flow_out),
                                 capsys=capsys)
         assert code == 0
@@ -564,14 +572,14 @@ class TestCommands:
     def test_inspect_refuses_a_table_the_model_does_not_name(self, config_file, tmp_path,
                                                              capsys, key, edit):
         model_out = tmp_path / "model.json"
-        self.run("train", "--config", str(config_file), "--quiet",
+        self.run("train", "--config", str(config_file),
                  "--set", f"outputs.model={model_out}", capsys=capsys)
         doc = json.loads(model_out.read_text())
         doc["payload"][key] = edit(doc["payload"][key])
         write_resigned(doc, model_out)
         flow_out = tmp_path / "flow.csv"
         for command in ("evaluate", "inspect"):
-            code, out, err = self.run(command, "--config", str(config_file), "--quiet",
+            code, out, err = self.run(command, "--config", str(config_file),
                                       "--model", str(model_out), "--out", str(flow_out),
                                       capsys=capsys)
             assert (code, out) == (1, "")
@@ -586,14 +594,14 @@ class TestCommands:
     def test_a_non_string_name_is_refused_at_load(self, config_file, tmp_path, capsys,
                                                   key, value):
         model_out = tmp_path / "model.json"
-        self.run("train", "--config", str(config_file), "--quiet",
+        self.run("train", "--config", str(config_file),
                  "--set", f"outputs.model={model_out}", capsys=capsys)
         doc = json.loads(model_out.read_text())
         doc["payload"][key][0] = value
         write_resigned(doc, model_out)
         flow_out = tmp_path / "flow.csv"
         for command in ("evaluate", "inspect"):
-            code, out, err = self.run(command, "--config", str(config_file), "--quiet",
+            code, out, err = self.run(command, "--config", str(config_file),
                                       "--model", str(model_out), "--out", str(flow_out),
                                       capsys=capsys)
             assert (code, out) == (1, "")
@@ -606,7 +614,7 @@ class TestCommands:
     def test_train_inspect_evaluate_and_reload_a_model(self, tmp_path, capsys, settings):
         from dinet import load_model, save_model
 
-        base = ["--config", str(SMOKE_CONFIG), "--quiet",
+        base = ["--config", str(SMOKE_CONFIG),
                 *[arg for item in SETTINGS[settings] for arg in ("--set", item)]]
         model_out, flow_out = tmp_path / "m.json", tmp_path / "flow.csv"
         code, _, err = self.run("train", *base, "--set", f"outputs.model={model_out}",
@@ -667,7 +675,7 @@ class TestCommands:
                           "positive_class": "ckd"}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        code, _, err = self.run(command, "--config", str(p), "--quiet", capsys=capsys)
+        code, _, err = self.run(command, "--config", str(p), capsys=capsys)
         assert code == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1
@@ -690,7 +698,11 @@ class TestCommands:
         ["evaluate", "--config", str(SMOKE_CONFIG), "--model", "m.json", "--split", "all-rows"],
         [],
         ["train", "--config", str(SMOKE_CONFIG), "--model-out", "x"],
-    ], ids=["unknown-flag", "no-config", "bad-split", "no-command", "removed-flag"])
+        ["train", "--config", str(SMOKE_CONFIG), "--quiet"],
+        ["evaluate", "--config", str(SMOKE_CONFIG), "--model", "m.json", "--quiet"],
+        ["inspect", "--config", str(SMOKE_CONFIG), "--model", "m.json", "--out", "", "--quiet"],
+    ], ids=["unknown-flag", "no-config", "bad-split", "no-command", "removed-flag",
+            "train-quiet", "evaluate-quiet", "inspect-quiet"])
     def test_a_usage_error_is_one_config_error_line(self, tmp_path, capsys, argv):
         code, out, err = self.run(*argv, capsys=capsys)
         assert (code, out) == (2, "")
@@ -772,7 +784,7 @@ class TestCommands:
             raise ValidationError(message)
 
         monkeypatch.setattr(cli, "split", refuse)
-        argv = [command, "--config", str(SMOKE_CONFIG), "--quiet", "--set", 'outputs.metrics=""',
+        argv = [command, "--config", str(SMOKE_CONFIG), "--set", 'outputs.metrics=""',
                 "--set", 'outputs.model=""', "--set", 'outputs.mi_flow=""']
         if command == "evaluate":
             argv += ["--model", str(REPO_ROOT / "tests" / "fixtures" / "model.json")]
@@ -799,12 +811,12 @@ class TestCommands:
         model = tmp_path / "model.json"
         no_files = ["--set", 'outputs.metrics=""', "--set", 'outputs.model=""',
                     "--set", 'outputs.mi_flow=""', "--set", "runs=1"]
-        assert self.run("train", "--config", str(SMOKE_CONFIG), "--quiet", *no_files,
+        assert self.run("train", "--config", str(SMOKE_CONFIG), *no_files,
                         "--set", f"outputs.model={model}", capsys=capsys)[0] == 0
-        argv = {"train": [], "experiment": [],
+        argv = {"train": [], "experiment": ["--quiet"],
                 "evaluate": ["--model", str(model)],
                 "inspect": ["--model", str(model), "--out", str(tmp_path / "flow.csv")]}[command]
-        done = self.run_on_full(command, "--quiet", *no_files, *argv, cwd=tmp_path)
+        done = self.run_on_full(command, *no_files, *argv, cwd=tmp_path)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         record = self.one_error_line(done.stderr)
@@ -832,16 +844,16 @@ class TestCommands:
                 stdout=full, stderr=full if stderr_too else subprocess.PIPE, text=True, env=env,
                 cwd=cwd)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("override", [
-        'quantizer.overrides={"lab_1": 3}',
-        'quantizer.overrides={"lab_1": {"levels": "abc"}}',
-        'quantizer.overrides={"lab_1": {"kind": "wavelet"}}',
-        'quantizer.overrides={"lab_1": {"levels": 1}}',
-        'quantizer.overrides={"lab0": {"levels": 3}}',
-    ])
-    def test_run_failure_keeps_its_error_class(self, config_file, capsys, override):
+        f'quantizer.overrides={{"lab_1": {{"levels": {10**20}}}}}',
+    ], ids=["channel-limit"])
+    def test_run_failure_keeps_its_error_class(self, config_file, capsys, monkeypatch, override,
+                                               workers):
+        # a real pool of two, even where this machine has one CPU
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
-                                "--set", override, capsys=capsys)
+                                "--set", override, "--set", f"workers={workers}", capsys=capsys)
         assert code == 2
         record = json.loads(err.strip())
         assert record["error"] == "ConfigError"
@@ -893,7 +905,7 @@ class TestCommands:
     def test_unwritable_output_exits_1_naming_it(self, config_file, tmp_path, capsys, key):
         paths = {k: str(tmp_path / f"{k}.out") for k in ("model", "metrics", "mi_flow")}
         paths[key] = str(tmp_path)  # a directory
-        code, out, err = self.run("train", "--config", str(config_file), "--quiet",
+        code, out, err = self.run("train", "--config", str(config_file),
                                   *[arg for k, path in paths.items()
                                     for arg in ("--set", f"outputs.{k}={path}")],
                                   capsys=capsys)
@@ -905,7 +917,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["evaluate", "inspect"])
     def test_missing_model_exits_1_naming_it(self, config_file, tmp_path, capsys, command):
         model = tmp_path / "missing.json"
-        code, out, err = self.run(command, "--config", str(config_file), "--quiet",
+        code, out, err = self.run(command, "--config", str(config_file),
                                   "--model", str(model), "--out", "", capsys=capsys)
         assert (code, out) == (1, "")
         assert self.one_error_line(err) == {
@@ -918,7 +930,7 @@ class TestCommands:
             raise MemoryError("Unable to allocate 72.8 TiB")
 
         monkeypatch.setattr(cli, "train_network", exhausted)
-        code, out, err = self.run("train", "--config", str(config_file), "--quiet",
+        code, out, err = self.run("train", "--config", str(config_file),
                                   "--set", f"outputs.model={tmp_path / 'm.json'}", capsys=capsys)
         assert (code, out) == (1, "")
         assert "Traceback" not in err
@@ -941,7 +953,7 @@ class TestCommands:
         cfg = dict(SYNTH_CONFIG, dataset={"format": "csv", "path": str(tmp_path),
                                           "positive_class": "ckd"})
         config_file.write_text(json.dumps(cfg))
-        code, _, err = self.run("train", "--config", str(config_file), "--quiet",
+        code, _, err = self.run("train", "--config", str(config_file),
                                 capsys=capsys)
         assert code == 1
         assert self.one_error_line(err) == {
@@ -995,6 +1007,18 @@ class TestCommands:
             typed = f"{path}: payload key 'beta' must be float"
         assert run(depth) == (code, error, f"{typed}, got {'[' * 40}")
 
+    def run_override(self, config_file, capsys, source, value):
+        """Exit code, stdout and the one stderr record of ``experiment`` with
+        ``value``, JSON text, as the override of lab_1 from ``source``."""
+        argv = ["experiment", "--config", str(config_file), "--quiet"]
+        if source == "config":
+            cfg = dict(SYNTH_CONFIG, quantizer={"overrides": {"lab_1": "VALUE"}})
+            config_file.write_text(json.dumps(cfg).replace('"VALUE"', value))
+        else:
+            argv += ["--set", f'quantizer.overrides={{"lab_1": {value}}}']
+        code, out, err = self.run(*argv, capsys=capsys)
+        return code, out, self.one_error_line(err)
+
     @pytest.mark.parametrize("depth", [600, 900])
     @pytest.mark.parametrize("source", ["config", "override"])
     def test_deeply_nested_override_exits_2_as_one_line(self, config_file, capsys, depth,
@@ -1003,22 +1027,56 @@ class TestCommands:
         refused when the config is validated, before anything copies it; the
         copy recursed past the interpreter's limit and escaped as a traceback."""
         deep = '{"a": ' * depth + "{}" + "}" * depth
-        argv = ["experiment", "--config", str(config_file), "--quiet"]
-        if source == "config":
-            cfg = dict(SYNTH_CONFIG, quantizer={"overrides": {"lab_1": "DEEP"}})
-            config_file.write_text(json.dumps(cfg).replace('"DEEP"', deep))
-        else:
-            argv += ["--set", f'quantizer.overrides={{"lab_1": {deep}}}']
+        shown = ("{'a': " * 7)[:40]
+        assert self.run_override(config_file, capsys, source, deep) == (2, "", {
+            "error": "ConfigError", "message": f"{OVERRIDE_RULE}, got {shown}"})
+
+    @pytest.mark.parametrize("source", ["config", "override"])
+    def test_the_deepest_parsed_override_exits_2_as_one_line(self, config_file, capsys, source):
+        """The deepest override value ``json.loads`` parses, which reaches the
+        override rule's repr, is refused by that rule as one line."""
+        def message(depth):
+            code, out, record = self.run_override(config_file, capsys, source,
+                                                  "[" * depth + "]" * depth)
+            assert (code, out, record["error"]) == (2, "", "ConfigError")
+            return record["message"]
+
+        limit = deepest_json_list()
+        depth = next(d for d in range(limit, 0, -1) if message(d).startswith(OVERRIDE_RULE))
+        assert depth > limit - 20
+        assert message(depth) == f"{OVERRIDE_RULE}, got {'[' * 40}"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["experiment", "train", "evaluate", "inspect"])
+    def test_an_override_of_a_missing_feature_exits_2_before_run_0(self, capsys, monkeypatch,
+                                                                    command, workers):
+        def never(*args, **kwargs):
+            raise AssertionError("a run or a pool was started")
+
+        # a real pool of two, even where this machine has one CPU
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "run_single", never)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+        model = str(REPO_ROOT / "tests" / "fixtures" / "model.json")
+        argv = [command, "--config", str(SMOKE_CONFIG), "--set", f"workers={workers}",
+                "--set", 'quantizer.overrides={"lab0": {"levels": 3}, "lab_1": {}}',
+                "--set", 'outputs.metrics=""', "--set", 'outputs.model=""',
+                "--set", 'outputs.mi_flow=""']
+        argv += {"experiment": ["--quiet"], "train": [], "evaluate": ["--model", model],
+                 "inspect": ["--model", model, "--out", ""]}[command]
         code, out, err = self.run(*argv, capsys=capsys)
         assert (code, out) == (2, "")
         assert self.one_error_line(err) == {
-            "error": "ConfigError",
-            "message": f"quantizer.overrides nests more than {cli.MAX_OVERRIDE_DEPTH} levels deep"}
+            "error": "ConfigError", "message": "quantizer.overrides name unknown features ['lab0']"}
 
     def test_config_file_not_found_exits_2(self, tmp_path, capsys):
         code, _, err = self.run("train", "--config", str(tmp_path / "nope.json"),
                                 capsys=capsys)
         assert code == 2
+
+
+OVERRIDE_RULE = ("quantizer.overrides.lab_1 must be an object with an optional kind ('categorical' "
+                 "or 'continuous') and levels (an int >= 2 or null)")
 
 
 def deepest_json_list():
