@@ -19,7 +19,6 @@ import os
 import sys
 import typing
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -206,7 +205,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, assignments) -> ExperimentConfig:
-    """Apply dotted key=value overrides (values parsed as JSON, else string)."""
+    """Apply dotted key=value overrides (values parsed as JSON, else string).
+
+    A value nested too deeply for the JSON reader is refused, not read as a string.
+    """
     d = dataclasses.asdict(cfg)
     for item in assignments or ():
         if "=" not in item:
@@ -214,8 +216,11 @@ def apply_overrides(cfg: ExperimentConfig, assignments) -> ExperimentConfig:
         key, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
-        except (json.JSONDecodeError, RecursionError):
+        except json.JSONDecodeError:
             parsed = value
+        except RecursionError:
+            raise ConfigError(
+                f"override {key!r}: not valid JSON (nested too deeply to read)") from None
         node = d
         parts = key.split(".")
         for part in parts[:-1]:
@@ -445,6 +450,9 @@ def _pool_results(cfg: ExperimentConfig, data: RawDataset, n_workers: int):
     At most two runs per worker wait in the queue, so memory does not grow
     with ``cfg.runs``; runs still queued when one fails are cancelled.
     """
+    # imported here: multiprocessing and its modules would load into every command
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
                              initargs=(cfg, data)) as pool:
         queued = deque()

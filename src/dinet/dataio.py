@@ -12,7 +12,10 @@ numeric and nominal attribute declarations, '%' comments, '?' missing
 cells, quoted cells that may hold commas, and the stray tabs/spaces that
 file is known for (every cell is whitespace-stripped before interpretation).
 Either loader hands each column's cells to ``RawColumn.from_cells``, so a
-table is parsed once; a header that names a column twice is refused.
+table is parsed once; a header that names a column twice is refused.  An
+ARFF numeric column must read as numbers, which become its cells: like a
+column of floats, it keeps each distinct value once, in its read-only
+float64 ``numbers``.
 
 Model files are versioned JSON with a SHA-256 checksum over the canonical
 payload; floats survive the round trip bit-exactly because they are
@@ -310,7 +313,8 @@ def load_dataset(path, format: str = "csv", target: str = "class",
 
     Cells matching ``missing_tokens`` (after whitespace stripping) are
     missing; an ARFF numeric column must read as numbers, which become its
-    cells, and a nominal one is categorical for the quantizer.
+    cells (its float64 ``numbers`` array), and a nominal one is categorical
+    for the quantizer.
     """
     path = Path(path)
     if not path.exists():
@@ -336,7 +340,7 @@ def load_dataset(path, format: str = "csv", target: str = "class",
                 raise DatasetFormatError(
                     f"{path}: line {lines[np.argmax(col.codes == k)]}, column {name!r}: "
                     f"non-numeric value {col.cells[k]!r} in a numeric attribute")
-            columns[i] = replace(col, cells=tuple(col.numbers.tolist()))  # cells are numbers
+            columns[i] = replace(col, cells=col.numbers)  # its cells are its numbers
     return RawDataset(feature_names=tuple(header), columns=tuple(columns), target_name=target,
                       labels=target_col.codes, classes=target_col.cells, kinds=tuple(kinds))
 

@@ -1,7 +1,9 @@
 """Give raw cells their meaning, and map raw columns onto finite integer alphabets.
 
 A ``RawColumn`` is parsed once: its distinct cells, each read as a number
-by the one rule in ``RawColumn.from_cells``, and a code per row.
+by the one rule in ``RawColumn.from_cells``, and a code per row.  A column
+of floats keeps its distinct cells once, as the read-only float64 array that
+is also its numbers; any other column keeps them as a tuple.
 Continuous columns get uniform bins between the observed training min and
 max; categorical columns get a dictionary in first-appearance order.  A
 column containing missing cells reserves one dedicated trailing symbol for
@@ -69,10 +71,13 @@ class RawColumn:
     each distinct present cell once, in order of first appearance, where cells
     differ when their type, value or sign of zero does (NaN cells unless they
     are one object); ``numbers[k]`` is cell k read as a number, NaN where
-    ``is_number[k]`` is False.  A row subset shares all but ``codes``.
+    ``is_number[k]`` is False.  When every present cell is a float and none
+    is NaN, ``cells`` is ``numbers`` itself, a read-only float64 array, so
+    each value is kept once; otherwise it is a tuple.  The arrays
+    ``from_cells`` makes are read-only.  A row subset shares all but ``codes``.
     """
 
-    cells: tuple
+    cells: tuple | np.ndarray
     numbers: np.ndarray
     is_number: np.ndarray
     codes: np.ndarray
@@ -84,7 +89,8 @@ class RawColumn:
         This is the one place that reads a cell as a number: ``float(v)`` for
         an int or float (not a bool), else ``float(str(v).strip())``, and the
         cell is not a number where that raises.  Each distinct cell is read
-        once; a column of floats alone, none NaN, is read in one array pass.
+        once; a column of floats alone, none NaN, is read in one array pass
+        and its cells are its numbers.
         """
         cells = np.asarray(cells, dtype=object)
         rows = np.not_equal(cells, None)
@@ -102,20 +108,30 @@ class RawColumn:
         codes = np.full(cells.size, -1, dtype=np.int64)
         codes[rows] = np.argsort(order)[inverse]
         first = first[order]
+        is_number = np.ones(first.size, dtype=bool)
         if floats:
-            return cls(tuple(x[first].tolist()), x[first], np.ones(first.size, dtype=bool), codes)
-        distinct = tuple(present[i] for i in first.tolist())
-        numbers, is_number = np.full(first.size, math.nan), np.ones(first.size, dtype=bool)
-        for k, v in enumerate(distinct):
-            number = isinstance(v, (int, float)) and not isinstance(v, bool)
-            try:
-                numbers[k] = float(v if number else str(v).strip())
-            except (TypeError, ValueError, OverflowError):
-                is_number[k] = False
+            numbers = distinct = x[first]
+        else:
+            distinct = tuple(present[i] for i in first.tolist())
+            numbers = np.full(first.size, math.nan)
+            for k, v in enumerate(distinct):
+                number = isinstance(v, (int, float)) and not isinstance(v, bool)
+                try:
+                    numbers[k] = float(v if number else str(v).strip())
+                except (TypeError, ValueError, OverflowError):
+                    is_number[k] = False
+        for a in (numbers, is_number, codes):
+            a.setflags(write=False)
         return cls(distinct, numbers, is_number, codes)
 
     def take(self, rows) -> "RawColumn":
         return RawColumn(self.cells, self.numbers, self.is_number, self.codes[rows])
+
+
+def _cell(column: RawColumn, k: int):
+    """Cell ``k`` of a column as it was read: a Python value, never a numpy scalar."""
+    cells = column.cells
+    return cells[k].item() if isinstance(cells, np.ndarray) else cells[k]
 
 
 def _first_seen(codes: np.ndarray) -> np.ndarray:
@@ -145,7 +161,7 @@ def fit_quantizer(column: RawColumn, requested_levels: int | None = None,
     x = column.numbers[seen]
     numeric = column.is_number[seen].all()
     if numeric and not np.isfinite(x).all():
-        bad = column.cells[seen[np.isfinite(x).argmin()]]
+        bad = _cell(column, seen[np.isfinite(x).argmin()])
         raise ValidationError(f"feature {name!r}: non-finite value {bad!r}")
     # as len(set(floats)): -0.0 == 0.0; only a numeric column's numbers are all finite
     n_values = 1 + int(np.count_nonzero(np.diff(np.sort(x)))) if numeric else 0
@@ -205,7 +221,7 @@ def apply_quantizer(spec: FeatureSpec, column: RawColumn) -> np.ndarray:
             number = column.is_number[present]
             what = "non-finite value" if number.all() else "could not convert string to float:"
             bad = present[finite.argmin() if number.all() else number.argmin()]
-            raise ValidationError(f"feature {spec.name!r}: {what} {column.cells[bad]!r}")
+            raise ValidationError(f"feature {spec.name!r}: {what} {_cell(column, bad)!r}")
         span = spec.vmax - spec.vmin
         if span == 0:
             bins = np.zeros(x.size, dtype=np.int64)
@@ -223,15 +239,16 @@ def apply_quantizer(spec: FeatureSpec, column: RawColumn) -> np.ndarray:
     def symbol(k):
         if k < 0:
             return _missing_symbol(spec)
-        v = key = column.cells[k]
+        key = column.cells[k]
         if numeric_cats and column.is_number[k]:
             key = float(column.numbers[k])
             if not math.isfinite(key):
-                raise ValidationError(f"feature {spec.name!r}: non-finite value {v!r}")
+                raise ValidationError(
+                    f"feature {spec.name!r}: non-finite value {_cell(column, k)!r}")
         if key in index or spec.has_missing:
             return index.get(key, spec.missing_symbol)
         raise SchemaMismatchError(
-            f"feature {spec.name!r}: unseen category {v!r} and no missing symbol")
+            f"feature {spec.name!r}: unseen category {_cell(column, k)!r} and no missing symbol")
 
     table = np.empty(len(column.cells) + 1, dtype=np.int64)  # the last entry serves code -1
     for k in _first_seen(codes).tolist():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -369,7 +370,7 @@ class TestPipeline:
                 return future
 
         sizes = []
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cli, "_worker_job", None)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         data = prepare_dataset(cfg)
@@ -995,8 +996,8 @@ class TestCommands:
         path = model if source == "model" else config_file
         code, error = (1, "ModelFormatError") if source == "model" else (2, "ConfigError")
         refused = f"{path}: not valid JSON (nested too deeply to read)"
-        if source == "override":  # a value that is not JSON is a string
-            refused = "runs must be int, got '" + "[" * 39
+        if source == "override":
+            refused = "override 'runs': not valid JSON (nested too deeply to read)"
         assert run(30000 if source == "override" else 100000) == (code, error, refused)
 
         limit = deepest_json_list()
@@ -1056,7 +1057,7 @@ class TestCommands:
         # a real pool of two, even where this machine has one CPU
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "run_single", never)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         model = str(REPO_ROOT / "tests" / "fixtures" / "model.json")
         argv = [command, "--config", str(SMOKE_CONFIG), "--set", f"workers={workers}",
                 "--set", 'quantizer.overrides={"lab0": {"levels": 3}, "lab_1": {}}',
@@ -1068,6 +1069,25 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert self.one_error_line(err) == {
             "error": "ConfigError", "message": "quantizer.overrides name unknown features ['lab0']"}
+
+    @pytest.mark.parametrize("key", ["seed", "quantizer.overrides"])
+    def test_a_set_value_nested_too_deeply_to_read_exits_2_naming_its_key(self, capsys,
+                                                                          monkeypatch, key):
+        def never(*args, **kwargs):
+            raise AssertionError("a run or a pool was started")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "run_single", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        deep = "[" * 3000 + "]" * 3000
+        value = deep if key == "seed" else f'{{"lab_1": {deep}}}'
+        code, out, err = self.run("experiment", "--config", str(SMOKE_CONFIG), "--quiet",
+                                  "--set", "workers=2", "--set", 'outputs.metrics=""',
+                                  "--set", f"{key}={value}", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert self.one_error_line(err) == {
+            "error": "ConfigError",
+            "message": f"override {key!r}: not valid JSON (nested too deeply to read)"}
 
     def test_config_file_not_found_exits_2(self, tmp_path, capsys):
         code, _, err = self.run("train", "--config", str(tmp_path / "nope.json"),
@@ -1092,10 +1112,12 @@ def deepest_json_list():
     return low
 
 
-def test_importing_the_cli_leaves_urllib_request_unloaded():
-    # only fetch-data downloads; every other command should not pay for the import
+# only fetch-data downloads, and only an experiment with workers > 1 starts a
+# pool; every other command should not pay for those imports
+@pytest.mark.parametrize("module", ["urllib.request", "concurrent.futures"])
+def test_importing_the_cli_leaves_a_module_only_one_path_needs_unloaded(module):
     src = Path(cli.__file__).resolve().parent.parent
-    check = "import sys, dinet.cli; sys.exit('urllib.request' in sys.modules)"
+    check = f"import sys, dinet.cli; sys.exit({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 

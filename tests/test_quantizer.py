@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,8 @@ from dinet import (
     ValidationError,
     apply_quantizer,
     fit_quantizer,
+    load_dataset,
+    make_synthetic_ckd,
 )
 from dinet.quantizer import CATEGORICAL, CATEGORICAL_MAX_DISTINCT, CONTINUOUS, FeatureSpec
 
@@ -430,6 +434,87 @@ class TestFitMatchesPerCellReference:
         assert column.codes.tolist() == [0, -1, 1, 2, 0, 3, 4, 5, 5, 6]
         assert column.is_number.tolist() == [True] * 6 + [False]
         assert repr(column.numbers.tolist()[:5]) == "[1.0, 1.0, 1.0, -0.0, 0.0]"
+
+
+def bits(v):
+    return None if v is None else struct.pack("<d", v)
+
+
+class TestFloatColumn:
+    """A column of floats keeps each distinct value once, as a read-only float64 array."""
+
+    def test_keeps_under_24_bytes_per_row(self):
+        rng = np.random.default_rng(0)
+        cells = rng.normal(size=20_000).tolist()  # distinct floats
+        for r in rng.choice(len(cells), 1_200, replace=False).tolist():  # 6% missing
+            cells[r] = None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            column = raw(cells)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 24 * len(cells)
+        assert column.cells is column.numbers and column.cells.size == 18_800
+
+    def test_the_synthetic_tables_numeric_columns_are_arrays(self):
+        data = make_synthetic_ckd(n_rows=50, seed=0)
+        for column, kind in zip(data.columns, data.kinds):
+            assert (column.cells is column.numbers) == (kind == "numeric")
+        assert isinstance(data.classes, tuple)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.floats(),
+                              st.sampled_from([-0.0, 0.0, math.inf, -math.inf])), max_size=30))
+    def test_cells_read_back_bit_for_bit(self, cells):
+        column = raw(cells)
+        got = [None if k < 0 else float(column.cells[k]) for k in column.codes.tolist()]
+        assert list(map(bits, got)) == list(map(bits, cells))
+        nan = any(v is not None and math.isnan(v) for v in cells)
+        assert (column.cells is column.numbers) == (not nan)
+        for a in (column.cells, column.numbers, column.is_number, column.codes):
+            assert not isinstance(a, np.ndarray) or not a.flags.writeable
+
+    def pins(self, column, fit_rows, other_rows):
+        """The messages of fitting ``column`` whole, of applying its continuous
+        fit on ``fit_rows`` to it, and of applying its categorical fit on
+        ``fit_rows`` to ``other_rows``."""
+        def message(fn, *args):
+            with pytest.raises((ValidationError, SchemaMismatchError)) as caught:
+                fn(*args)
+            return str(caught.value)
+
+        train = column.take(fit_rows)
+        continuous = fit_quantizer(train, requested_levels=2, name="age")
+        categorical = fit_quantizer(train, name="age")
+        assert (continuous.kind, categorical.kind) == (CONTINUOUS, CATEGORICAL)
+        return (message(fit_quantizer, column, None, None, "age"),
+                message(apply_quantizer, continuous, column),
+                message(apply_quantizer, categorical, column.take(other_rows)))
+
+    PINS = ("feature 'age': non-finite value inf",
+            "feature 'age': non-finite value inf",
+            "feature 'age': unseen category 2.5 and no missing symbol")
+
+    def test_messages_print_python_values(self):
+        column = raw([1.0, 2.0, math.inf, 2.5, 1.0])
+        assert self.pins(column, [0, 1], [4, 3]) == self.PINS
+        assert column.cells is column.numbers
+        spec = fit_quantizer(column.take([0, 1]), name="age")
+        with pytest.raises(ValidationError) as caught:
+            apply_quantizer(spec, raw([2.0, -math.inf]))
+        assert str(caught.value) == "feature 'age': non-finite value -inf"
+
+    def test_messages_of_an_arff_numeric_column(self, tmp_path):
+        path = tmp_path / "t.arff"
+        path.write_text("@relation r\n@attribute age numeric\n@attribute class {p,q}\n@data\n"
+                        "1,p\n2,q\n inf ,p\n2.5,q\n1.0,p\n")
+        data = load_dataset(path, format="arff")
+        column = data.columns[0]
+        assert self.pins(column, [0, 1], [4, 3]) == self.PINS
+        assert isinstance(data.classes, tuple) and data.classes == ("p", "q")
+        assert column.cells is column.numbers and not column.cells.flags.writeable
 
 
 class TestQuantizedDataset:
