@@ -3,9 +3,9 @@
 One declarative JSON config drives everything; every knob defaults to the
 kidney-disease reference setup (beta=5, three output symbols per node below
 the class node, 200 balanced training rows, 1000 runs).  Dotted ``--set``
-flags override single keys.  Progress streams to stderr as JSON lines;
-stdout carries only the final JSON report, so pipelines can consume it
-directly.
+flags override single keys.  Progress and warnings stream to stderr as JSON
+lines; stdout carries only the final JSON report, so pipelines can consume
+it directly.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config/data error.
 """
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import typing
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -437,6 +438,7 @@ _worker_job = None  # (config, table) of a pool worker process, set by _pool_ini
 def _pool_init(cfg, data):
     global _worker_job
     _worker_job = (cfg, data)
+    warnings.showwarning = _say_warning
 
 
 def _pool_run(run_index):
@@ -512,6 +514,12 @@ def _say(text: str, out=None):
         except OSError:
             _discard_pending(out)
             raise
+
+
+def _say_warning(message, *_):
+    """Write a warning to stderr as one JSON line; it stands in for ``warnings.showwarning``
+    while a command runs."""
+    _say(json.dumps({"warning": str(message)}) + "\n", sys.stderr)
 
 
 def _discard_pending(out):
@@ -597,8 +605,7 @@ def cmd_inspect(cfg: ExperimentConfig, args) -> int:
 def cmd_fetch(args) -> int:
     path = fetch_ckd(args.dest, url=args.url, sha256=args.sha256)
     if args.sha256 is None:
-        _say(json.dumps({"warning": "archive checksum not verified; "
-                         "pass --sha256 to pin it"}) + "\n", sys.stderr)
+        _say_warning("archive checksum not verified; pass --sha256 to pin it")
     _say(json.dumps({"dataset": str(path)}) + "\n")
     return 0
 
@@ -653,19 +660,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if args.command == "fetch-data":
-            return cmd_fetch(args)
-        return args.run(apply_overrides(load_config(args.config), args.overrides), args)
-    except (DinetError, MemoryError) as exc:
-        if isinstance(exc, MemoryError):  # also re-raised here from pool workers
-            exc = ResourceError(f"out of memory: {exc}")
+    with warnings.catch_warnings():
+        warnings.showwarning = _say_warning
         try:
-            _say(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n", sys.stderr)
-        except ResourceError:  # stderr itself cannot be written: only the exit code is left
-            return 1
-        return 2 if isinstance(exc, (ConfigError, DatasetFormatError)) else 1
+            args = build_parser().parse_args(argv)
+            if args.command == "fetch-data":
+                return cmd_fetch(args)
+            return args.run(apply_overrides(load_config(args.config), args.overrides), args)
+        except (DinetError, MemoryError) as exc:
+            if isinstance(exc, MemoryError):  # also re-raised here from pool workers
+                exc = ResourceError(f"out of memory: {exc}")
+            try:
+                _say(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n",
+                     sys.stderr)
+            except ResourceError:  # stderr itself cannot be written: only the exit code is left
+                return 1
+            return 2 if isinstance(exc, (ConfigError, DatasetFormatError)) else 1
 
 
 if __name__ == "__main__":

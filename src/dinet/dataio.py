@@ -11,11 +11,13 @@ The ARFF support covers what the UCI Chronic Kidney Disease file needs:
 numeric and nominal attribute declarations, '%' comments, '?' missing
 cells, quoted cells that may hold commas, and the stray tabs/spaces that
 file is known for (every cell is whitespace-stripped before interpretation).
-Either loader hands each column's cells to ``RawColumn.from_cells``, so a
-table is parsed once; a header that names a column twice is refused.  An
-ARFF numeric column must read as numbers, which become its cells: like a
-column of floats, it keeps each distinct value once, in its read-only
-float64 ``numbers``.
+Each format's tokeniser only splits text.  It returns the columns, each as
+``(line, name, kind, declared nominal values)``, the line a missing target
+is reported at, and a lazy iterator of ``(line, fields)`` records: a CSV
+header is its first non-blank record, and ARFF columns are the
+``@attribute`` lines before ``@data``.  ``load_dataset`` makes each check
+once, for both formats, and puts each row's cells straight into one list
+per column, which ``RawColumn.from_cells`` parses once.
 
 Model files are versioned JSON with a SHA-256 checksum over the canonical
 payload; floats survive the round trip bit-exactly because they are
@@ -59,6 +61,7 @@ from .quantizer import FeatureSpec, RawColumn
 
 DEFAULT_MISSING_TOKENS = ("?", "")
 _LINE_END = re.compile("\r\n|\r|\n")  # the line ends the csv module and text files know
+_LINE = re.compile("[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # a line and its end, if it has one
 
 MODEL_FORMAT = "dinet-model"
 MODEL_VERSION = 2
@@ -181,37 +184,30 @@ def _table_row(fields, n_fields, line_no, path, missing_tokens) -> list:
     return [None if c in missing_tokens else c for c in cells]
 
 
-def _load_csv(path, target, missing_tokens, delimiter=","):
-    """Header, target index, cell table, kinds, and each table row's line number."""
+def _csv_tokens(path, delimiter):
+    """The columns, the target's line and the records of a CSV file: its first non-blank
+    record, which is the header, that record's line, and each later non-blank record."""
     import csv as _csv
 
-    text = read_text(path, DatasetFormatError)
-    rows = []  # (first line, fields) of each non-blank record
-    reader = _csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    start = 1
-    try:
-        for row in reader:
-            if row and any(c.strip() for c in row):
-                rows.append((start, row))
-            start = reader.line_num + 1
-    except _csv.Error as exc:
-        raise DatasetFormatError(f"{path}: line {start}: {exc}") from None
-    if not rows:
+    # the lines are matched one at a time: a StringIO would hold 4 bytes per character
+    lines = (m.group() for m in _LINE.finditer(read_text(path, DatasetFormatError)))
+    reader = _csv.reader(lines, delimiter=delimiter)
+
+    def records():
+        start = 1  # the first line of the record being read
+        try:
+            for row in reader:
+                if any(c.strip() for c in row):
+                    yield start, row
+                start = reader.line_num + 1
+        except _csv.Error as exc:
+            raise DatasetFormatError(f"{path}: line {start}: {exc}") from None
+
+    rows = records()
+    header_line, header = next(rows, (1, None))
+    if header is None:
         raise DatasetFormatError(f"{path}: line 1: no header row")
-    header_line, header = rows[0]
-    header = [h.strip().strip("'\"") for h in header]
-    twice = next((h for i, h in enumerate(header) if h in header[:i]), None)
-    if twice is not None:
-        raise DatasetFormatError(f"{path}: line {header_line}: column {twice!r} is named twice")
-    if target not in header:
-        raise DatasetFormatError(
-            f"{path}: line {header_line}: target column {target!r} not in header {header}")
-    t_idx = header.index(target)
-    table, lines = [], []
-    for line_no, row in rows[1:]:
-        table.append(_table_row(row, len(header), line_no, path, missing_tokens))
-        lines.append(line_no)
-    return header, t_idx, table, [None] * len(header), lines
+    return [(header_line, h.strip().strip("'\""), None, None) for h in header], header_line, rows
 
 
 def _parse_arff_attribute(line, line_no, path):
@@ -258,91 +254,91 @@ def _split_arff_row(line, line_no, path) -> list:
     return fields + [line[start:]]
 
 
-def _load_arff(path, target, missing_tokens):
-    """Header, target index, cell table, kinds, and each table row's line number.
-
-    A nominal value outside its declared set is loaded, with one warning per
-    column naming the first such value and its line.
-    """
-    names, kinds, declared = [], [], []
-    table, lines = [], []
-    data_line = None  # line of the @data marker
-    for line_no, raw in enumerate(_LINE_END.split(read_text(path, DatasetFormatError)), 1):
+def _arff_tokens(path):
+    """The columns, the target's line and the records of an ARFF file: its @attribute lines,
+    the @data line after them, and each later line that is not blank or a comment."""
+    lines = enumerate(_LINE_END.split(read_text(path, DatasetFormatError)), 1)
+    columns, data_line = [], None
+    for line_no, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
         low = line.lower()
-        if data_line is None:
-            if low.startswith("@relation"):
-                continue
-            if low.startswith("@attribute"):
-                name, kind, values = _parse_arff_attribute(line, line_no, path)
-                if name in names:
-                    raise DatasetFormatError(
-                        f"{path}: line {line_no}: column {name!r} is named twice")
-                names.append(name)
-                kinds.append(kind)
-                declared.append(values)
-                continue
-            if low.startswith("@data"):
-                data_line = line_no
-                continue
+        if not line or line.startswith("%") or low.startswith("@relation"):
+            continue
+        if low.startswith("@data"):
+            data_line = line_no
+            break
+        if not low.startswith("@attribute"):
             raise DatasetFormatError(f"{path}: line {line_no}: unexpected {line!r}")
-        fields = _split_arff_row(line, line_no, path)
-        table.append(_table_row(fields, len(names), line_no, path, missing_tokens))
-        lines.append(line_no)
-    if data_line is None or not names:
+        columns.append((line_no, *_parse_arff_attribute(line, line_no, path)))
+    if data_line is None or not columns:
         raise DatasetFormatError(f"{path}: line {line_no}: not a usable ARFF file "
                                  "(it needs @attribute lines and a @data section)")
-    if target not in names:
-        raise DatasetFormatError(
-            f"{path}: line {data_line}: target column {target!r} not among attributes {names}")
-    for name, values, cells in zip(names, declared, zip(*table)):
-        if values is None:
-            continue
-        bad = [(v, n) for v, n in zip(cells, lines) if v is not None and v not in values]
-        if bad:
-            warnings.warn(f"{path}: line {bad[0][1]}: column {name!r} holds {bad[0][0]!r}, "
-                          "which is not in its declared nominal set", stacklevel=3)
-    return names, names.index(target), table, kinds, lines
+    rows = ((line_no, raw.strip()) for line_no, raw in lines)
+    return columns, data_line, ((line_no, _split_arff_row(line, line_no, path))
+                                for line_no, line in rows if line and not line.startswith("%"))
 
 
 def load_dataset(path, format: str = "csv", target: str = "class",
                  missing_tokens=DEFAULT_MISSING_TOKENS, delimiter=",") -> RawDataset:
     """Load a CSV or ARFF table into a RawDataset.
 
-    Cells matching ``missing_tokens`` (after whitespace stripping) are
-    missing; an ARFF numeric column must read as numbers, which become its
-    cells (its float64 ``numbers`` array), and a nominal one is categorical
-    for the quantizer.
+    In order: a column named twice and a target that names no column are
+    refused; cells matching ``missing_tokens`` (after whitespace stripping)
+    are missing; a nominal value outside its declared set loads, with one
+    warning per column naming the first such value and its line; an ARFF
+    numeric column must read as numbers and is built from them, so it keeps
+    each distinct value once, in its float64 ``numbers``; a missing target
+    value is refused.  A nominal column is categorical for the quantizer.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetFormatError(f"dataset file not found: {path}")
-    tokens = set(missing_tokens)
     if format == "csv":
-        header, t_idx, table, kinds, lines = _load_csv(path, target, tokens, delimiter)
+        columns, target_line, records = _csv_tokens(path, delimiter)
     elif format == "arff":
-        header, t_idx, table, kinds, lines = _load_arff(path, target, tokens)
+        columns, target_line, records = _arff_tokens(path)
     else:
         raise ConfigError(f"unknown dataset format {format!r}")
+    names = [name for _, name, _, _ in columns]
+    for i, (line, name, _, _) in enumerate(columns):
+        if name in names[:i]:
+            raise DatasetFormatError(f"{path}: line {line}: column {name!r} is named twice")
+    if target not in names:
+        raise DatasetFormatError(f"{path}: line {target_line}: target column {target!r} "
+                                 f"is not among the columns {names}")
+    tokens, cells, lines = set(missing_tokens), [[] for _ in names], []
+    for line, fields in records:
+        for column, cell in zip(cells, _table_row(fields, len(names), line, path, tokens)):
+            column.append(cell)
+        lines.append(line)
+    built = [RawColumn.from_cells(cells.pop(0)) for _ in names]  # each list freed once read
 
-    columns = [RawColumn.from_cells([row[c] for row in table]) for c in range(len(header))]
-    target_col = columns.pop(t_idx)
-    del header[t_idx], kinds[t_idx]
-    if (target_col.codes < 0).any():
-        raise DatasetFormatError(
-            f"{path}: line {lines[np.argmax(target_col.codes < 0)]}: missing target value")
-    for i, (name, col) in enumerate(zip(header, columns)):
-        if kinds[i] == "numeric":
+    def line_of(col, k):  # the line of the first row holding cell k, or a missing cell at -1
+        return lines[np.argmax(col.codes == k)]
+
+    for (_, name, _, declared), col in zip(columns, built):
+        bad = [] if declared is None else [k for k, v in enumerate(col.cells) if v not in declared]
+        if bad:  # the first undeclared distinct cell is on the column's first undeclared row
+            warnings.warn(f"{path}: line {line_of(col, bad[0])}: column {name!r} holds "
+                          f"{col.cells[bad[0]]!r}, which is not in its declared nominal set",
+                          stacklevel=2)
+    t = names.index(target)
+    del columns[t]
+    target_col = built.pop(t)
+    for i, ((_, name, kind, _), col) in enumerate(zip(columns, built)):
+        if kind == "numeric":
             if not col.is_number.all():
-                k = np.argmin(col.is_number)  # the first row holding it is the first bad row
+                k = np.argmin(col.is_number)
                 raise DatasetFormatError(
-                    f"{path}: line {lines[np.argmax(col.codes == k)]}, column {name!r}: "
+                    f"{path}: line {line_of(col, k)}, column {name!r}: "
                     f"non-numeric value {col.cells[k]!r} in a numeric attribute")
-            columns[i] = replace(col, cells=col.numbers)  # its cells are its numbers
-    return RawDataset(feature_names=tuple(header), columns=tuple(columns), target_name=target,
-                      labels=target_col.codes, classes=target_col.cells, kinds=tuple(kinds))
+            # built from its rows' numbers (code -1 picks the None), so "1" and "01" are one cell
+            built[i] = RawColumn.from_cells(np.append(col.numbers.astype(object), None)[col.codes])
+    if (target_col.codes < 0).any():
+        raise DatasetFormatError(f"{path}: line {line_of(target_col, -1)}: missing target value")
+    return RawDataset(feature_names=tuple(name for _, name, _, _ in columns), columns=tuple(built),
+                      target_name=target, labels=target_col.codes, classes=target_col.cells,
+                      kinds=tuple(kind for _, _, kind, _ in columns))
 
 
 def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",

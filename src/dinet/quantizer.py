@@ -73,8 +73,10 @@ class RawColumn:
     are one object); ``numbers[k]`` is cell k read as a number, NaN where
     ``is_number[k]`` is False.  When every present cell is a float and none
     is NaN, ``cells`` is ``numbers`` itself, a read-only float64 array, so
-    each value is kept once; otherwise it is a tuple.  The arrays
-    ``from_cells`` makes are read-only.  A row subset shares all but ``codes``.
+    each value is kept once; otherwise it is a tuple.  ``load_dataset``
+    builds an ARFF numeric column from its rows' numbers, so there the texts
+    ``1``, ``1.0`` and ``01`` are one cell.  The arrays ``from_cells`` makes
+    are read-only.  A row subset shares all but ``codes``.
     """
 
     cells: tuple | np.ndarray

@@ -55,6 +55,12 @@ SYNTH_CONFIG = {
 }
 
 
+def child_env():
+    """The environment of a child interpreter that imports this checkout's dinet."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     p = tmp_path / "cfg.json"
@@ -473,28 +479,56 @@ class TestCommands:
         mi_flow(model, network.quantize_features(model, train)).to_csv(want)
         assert flow_out.read_bytes() == want.read_bytes()
 
-    def test_constant_feature_has_zero_output_entropy_not_minus_zero(self, tmp_path, capsys):
+    @staticmethod
+    def constant_feature_config(tmp_path, **outputs):
+        """A config whose CSV table has a constant feature, ``const``, beside one that is not."""
         rows = ["const,x,class"]
         for i in range(60):
             x = (i * 7) % 13
             rows.append(f"5,{x},{'ckd' if x > 5 else 'notckd'}")
         data = tmp_path / "table.csv"
         data.write_text("\n".join(rows) + "\n")
-        flow_out = tmp_path / "flow.csv"
         cfg = dict(SYNTH_CONFIG, split={"n_train": 40, "stratify": "none"},
-                   outputs={"model": "", "metrics": "", "mi_flow": str(flow_out)})
+                   outputs={"model": "", "metrics": "", "mi_flow": "", **outputs})
         cfg["dataset"] = {"format": "csv", "path": str(data), "target": "class",
                           "positive_class": "ckd"}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        with pytest.warns(UserWarning, match="'const' is constant"):
-            code, _, _ = self.run("train", "--config", str(p), capsys=capsys)
+        return p
+
+    def test_constant_feature_has_zero_output_entropy_not_minus_zero(self, tmp_path, capsys):
+        flow_out = tmp_path / "flow.csv"
+        p = self.constant_feature_config(tmp_path, mi_flow=str(flow_out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # not the test suite's error
+            code, _, err = self.run("train", "--config", str(p), capsys=capsys)
         assert code == 0
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "feature 'const' is constant; using a single degenerate bin"}]
         with open(flow_out, newline="") as fh:
             node = next(csv.DictReader(fh))
         # one bin, so node (0, 0) passes a point mass through
         assert (node["kind"], node["layer"], node["position"]) == ("node", "0", "0")
         assert (node["mi_in_y"], node["mi_out_y"], node["h_out"]) == ("0.0", "0.0", "0.0")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_warning_reaches_stderr_as_a_json_line(self, tmp_path, workers):
+        # before, Python's two-line warning text came out between the JSON lines,
+        # once per process
+        done = subprocess.run(
+            [sys.executable, "-m", "dinet", "experiment",
+             "--config", str(self.constant_feature_config(tmp_path)),
+             "--set", f"workers={workers}"],
+            capture_output=True, text=True, env=child_env(), timeout=300)
+        assert done.returncode == 0, done.stderr
+        records = [json.loads(line) for line in done.stderr.splitlines()]
+        warned = [r for r in records if "warning" in r]
+        # each process warns once; the progress records are the rest
+        assert 1 <= len(warned) <= workers
+        assert set(map(json.dumps, warned)) == {json.dumps(
+            {"warning": "feature 'const' is constant; using a single degenerate bin"})}
+        assert [r["run"] for r in records if "run" in r] == [0, 1]
+        assert len(records) == len(warned) + 2
 
     @pytest.mark.parametrize("empty", ["model", "metrics", "mi_flow"])
     def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty):
@@ -835,9 +869,7 @@ class TestCommands:
     def run_on_full(command, *argv, cwd, stderr_too=False):
         """Run the CLI in a child whose stdout (and stderr, if asked) is ``/dev/full``, with
         the interpreter's default buffering, so its flush at exit is part of the outcome."""
-        src = Path(cli.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src),
-                                                            os.environ.get("PYTHONPATH", "")]))
+        env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         with open("/dev/full", "w") as full:
             return subprocess.run(
@@ -1116,10 +1148,8 @@ def deepest_json_list():
 # pool; every other command should not pay for those imports
 @pytest.mark.parametrize("module", ["urllib.request", "concurrent.futures"])
 def test_importing_the_cli_leaves_a_module_only_one_path_needs_unloaded(module):
-    src = Path(cli.__file__).resolve().parent.parent
     check = f"import sys, dinet.cli; sys.exit({module!r} in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", check], env=child_env()).returncode == 0
 
 
 # SHA-256 of the stdout report of SMOKE_CONFIG (20 runs) under each of SETTINGS;

@@ -97,7 +97,10 @@ class TestCSV:
             load_dataset(p, format="csv", target="class")
 
     def test_missing_target_column(self, csv_file):
-        with pytest.raises(DatasetFormatError, match="'y'"):
+        # the message names the header's line and the columns, as ARFF's does
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{csv_file}: line 1: target column 'y' is not among the columns "
+                "['age', 'grade', 'flag', 'class']")):
             load_dataset(csv_file, format="csv", target="y")
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -124,6 +127,23 @@ class TestARFF:
         assert isinstance(row_cells(data.columns[0])[0], float)
         assert row_cells(data.columns[1])[0] == "2"           # nominal stays a string
         assert row_cells(data.columns[2])[1] == "no"          # tab stripped
+
+    def test_missing_target_column(self, arff_file):
+        # the message names the @data line and the columns, as CSV's does
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{arff_file}: line 7: target column 'y' is not among the columns "
+                "['age', 'grade', 'flag', 'class']")):
+            load_dataset(arff_file, format="arff", target="y")
+
+    def test_a_numeric_column_keeps_each_number_once(self, tmp_path):
+        # before, the distinct texts "1", "1.0" and "01" were three cells of 1.0
+        p = tmp_path / "numbers.arff"
+        p.write_text("@attribute a numeric\n@attribute class {p,q}\n@data\n"
+                     "1,p\n1.0,q\n?,p\n01,q\n-0.0,p\n0.0,q\n-0,p\n")
+        a = load_dataset(p, format="arff", target="class").columns[0]
+        assert np.array_equal(a.cells, [1.0, -0.0, 0.0])
+        assert np.signbit(a.cells).tolist() == [False, True, False]
+        assert a.cells is a.numbers and a.codes.tolist() == [0, 0, -1, 0, 1, 2, 1]
 
     def test_missing_cells(self, arff_file):
         data = load_dataset(arff_file, format="arff", target="class")
@@ -180,6 +200,14 @@ class TestARFF:
         assert [row_cells(c) for c in data.columns] == [["w", "x"]]
         assert data.labels.tolist() == [0, 1] and data.classes == ("p", "r")
 
+    def test_repeated_undeclared_values_warn_once_at_the_first(self, tmp_path):
+        p = tmp_path / "undeclared.arff"
+        p.write_text("@attribute a {x,y}\n@attribute class {p,q}\n@data\nw,p\nx,q\nv,p\nw,q\n")
+        with pytest.warns(UserWarning) as record:
+            load_dataset(p, format="arff", target="class")
+        assert [str(w.message) for w in record] == [
+            f"{p}: line 4: column 'a' holds 'w', which is not in its declared nominal set"]
+
     def test_declared_values_do_not_warn(self, arff_file):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -189,6 +217,15 @@ class TestARFF:
         p = tmp_path / "empty.arff"
         p.write_text("@relation r\n@attribute a numeric\n")
         with pytest.raises(DatasetFormatError, match="@data"):
+            load_dataset(p, format="arff", target="class")
+
+    @pytest.mark.parametrize("rows", ["", "1,2\n"])
+    def test_data_before_any_attribute(self, tmp_path, rows):
+        p = tmp_path / "early.arff"
+        p.write_text(f"@relation r\n@data\n{rows}")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{p}: line 2: not a usable ARFF file "
+                "(it needs @attribute lines and a @data section)")):
             load_dataset(p, format="arff", target="class")
 
     def test_shape_check_guards_substitutes(self, arff_file):
