@@ -33,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_text
-from .errors import SchemaMismatchError, ValidationError
+from .errors import ValidationError
 from .infotheory import ConditionalMatrix, entropies
 from .network import (
     DINModel,
     _STREAM_MIFLOW,
+    _check_alphabets,
     mux_combine,
     sample_channel,
     walk,
@@ -172,8 +173,7 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
     stored seed, so the report is reproducible for a given model.
     """
     topo = model.topology
-    if tuple(data.cardinalities) != topo.cards:
-        raise SchemaMismatchError("dataset cardinalities do not match the model")
+    _check_alphabets(data, topo)
     y = data.labels
     if y.size == 0:
         raise ValidationError("mi_flow needs at least one row, and the table has none")

@@ -124,6 +124,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self):
+        """Refuse a value of the wrong type or range before any table is read; the split
+        keys are ``dataio.split``'s to judge, and the dataset format ``load_dataset``'s."""
         _check_types(self)
         for name, override in self.quantizer.overrides.items():
             levels = override.get("levels") if isinstance(override, dict) else None
@@ -145,8 +147,6 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.quantizer.default_levels is not None and self.quantizer.default_levels < 2:
             raise ConfigError("quantizer.default_levels must be null or >= 2")
-        if self.split.n_train < 1:
-            raise ConfigError("split.n_train must be >= 1")
         if self.seed < 0 or self.dataset.synthetic_seed < 0:
             raise ConfigError("seed and dataset.synthetic_seed must be >= 0")
         if not 1 <= self.dataset.synthetic_rows <= MAX_ARRAY_ENTRIES:
@@ -155,16 +155,10 @@ class ExperimentConfig:
             raise ConfigError("dataset.delimiter must be one character")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if not 0 <= self.split.positive_fraction <= 1:
-            raise ConfigError("split.positive_fraction must be in [0, 1]")
-        if self.split.stratify not in ("none", "balanced"):
-            raise ConfigError(f"unknown stratify mode {self.split.stratify!r}")
         if self.prediction.mode not in ("stochastic", "ensemble"):
             raise ConfigError(f"unknown prediction mode {self.prediction.mode!r}")
         if self.prediction.repeats < 1:
             raise ConfigError("prediction.repeats must be >= 1")
-        if self.dataset.format not in ("csv", "arff", "synthetic"):
-            raise ConfigError(f"unknown dataset format {self.dataset.format!r}")
         return self
 
 
@@ -667,7 +661,7 @@ def main(argv=None) -> int:
             if args.command == "fetch-data":
                 return cmd_fetch(args)
             return args.run(apply_overrides(load_config(args.config), args.overrides), args)
-        except (DinetError, MemoryError) as exc:
+        except (DinetError, MemoryError, Warning) as exc:  # a warning the filters made an error
             if isinstance(exc, MemoryError):  # also re-raised here from pool workers
                 exc = ResourceError(f"out of memory: {exc}")
             try:

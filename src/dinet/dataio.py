@@ -289,16 +289,15 @@ def load_dataset(path, format: str = "csv", target: str = "class",
     numeric column must read as numbers and is built from them, so it keeps
     each distinct value once, in its float64 ``numbers``; a missing target
     value is refused.  A nominal column is categorical for the quantizer.
+    A ``format`` other than csv or arff is a ``ConfigError``, checked before the path.
     """
+    if format not in ("csv", "arff"):
+        raise ConfigError(f"unknown dataset format {format!r}")
     path = Path(path)
     if not path.exists():
         raise DatasetFormatError(f"dataset file not found: {path}")
-    if format == "csv":
-        columns, target_line, records = _csv_tokens(path, delimiter)
-    elif format == "arff":
-        columns, target_line, records = _arff_tokens(path)
-    else:
-        raise ConfigError(f"unknown dataset format {format!r}")
+    columns, target_line, records = (_csv_tokens(path, delimiter) if format == "csv"
+                                     else _arff_tokens(path))
     names = [name for _, name, _, _ in columns]
     for i, (line, name, _, _) in enumerate(columns):
         if name in names[:i]:
@@ -422,13 +421,13 @@ _PAYLOAD_TYPES = dict(beta=float, seed=int, feature_names=list[str], class_names
 # a node's scalars are its diagnostics, each under its field name
 _DIAGNOSTIC_TYPES = typing.get_type_hints(IBDiagnostics)
 
-# the keys of each entry of a payload list, and the JSON value each must hold
+# the keys of each entry of a payload list, and the JSON value each must hold; a
+# quantizer's are its FeatureSpec fields, whose categories tuple is a JSON list
 _ENTRY_TYPES = {
     "node": ("nodes", dict(layer=int, position=int, channel=list[list[float]],
                            **_DIAGNOSTIC_TYPES)),
-    "quantizer": ("quantizers", dict(kind=str, has_missing=bool, name=str, levels=int | None,
-                                     vmin=float | None, vmax=float | None,
-                                     categories=list[str | float])),
+    "quantizer": ("quantizers", {**typing.get_type_hints(FeatureSpec),
+                                 "categories": list[str | float]}),
 }
 
 

@@ -376,6 +376,13 @@ def walk(topology: Topology, columns, layer):
                 _pack(outputs[n:], [spec.n_out] * 3, inputs[-1])
 
 
+def _check_alphabets(data: QuantizedDataset, topology: Topology) -> None:
+    """Refuse a table whose feature alphabets are not the tree's layer-0 alphabets."""
+    if data.cardinalities != topology.cards:
+        raise SchemaMismatchError(f"dataset alphabets {data.cardinalities} do not match the "
+                                  f"tree's layer-0 alphabets {topology.cards}")
+
+
 def train_network(data: QuantizedDataset, topology: Topology, beta: float,
                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                   seed: int = 0, quantizers=(), feature_names=(),
@@ -389,14 +396,7 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
     with ``n_in <= n_out`` keeps its input (see the module docstring).  A
     node that fails to converge is recorded in its diagnostics, not fatal.
     """
-    if data.n_features != len(topology.cards):
-        raise SchemaMismatchError(
-            f"dataset has {data.n_features} features, topology expects "
-            f"{len(topology.cards)}")
-    if tuple(data.cardinalities) != topology.cards:
-        raise SchemaMismatchError(
-            f"feature cardinalities {tuple(data.cardinalities)} do not match "
-            f"topology layer 0 {topology.cards}")
+    _check_alphabets(data, topology)
     if data.n_class != topology.n_class:
         raise SchemaMismatchError(
             f"dataset has {data.n_class} classes, topology expects {topology.n_class}")
@@ -454,8 +454,7 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     draws left, so every row sees the uniforms of the full computation and
     the generator ends where it leaves it.
     """
-    if tuple(data.cardinalities) != model.topology.cards:
-        raise SchemaMismatchError("dataset cardinalities do not match the model")
+    _check_alphabets(data, model.topology)
     if mode not in ("stochastic", "ensemble"):
         raise ValidationError(f"unknown prediction mode {mode!r}")
     if mode == "ensemble" and repeats < 1:

@@ -92,8 +92,8 @@ class TestConfig:
             config_from_dict({"model": {"beta": -1}})
         with pytest.raises(ConfigError):
             config_from_dict({"runs": 0})
-        with pytest.raises(ConfigError):
-            config_from_dict({"split": {"stratify": "smart"}})
+        with pytest.raises(ConfigError, match=r"^prediction\.repeats must be >= 1$"):
+            config_from_dict({"prediction": {"repeats": 0}})
 
     def test_overrides(self, cfg):
         out = apply_overrides(cfg, ["model.beta=2.5", "runs=5", "split.stratify=none"])
@@ -530,6 +530,18 @@ class TestCommands:
         assert [r["run"] for r in records if "run" in r] == [0, 1]
         assert len(records) == len(warned) + 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_warning_made_an_error_is_one_json_error_line(self, tmp_path, workers):
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dinet", "experiment", "--quiet",
+             "--config", str(self.constant_feature_config(tmp_path)),
+             "--set", f"workers={workers}"],
+            capture_output=True, text=True, env=child_env(), timeout=300)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [
+            {"error": "UserWarning",
+             "message": "feature 'const' is constant; using a single degenerate bin"}]
+
     @pytest.mark.parametrize("empty", ["model", "metrics", "mi_flow"])
     def test_train_skips_an_empty_output_path(self, config_file, tmp_path, capsys, empty):
         paths = {key: str(tmp_path / f"{key}.out") for key in ("model", "metrics", "mi_flow")}
@@ -599,6 +611,20 @@ class TestCommands:
         assert code == 0
         assert flow_out.exists()
         assert json.loads(out)["nodes"] == 46
+
+    @pytest.mark.parametrize("override", [
+        "split.n_train=0", "split.positive_fraction=1.5", "split.stratify=smart"])
+    def test_inspect_reads_no_split_key(self, config_file, tmp_path, capsys, override):
+        # inspect draws no split, so only dataio.split's rules could refuse these
+        model_out, flow_out = tmp_path / "model.json", tmp_path / "flow.csv"
+        self.run("train", "--config", str(config_file),
+                 "--set", f"outputs.model={model_out}", capsys=capsys)
+        code, out, err = self.run("inspect", "--config", str(config_file), "--set", override,
+                                  "--model", str(model_out), "--out", str(flow_out),
+                                  capsys=capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["csv"] == str(flow_out)
+        assert flow_out.exists()
 
     @pytest.mark.parametrize("key, edit", [
         ("class_names", lambda names: names[::-1]),
@@ -777,6 +803,7 @@ class TestCommands:
         "quantizer.default_levels=1", "split.n_train=0", "model.n_out=[3]", "model.n_out=0",
         "model.tol=0", "model.max_iter=0", "workers=0", "prediction.mode=vote",
         "dataset.format=xml", "nope.beta=1", "dataset.positive_class=nope",
+        "split.stratify=smart",
     ])
     def test_mistyped_override_exits_2(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",
@@ -784,7 +811,9 @@ class TestCommands:
         assert code == 2
         lines = err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ConfigError"
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert not record["message"].startswith("run 0 failed")  # refused before run 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("command", ["experiment", "train", "evaluate"])

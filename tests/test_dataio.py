@@ -16,6 +16,8 @@ from dinet import (
     DatasetFormatError,
     ModelFormatError,
     ModelVersionError,
+    RawColumn,
+    RawDataset,
     ValidationError,
     load_dataset,
     load_model,
@@ -116,6 +118,10 @@ class TestCSV:
     def test_unknown_format(self, csv_file):
         with pytest.raises(ConfigError):
             load_dataset(csv_file, format="parquet", target="class")
+
+    def test_unknown_format_is_refused_before_the_path(self):
+        with pytest.raises(ConfigError, match="^unknown dataset format 'xml'$"):
+            load_dataset("absent.csv", format="xml")
 
 
 class TestARFF:
@@ -232,6 +238,27 @@ class TestARFF:
         data = load_dataset(arff_file, format="arff", target="class")
         with pytest.raises(DatasetFormatError, match="rows"):
             check_ckd_shape(data)
+
+    def test_shape_check_names_other_classes(self):
+        # the kidney table's shape, 400 rows and 24 features, with other class names
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                "unexpected kidney-disease table: classes ['sick', 'healthy'] "
+                "(expected ckd/notckd)")):
+            check_ckd_shape(make_synthetic_ckd(n_rows=400, seed=0))
+
+
+class TestRawDataset:
+    @pytest.mark.parametrize("change, message", [
+        (dict(feature_names=("f", "g")), "one column per feature name required"),
+        (dict(labels=np.array([0, 1])), "column 'f' has 3 rows, target has 2"),
+        (dict(labels=np.array([0, 1, 2])), "labels outside [0, 2)"),
+        (dict(labels=np.array([0, -1, 1])), "labels outside [0, 2)"),
+    ], ids=["names", "rows", "label-above", "label-below"])
+    def test_refuses(self, change, message):
+        fields = dict(feature_names=("f",), columns=(RawColumn.from_cells(["a", "b", None]),),
+                      target_name="class", labels=np.array([0, 1, 0]), classes=("x", "y"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RawDataset(**{**fields, **change})
 
 
 def write_table(data, path, fmt, classes=None):
@@ -373,11 +400,26 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(data, 120, seed=0)
 
+    def test_n_train_of_zero(self, data):
+        with pytest.raises(ValidationError, match=re.escape(
+                "split.n_train must be below the table's 120 rows and above 0, got 0")):
+            split(data, 0, seed=0)
+
     @pytest.mark.parametrize("fraction", [1.5, -0.5])
     def test_positive_fraction_outside_unit_interval(self, data, fraction):
         with pytest.raises(ValidationError, match="positive_fraction"):
             split(data, 20, seed=0, stratify="balanced",
                   positive_fraction=fraction, positive_label="sick")
+
+    @pytest.mark.parametrize("label", [None, "ckd"])
+    def test_balanced_needs_a_positive_label_of_the_table(self, data, label):
+        with pytest.raises(ConfigError, match=re.escape(
+                "balanced split needs a positive label among ('sick', 'healthy')")):
+            split(data, 20, seed=0, stratify="balanced", positive_label=label)
+
+    def test_unknown_stratify_mode(self, data):
+        with pytest.raises(ConfigError, match="^unknown stratify mode 'smart'$"):
+            split(data, 20, seed=0, stratify="smart")
 
 
 def small_model():

@@ -1,4 +1,5 @@
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +81,26 @@ class TestEstimateEmpirical:
             estimate_empirical([0, 2], [0, 0], 2, 2)
         with pytest.raises(ValidationError):
             estimate_empirical([0, 1], [0, 5], 2, 2)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^x_symbols and y_labels must be equal-length vectors$"):
+            estimate_empirical([0, 1, 1], [0, 1], 2, 2)
+
+
+class TestProblem:
+    @pytest.mark.parametrize("change, message", [
+        (dict(beta=0.0), "beta must be positive, got 0.0"),
+        (dict(beta=float("nan")), "beta must be positive, got nan"),
+        (dict(n_out=0), "n_out must be >= 1, got 0"),
+        (dict(px=DiscreteDistribution([0.5, 0.25, 0.25])),
+         "py_given_x has 2 rows for 3 input symbols"),
+    ], ids=["beta-zero", "beta-nan", "n_out-zero", "rows"])
+    def test_refuses(self, change, message):
+        fields = dict(px=DiscreteDistribution([0.5, 0.5]),
+                      py_given_x=ConditionalMatrix(np.eye(2)), beta=5.0, n_out=2)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            IBProblem(**{**fields, **change})
 
 
 class TestIBStep:
@@ -255,6 +276,15 @@ class TestSolveIB:
                 zeroed += sum(v < 0 for v in raw)
         # the unclamped formula reads below 0 on many of these channels
         assert zeroed >= 10
+
+    @pytest.mark.parametrize("knobs, message", [
+        (dict(tol=0.0), "tol must be positive, got 0.0"),
+        (dict(tol=-1e-8), "tol must be positive, got -1e-08"),
+        (dict(max_iter=0), "max_iter must be >= 1, got 0"),
+    ])
+    def test_stopping_rule_checked(self, knobs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            solve_ib(CLUSTER_PROBLEM, **knobs)
 
     def test_nonconvergence_is_reported_not_raised(self):
         rng = np.random.default_rng(7)

@@ -23,6 +23,12 @@ class TestContainers:
         with pytest.raises(ValidationError):
             DiscreteDistribution([-0.1, 1.1])
 
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
+    def test_distribution_is_a_non_empty_vector(self, probs):
+        with pytest.raises(ValidationError,
+                           match="^distribution must be a non-empty 1-d vector$"):
+            DiscreteDistribution(probs)
+
     def test_distribution_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
             DiscreteDistribution([0.5, 0.6])

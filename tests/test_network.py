@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dinet import (
     SchemaMismatchError,
     Topology,
     ValidationError,
+    make_synthetic_ckd,
     mux_combine,
     mux_split,
     predict_quantized,
@@ -25,6 +28,7 @@ from dinet.network import (
     _STREAM_TRAIN_SAMPLE,
     channel_cdf,
     derive_seed,
+    quantize_features,
     sample_channel,
     tree_layer_sizes,
     walk,
@@ -116,6 +120,19 @@ class TestMux:
     def test_single_input_rejected(self):
         with pytest.raises(ValidationError):
             mux_combine([np.array([0])], [3])
+
+    def test_one_radix_per_input(self):
+        with pytest.raises(ValidationError, match="^need one radix per input vector$"):
+            mux_combine([np.array([0]), np.array([1])], [2])
+
+    def test_inputs_of_two_shapes_rejected(self):
+        with pytest.raises(ValidationError, match="^input arrays must share one shape$"):
+            mux_combine([np.array([0, 1]), np.array([1])], [2, 2])
+
+    @pytest.mark.parametrize("symbol", [-1, 6])
+    def test_split_refuses_a_symbol_outside_the_product(self, symbol):
+        with pytest.raises(ValidationError, match=re.escape("symbol outside [0, 6)")):
+            mux_split(np.array([0, symbol]), [2, 3])
 
     @pytest.mark.parametrize("radices", [(2, 2), (3, 3), (2, 5), (5, 5, 5), (2, 3, 4)])
     def test_round_trip_exhaustive(self, radices):
@@ -457,8 +474,6 @@ class TestPredict:
         assert np.array_equal(a, b)
 
     def test_deterministic_channels_ignore_seed(self):
-        import dataclasses
-
         from dinet import ConditionalMatrix
 
         rng = np.random.default_rng(7)
@@ -493,6 +508,52 @@ class TestPredict:
         data, model = trained
         with pytest.raises(ValidationError):
             predict_quantized(model, data, mode="map")
+
+    def test_ensemble_needs_a_repeat(self, trained):
+        data, model = trained
+        with pytest.raises(ValidationError, match="^ensemble needs repeats >= 1$"):
+            predict_quantized(model, data, mode="ensemble", repeats=0)
+
+    def test_alignment_must_be_a_bijection(self, trained):
+        _, model = trained
+        with pytest.raises(ValidationError,
+                           match="^class_alignment must be a bijection on the classes$"):
+            dataclasses.replace(model, class_alignment=(0, 0))
+
+    def test_a_model_without_quantizers_quantizes_nothing(self, trained):
+        _, model = trained
+        with pytest.raises(SchemaMismatchError,
+                           match="^model carries no quantizers; pass quantized data$"):
+            quantize_features(model, make_synthetic_ckd(n_rows=20, seed=0))
+
+
+class TestTableFitsTree:
+    """Training, prediction and ``mi_flow`` refuse a table whose alphabets are not the tree's."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        data = toy_dataset(np.random.default_rng(6))
+        return train_network(data, Topology(cards=(2, 3), n_out=(2, 2)), beta=10.0, seed=0)
+
+    @pytest.mark.parametrize("cards", [(2, 4), (2,), (2, 3, 2)],
+                             ids=["alphabet", "fewer-features", "more-features"])
+    @pytest.mark.parametrize("caller", ["train_network", "predict_quantized", "mi_flow"])
+    def test_each_caller_names_both_alphabets(self, model, caller, cards):
+        y = np.array([0, 1, 1, 0])
+        data = QuantizedDataset(columns=[y] * len(cards), cardinalities=cards, labels=y,
+                                n_class=2)
+        call = {"train_network": lambda: train_network(data, model.topology, beta=10.0),
+                "predict_quantized": lambda: predict_quantized(model, data),
+                "mi_flow": lambda: mi_flow(model, data)}[caller]
+        with pytest.raises(SchemaMismatchError, match=re.escape(
+                f"dataset alphabets {cards} do not match the tree's layer-0 alphabets (2, 3)")):
+            call()
+
+    def test_training_refuses_a_class_count_the_tree_lacks(self):
+        data = toy_dataset(np.random.default_rng(0))
+        with pytest.raises(SchemaMismatchError,
+                           match="^dataset has 2 classes, topology expects 3$"):
+            train_network(data, Topology(cards=(2, 3), n_out=(2, 3)), beta=5.0)
 
 
 class TestSeedDerivation:
@@ -707,8 +768,6 @@ class TestKeptTables:
         self.assert_tables(load_model(path))
 
     def test_table_is_derived_not_given(self):
-        import dataclasses
-
         from dinet.network import DINModel
 
         data = toy_dataset(np.random.default_rng(6))

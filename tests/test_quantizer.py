@@ -528,6 +528,17 @@ class TestQuantizedDataset:
             QuantizedDataset(columns=(np.array([0]),), cardinalities=(2,),
                              labels=np.array([0, 1]), n_class=2)
 
+    def test_validates_cardinality_count(self):
+        with pytest.raises(ValidationError, match="^one cardinality per column required$"):
+            QuantizedDataset(columns=(np.array([0, 1]),), cardinalities=(2, 2),
+                             labels=np.array([0, 1]), n_class=2)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_validates_label_range(self, label):
+        with pytest.raises(ValidationError, match=r"^labels outside \[0, 2\)$"):
+            QuantizedDataset(columns=(np.array([0, 1]),), cardinalities=(2,),
+                             labels=np.array([0, label]), n_class=2)
+
     def test_accepts_consistent_data(self):
         q = QuantizedDataset(columns=(np.array([0, 1]), np.array([2, 0])),
                              cardinalities=(2, 3), labels=np.array([0, 1]), n_class=2)
