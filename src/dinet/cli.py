@@ -43,8 +43,7 @@ from . import network
 from .errors import (ConfigError, DatasetFormatError, DinetError, ResourceError, ValidationError,
                      naming_os_errors)
 from .ib import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .network import (Topology, derive_seed, predict, quantize_features, train_network,
-                      tree_layer_sizes)
+from .network import Topology, derive_seed, quantize_features, train_network, tree_layer_sizes
 from .quantizer import (CATEGORICAL, CATEGORICAL_MAX_DISTINCT, CONTINUOUS, QuantizedDataset,
                         fit_quantizer, quantize_with)
 from .synthetic import make_synthetic_ckd
@@ -351,25 +350,24 @@ def train_on(train: RawDataset, cfg: ExperimentConfig, seed: int, reserve_missin
     return model, rows
 
 
-def _scores(cfg: ExperimentConfig, classes, labels, preds) -> dict:
-    return compute_metrics(labels, preds, list(classes).index(cfg.dataset.positive_class))
-
-
-def evaluate_on(model, data: RawDataset, cfg: ExperimentConfig, seed: int) -> dict:
-    preds = predict(model, data, seed=seed,
-                    mode=cfg.prediction.mode, repeats=cfg.prediction.repeats)
-    return _scores(cfg, data.classes, data.labels, preds)
+def score(model, rows: QuantizedDataset, cfg: ExperimentConfig, seed: int) -> dict:
+    """``model``'s metrics on quantized ``rows``, predicted with ``cfg.prediction`` and scored
+    against ``cfg.dataset.positive_class``; ``network.predict_quantized`` is looked up at each
+    call, so a wrapper set on it sees every split."""
+    preds = network.predict_quantized(model, rows, seed=seed, mode=cfg.prediction.mode,
+                                      repeats=cfg.prediction.repeats)
+    return compute_metrics(rows.labels, preds,
+                           model.class_names.index(cfg.dataset.positive_class))
 
 
 def split_for_run(cfg: ExperimentConfig, data: RawDataset, run_index: int):
     """Run ``run_index``'s seed and its (train, test) split of the table."""
     run_seed = derive_seed(cfg.seed, _RUN_TAG, run_index)
-    positive = cfg.dataset.positive_class if cfg.split.stratify == "balanced" else None
     train, test = split(
         data, cfg.split.n_train, seed=derive_seed(run_seed, _SPLIT_TAG),
         stratify=cfg.split.stratify,
         positive_fraction=cfg.split.positive_fraction,
-        positive_label=positive,
+        positive_label=cfg.dataset.positive_class,
     )
     return run_seed, train, test
 
@@ -388,12 +386,13 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
                keep_model: bool = False):
     """One split -> train -> evaluate cycle with fully derived seeds.
 
-    The training split is predicted from the quantized rows the tree was
-    trained on, so it is quantized once; the test split goes through
-    ``evaluate_on``.  The result holds the run index, the train and test
-    metrics, and the solver's per-layer ``iterations`` and ``nonconverged``
-    counts; with ``keep_model`` also the model, the raw ``splits`` and the
-    quantized rows it was ``trained_on``.
+    Both splits are scored as ``evaluate`` scores one, by ``score``: quantized
+    with the model's specs (the training split once, for training), predicted
+    with ``cfg.prediction`` on its own seed and scored against
+    ``cfg.dataset.positive_class``.  The result holds the run index, the train
+    and test metrics, and the solver's per-layer ``iterations`` and
+    ``nonconverged`` counts; with ``keep_model`` also the model, the raw
+    ``splits`` and the quantized rows it was ``trained_on``.
     """
     run_seed, train, test = split_for_run(cfg, data, run_index)
     # a test row may hold a feature's only missing cells: reserve the symbol
@@ -401,15 +400,11 @@ def run_single(cfg: ExperimentConfig, data: RawDataset, run_index: int,
                     if (col.codes < 0).any()}
     model, train_rows = train_on(train, cfg, seed=derive_seed(run_seed, _TRAIN_TAG),
                                  reserve_missing=with_missing)
-    # looked up on the module at call time, as ``predict`` does, so that a
-    # wrapper set on ``network.predict_quantized`` sees both splits
-    train_preds = network.predict_quantized(
-        model, train_rows, seed=derive_seed(run_seed, _PRED_TRAIN_TAG),
-        mode=cfg.prediction.mode, repeats=cfg.prediction.repeats)
     result = {
         "run": run_index,
-        "train": _scores(cfg, train.classes, train_rows.labels, train_preds),
-        "test": evaluate_on(model, test, cfg, derive_seed(run_seed, _PRED_TEST_TAG)),
+        "train": score(model, train_rows, cfg, derive_seed(run_seed, _PRED_TRAIN_TAG)),
+        "test": score(model, quantize_with(model.quantizers, test), cfg,
+                      derive_seed(run_seed, _PRED_TEST_TAG)),
         **_solver_convergence(model),
     }
     if keep_model:
@@ -443,8 +438,9 @@ def _pool_run(run_index):
 def _pool_results(cfg: ExperimentConfig, data: RawDataset, n_workers: int):
     """Run results in run order from a process pool.
 
-    At most two runs per worker wait in the queue, so memory does not grow
-    with ``cfg.runs``; runs still queued when one fails are cancelled.
+    At most two runs per worker wait in the queue, so a huge ``cfg.runs`` still starts;
+    the results kept for the report's ``per_run`` grow by one per run.  Runs still queued
+    when one fails are cancelled.
     """
     # imported here: multiprocessing and its modules would load into every command
     from concurrent.futures import ProcessPoolExecutor
@@ -573,7 +569,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     data, (run_seed, train, test) = _splittable_dataset(cfg)
     rows, tag = {"train": (train, _PRED_TRAIN_TAG), "test": (test, _PRED_TEST_TAG),
                  "all": (data, _PRED_TEST_TAG)}[args.split]
-    metrics = evaluate_on(model, rows, cfg, derive_seed(run_seed, tag))
+    metrics = score(model, quantize_features(model, rows), cfg, derive_seed(run_seed, tag))
     _write(args.out, report_json(metrics))
     _say(report_json(metrics))
     return 0

@@ -155,6 +155,8 @@ def fit_quantizer(column: RawColumn, requested_levels: int | None = None,
     training value.  The rules read each distinct cell once, in order of
     first appearance, which gives what they give over the rows in row order.
     """
+    if kind not in (None, CATEGORICAL, CONTINUOUS):
+        raise ValidationError(f"feature {name!r}: unknown kind {kind!r}")
     present = column.codes[column.codes >= 0]
     if not present.size:
         raise ValidationError(f"feature {name!r}: column is entirely missing")

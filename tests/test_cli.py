@@ -252,7 +252,7 @@ class TestPipeline:
         # the training split is predicted from the rows the tree was trained
         # on, through the network module's binding, which wrappers replace
         from dinet import network
-        from dinet.cli import _PRED_TEST_TAG, _PRED_TRAIN_TAG, evaluate_on, split_for_run
+        from dinet.cli import _PRED_TEST_TAG, _PRED_TRAIN_TAG, score, split_for_run
         from dinet.network import derive_seed, quantize_features
         from tests.conftest import REPO_ROOT
 
@@ -297,7 +297,8 @@ class TestPipeline:
                 assert np.array_equal(rows.labels, want.labels)
             for part, raw, tag in (("train", train, _PRED_TRAIN_TAG),
                                    ("test", test, _PRED_TEST_TAG)):
-                assert result[part] == evaluate_on(model, raw, cfg, derive_seed(run_seed, tag))
+                assert result[part] == score(model, quantize_features(model, raw), cfg,
+                                             derive_seed(run_seed, tag))
 
     @pytest.mark.parametrize("n_out, expected", [(3, (3, 3, 3, 3, 2)), (2, (2, 2, 2, 2, 2))],
                              ids=["n_out=3", "n_out=2"])
@@ -762,8 +763,9 @@ class TestCommands:
         ["train", "--config", str(SMOKE_CONFIG), "--quiet"],
         ["evaluate", "--config", str(SMOKE_CONFIG), "--model", "m.json", "--quiet"],
         ["inspect", "--config", str(SMOKE_CONFIG), "--model", "m.json", "--out", "", "--quiet"],
+        ["experiment", "--config", str(SMOKE_CONFIG), "--model-out", "x"],
     ], ids=["unknown-flag", "no-config", "bad-split", "no-command", "removed-flag",
-            "train-quiet", "evaluate-quiet", "inspect-quiet"])
+            "train-quiet", "evaluate-quiet", "inspect-quiet", "experiment-removed-flag"])
     def test_a_usage_error_is_one_config_error_line(self, tmp_path, capsys, argv):
         code, out, err = self.run(*argv, capsys=capsys)
         assert (code, out) == (2, "")
@@ -803,7 +805,7 @@ class TestCommands:
         "quantizer.default_levels=1", "split.n_train=0", "model.n_out=[3]", "model.n_out=0",
         "model.tol=0", "model.max_iter=0", "workers=0", "prediction.mode=vote",
         "dataset.format=xml", "nope.beta=1", "dataset.positive_class=nope",
-        "split.stratify=smart",
+        "split.stratify=smart", 'quantizer.overrides={"lab_1": {"levels": 1}}',
     ])
     def test_mistyped_override_exits_2(self, config_file, capsys, override):
         code, _, err = self.run("experiment", "--config", str(config_file), "--quiet",

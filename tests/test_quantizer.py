@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -61,6 +62,12 @@ class TestFit:
     def test_too_few_levels_rejected(self):
         with pytest.raises(ValidationError):
             fit_quantizer(raw([float(v) for v in range(40)]), requested_levels=1)
+
+    @pytest.mark.parametrize("cells", [[1.0, 2.0, 3.0, None], ["yes", "no", None]],
+                             ids=["numeric", "text"])
+    def test_an_unknown_kind_is_refused(self, cells):
+        with pytest.raises(ValidationError, match="^feature 'x': unknown kind 'foo'$"):
+            fit_quantizer(raw(cells), kind="foo", name="x")
 
     def test_refit_is_deterministic(self):
         col = raw([3.5, None, "7.25", 1.0, 9.0] * 3)
@@ -145,6 +152,16 @@ class TestNonFinite:
             with pytest.raises(ValidationError, match="finite range"):
                 FeatureSpec(kind=CONTINUOUS, has_missing=False, name="x", levels=2,
                             vmin=vmin, vmax=vmax)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind=CONTINUOUS, levels=0, vmin=0.0, vmax=1.0), "continuous spec needs levels >= 1"),
+        (dict(kind=CONTINUOUS, vmin=0.0, vmax=1.0), "continuous spec needs levels >= 1"),
+        (dict(kind=CATEGORICAL), "categorical spec needs a non-empty dictionary"),
+        (dict(kind="wavelet"), "unknown feature kind 'wavelet'"),
+    ], ids=["levels-zero", "levels-none", "no-categories", "unknown-kind"])
+    def test_spec_refuses(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FeatureSpec(has_missing=False, name="x", **fields)
 
     def test_values_far_outside_the_range_clamp(self):
         spec = FeatureSpec(kind=CONTINUOUS, has_missing=False, levels=4,
