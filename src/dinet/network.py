@@ -34,16 +34,13 @@ thresholds of each input symbol, and ``sample_channel`` draws one uniform
 per symbol.  Every ensemble repeat feeds layer 0 the same columns, so
 prediction gathers the layer-0 thresholds once for all repeats.  An
 ensemble row leaves the walk once no remaining pass can change its
-majority, and later passes walk the open rows only.
+majority, and later passes walk, and draw for, the open rows only.
 
 Each sampling call draws from one generator, ``default_rng([seed,
 purpose])``, consumed in walk order: layer after layer, node after node
-within a layer, and in an ensemble pass after pass.  A pass with settled
-rows still draws for every row and keeps the open rows' draws, and the
-draws of passes that no row needs are skipped by advancing the generator,
-so the open rows see the uniforms they would see if every row were walked.
-So training, prediction and ``mi_flow`` are reproducible and never share
-draws.  The solver's start seeds come from ``derive_seed``.
+within a layer, and in an ensemble pass after pass, over the rows that
+pass walks.  So training, prediction and ``mi_flow`` are reproducible and
+never share draws.  The solver's start seeds come from ``derive_seed``.
 """
 
 from __future__ import annotations
@@ -312,16 +309,10 @@ def sample_channel(thresholds: np.ndarray, rng: np.random.Generator) -> np.ndarr
     The counts are returned in the smallest unsigned type that holds
     ``n_out - 1`` (``uint8`` up to 256 symbols), the type they are counted
     in; they lie in ``[0, n_out)`` by construction, so no caller re-checks them.
+    A caller draws for exactly the symbols it gathers: an ensemble pass over
+    the open rows draws ``K`` uniforms per open row, none for settled rows.
     """
-    return _count(thresholds, rng.random(thresholds.shape[1:]))
-
-
-def _count(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per entry of ``u``, the number of ``thresholds`` rows with ``t <= u``.
-
-    The one sampling rule: ``sample_channel`` and the open-row passes of
-    ``predict_quantized`` both count through it.
-    """
+    u = rng.random(thresholds.shape[1:])
     counts = np.zeros(u.shape, dtype=np.min_scalar_type(len(thresholds)))
     for row in thresholds:
         counts += (u >= row).view(np.uint8)  # booleans as bytes: no casting loop for uint8
@@ -444,15 +435,15 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     ``stochastic`` runs one sampled pass, ``ensemble`` ``repeats`` of them,
     and each row takes its passes' majority vote (ties to the smaller
     label).  All passes draw from one generator, each after the previous
-    one, so ensemble with repeats=1 is stochastic exactly and R repeats are
-    the first R passes of R + 1.
+    one, so ensemble with repeats=1 is stochastic exactly.
 
     A row leaves the walk once no remaining pass can change its vote
-    (``_settled``); later passes walk the open rows only.  Every pass still
-    draws each layer's full ``(K, N)`` block and keeps the open rows'
-    columns, and once no row is open the generator is advanced past the
-    draws left, so every row sees the uniforms of the full computation and
-    the generator ends where it leaves it.
+    (``_settled``); later passes walk the open rows only and draw one
+    uniform per node and open row, and once no row is open no pass is
+    walked.  Each row's label is still the majority of ``repeats``
+    independent passes, but after the first row settles an open row's
+    uniforms depend on which rows settled, so R repeats are no longer the
+    start of R + 1.
     """
     _check_alphabets(data, model.topology)
     if mode not in ("stochastic", "ensemble"):
@@ -467,12 +458,7 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     first = tables[0].gather(symbols)
 
     def sample_layer(layer, inputs):
-        thresholds = first if layer == 0 else tables[layer].gather(inputs)
-        if len(rows) == n:
-            return sample_channel(thresholds, rng)
-        # the layer's full draw, of which the open rows keep theirs
-        u = rng.random((topology.layer_sizes[layer], n))
-        return _count(thresholds, u.take(rows, axis=1))
+        return sample_channel(first if layer == 0 else tables[layer].gather(inputs), rng)
 
     labels = np.empty(n, dtype=np.intp)
     rows = np.arange(n)       # the data row of each open column
@@ -488,8 +474,6 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
         settled = _settled(votes, lead, passes - done)
         labels[rows[settled]] = lead[settled]
         if settled.all():
-            # one 64-bit word per double: skip the draws of the passes left
-            rng.bit_generator.advance((passes - done) * len(topology.slots) * n)
             break
         if settled.any():
             keep = ~settled

@@ -1188,7 +1188,7 @@ def test_importing_the_cli_leaves_a_module_only_one_path_needs_unloaded(module):
 PINNED_REPORTS = {
     "smoke": "5f78b62ff159d0b4eb23ffee121fc4aece578e38d1104435515864af248139de",
     "finebin": "1f60eb28f6a3d066f8cbec051f48ba8dc818aeb946ea013cfeb660dab9a124f6",
-    "ensemble": "a6b6c57c2dc971c67789e09966a5f41af2c614161d2f1d12c4389411c00808b8",
+    "ensemble": "bd1786c33434424c61f7250baa3ed9d17dedbac7a67d337ccc677c09d8674fd9",
 }
 
 

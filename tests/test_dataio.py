@@ -884,8 +884,8 @@ def hand_built_model():
 class TestPinnedDraws:
     """Fixed channels, ``cumsum`` and PCG64 doubles make every platform draw alike."""
 
-    def test_predictions(self):
-        from dinet import QuantizedDataset, predict_quantized
+    def test_predictions(self, monkeypatch):
+        from dinet import QuantizedDataset, network, predict_quantized
 
         model = hand_built_model()
         data = QuantizedDataset(columns=(np.array([0, 1] * 6), np.array([0, 1, 2] * 4)),
@@ -894,7 +894,20 @@ class TestPinnedDraws:
         got = predict_quantized(model, data, seed=model.seed)
         assert got.tolist() == [1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0]
         got = predict_quantized(model, data, seed=model.seed, mode="ensemble", repeats=3)
+        assert got.tolist() == [0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0]
+
+        # five passes: passes 4 and 5 draw for the rows still open only
+        drawn = []  # the rows each sample call draws for
+        sample = network.sample_channel
+
+        def recording_sample(thresholds, rng):
+            drawn.append(thresholds.shape[-1])
+            return sample(thresholds, rng)
+
+        monkeypatch.setattr(network, "sample_channel", recording_sample)
+        got = predict_quantized(model, data, seed=model.seed, mode="ensemble", repeats=5)
         assert got.tolist() == [0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0]
+        assert drawn == [12] * 6 + [9, 9, 1, 1]  # two layers a pass
 
 
 class TestWrittenBytes:

@@ -637,13 +637,10 @@ class TestWalk:
 
         rng = np.random.default_rng([seed, _STREAM_PREDICT])
         assert np.array_equal(predict_quantized(model, data, seed=seed), oracle_pass(rng))
-        # the passes of an ensemble draw one after another from the same generator
-        rng = np.random.default_rng([seed, _STREAM_PREDICT])
-        votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
-        for _ in range(3):
-            votes[np.arange(data.n_rows), oracle_pass(rng)] += 1
+        # the passes of an ensemble draw one after another from the same
+        # generator, over the rows still open
         got = predict_quantized(model, data, seed=seed, mode="ensemble", repeats=3)
-        assert np.array_equal(got, votes.argmax(axis=1))
+        assert np.array_equal(got, reference_predict(model, data, seed, 3)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(small_trees())
@@ -880,16 +877,27 @@ def reference_node(model, rng):
 
 
 def reference_predict(model, data, seed, passes):
+    """The labels, the generator and the open rows before each walked pass.
+
+    Each pass walks node by node over the rows still open, drawing from one
+    generator, and a row settles once ``settled_after`` says no remaining
+    pass can change its majority.
+    """
     rng = np.random.default_rng([seed, _STREAM_PREDICT])
     align = np.asarray(model.class_alignment, dtype=np.int64)
     votes = np.zeros((data.n_rows, model.n_class), dtype=np.int64)
-    rows = np.arange(data.n_rows)
-    for _ in range(passes):
-        for _, _, outputs in reference_walk(model.topology, data.columns,
-                                            reference_node(model, rng)):
+    rows = list(range(data.n_rows))
+    open_rows = []
+    for done in range(1, passes + 1):
+        if not rows:
+            break
+        open_rows.append(len(rows))
+        columns = [np.asarray(c)[rows] for c in data.columns]
+        for _, _, outputs in reference_walk(model.topology, columns, reference_node(model, rng)):
             pass
         votes[rows, align[outputs[0]]] += 1
-    return votes.argmax(axis=1), rng
+        rows = [j for j in rows if not settled_after(votes[j].tolist(), passes - done)]
+    return votes.argmax(axis=1), rng, open_rows
 
 
 @st.composite
@@ -959,7 +967,7 @@ class TestReferenceWalk:
         for rows in (data, empty):
             for mode, passes in (("stochastic", 1), ("ensemble", 4)):
                 got = predict_quantized(model, rows, seed=7, mode=mode, repeats=passes)
-                want, rng = reference_predict(model, rows, 7, passes)
+                want, rng, _ = reference_predict(model, rows, 7, passes)
                 assert np.array_equal(got, want) and got.dtype == want.dtype
                 assert last_state() == rng.bit_generator.state
 
@@ -990,26 +998,31 @@ def settled_after(votes, remaining):
                for k in range(len(votes)) if k != lead)
 
 
-@st.composite
-def ensemble_cases(draw):
-    """A tree of 2-4 classes whose final channel is the trained one, uniform
-    (so an even count of votes often ties), or one-hot (every row settles
-    at the first pass that can settle it), and 1-41 passes."""
-    import dataclasses
-
-    tree = draw(reference_trees())
-    tree["n_class"] = draw(st.integers(2, 4))
+def ensemble_model(tree, final):
+    """The model trained on ``reference_case(**tree)``, its final channel the
+    trained one, uniform (so an even count of votes often ties), one-hot, or
+    constant (every row settles at the first pass that can settle it)."""
     data, topo = reference_case(**tree)
     model = train_network(data, topo, beta=5.0, max_iter=20, seed=tree["seed"])
-    final = (topo.depth, 0)
+    slot = (topo.depth, 0)
     n_in, n_class = topo.layers[-1].n_in[0], topo.n_class
-    channel = {"trained": model.nodes[final].channel.p,
+    channel = {"trained": model.nodes[slot].channel.p,
                "uniform": np.full((n_in, n_class), 1 / n_class),
-               "one-hot": np.eye(n_class)[np.arange(n_in) % n_class]}[
-        draw(st.sampled_from(["trained", "uniform", "one-hot"]))]
+               "one-hot": np.eye(n_class)[np.arange(n_in) % n_class],
+               "constant": np.eye(n_class)[np.zeros(n_in, dtype=np.int64)]}[final]
     nodes = dict(model.nodes)
-    nodes[final] = dataclasses.replace(nodes[final], channel=ConditionalMatrix(channel))
-    return dataclasses.replace(model, nodes=nodes), data, draw(st.integers(1, 41))
+    nodes[slot] = dataclasses.replace(nodes[slot], channel=ConditionalMatrix(channel))
+    return dataclasses.replace(model, nodes=nodes), data
+
+
+@st.composite
+def ensemble_cases(draw):
+    """A tree of 2-4 classes with one of ``ensemble_model``'s final channels,
+    and 1-41 passes."""
+    tree = draw(reference_trees())
+    tree["n_class"] = draw(st.integers(2, 4))
+    final = draw(st.sampled_from(["trained", "uniform", "one-hot", "constant"]))
+    return (*ensemble_model(tree, final), draw(st.integers(1, 41)))
 
 
 class TestSettledRows:
@@ -1035,30 +1048,56 @@ class TestSettledRows:
 
     @settings(max_examples=80, deadline=None)
     @given(ensemble_cases(), st.integers(0, 99))
-    def test_predictions_and_generator_are_those_of_the_full_votes(self, case, seed):
-        from dinet import network
-
+    def test_predictions_and_generator_are_those_of_the_open_row_walk(self, case, seed):
         model, data, passes = case
-        generators = []  # the generator of the passes with every row open
-        sample = network.sample_channel
-
-        def recording_sample(thresholds, rng):
-            generators.append(rng)
-            return sample(thresholds, rng)
-
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(network, "sample_channel", recording_sample)
-            got = predict_quantized(model, data, seed=seed, mode="ensemble", repeats=passes)
-        want, rng = reference_predict(model, data, seed, passes)
+        got, generator = predict_and_record(model, data, seed, passes)
+        want, rng, _ = reference_predict(model, data, seed, passes)
         assert np.array_equal(got, want) and got.dtype == want.dtype
-        assert generators[-1].bit_generator.state == rng.bit_generator.state
+        assert generator.bit_generator.state == rng.bit_generator.state
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 4000, 25 * 46 * 400])
-    def test_advance_skips_as_many_draws_on_the_predict_stream(self, n):
-        drawn = np.random.default_rng([5, _STREAM_PREDICT])
-        for size in (n // 3, n - n // 3):
-            drawn.random(size)
-        skipped = np.random.default_rng([5, _STREAM_PREDICT])
-        skipped.bit_generator.advance(n)
-        assert skipped.bit_generator.state == drawn.bit_generator.state
-        assert np.array_equal(skipped.random(9), drawn.random(9))
+    @settings(max_examples=80, deadline=None)
+    @given(ensemble_cases(), st.integers(0, 99))
+    def test_the_stream_is_consumed_by_the_open_rows_exactly(self, case, seed):
+        self.check_stream(*case, seed)
+
+    @pytest.mark.parametrize("final, passes, want_open", [
+        ("trained", 1, lambda n, open_rows: open_rows == [n]),
+        # R = 5: the first check follows pass 3, and settles every row
+        ("constant", 5, lambda n, open_rows: open_rows == [n] * 3),
+        # rows settle before the last pass and some are open to it
+        ("uniform", 9, lambda n, open_rows: len(open_rows) == 9 and 0 < open_rows[-1] < n)],
+        ids=["one-pass", "all-settled-at-the-first-check", "open-to-the-last-pass"])
+    def test_the_stream_is_consumed_by_the_open_rows_in(self, final, passes, want_open):
+        tree = dict(cards=[2, 3, 2], n_out=[2], n_class=3, n_rows=30, data_seed=3, seed=1)
+        model, data = ensemble_model(tree, final)
+        open_rows = self.check_stream(model, data, passes, seed=4)
+        assert want_open(data.n_rows, open_rows), open_rows
+
+    @staticmethod
+    def check_stream(model, data, passes, seed):
+        """The generator ends one double past each node's draw for each open
+        row of each walked pass: PCG64 takes one 64-bit word per double."""
+        _, generator = predict_and_record(model, data, seed, passes)
+        open_rows = reference_predict(model, data, seed, passes)[2]
+        want = np.random.default_rng([seed, _STREAM_PREDICT])
+        want.bit_generator.advance(sum(open_rows) * len(model.topology.slots))
+        assert generator.bit_generator.state == want.bit_generator.state
+        return open_rows
+
+
+def predict_and_record(model, data, seed, passes):
+    """The ensemble labels and the generator every sample call drew from."""
+    from dinet import network
+
+    generators = []
+    sample = network.sample_channel
+
+    def recording_sample(thresholds, rng):
+        generators.append(rng)
+        return sample(thresholds, rng)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(network, "sample_channel", recording_sample)
+        got = predict_quantized(model, data, seed=seed, mode="ensemble", repeats=passes)
+    assert all(rng is generators[0] for rng in generators)
+    return got, generators[-1]
