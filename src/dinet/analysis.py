@@ -124,7 +124,7 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
     return ConditionalMatrix(aligned)
 
 
-def _count(vectors, cards, y, n_class):
+def _joint_counts(vectors, cards, y, n_class):
     """One ``bincount`` of every vector's ``v * n_class + y``, each in its own segment.
 
     ``vectors`` lists vectors and ``(K, N)`` blocks of them; vector i takes
@@ -142,9 +142,10 @@ def _count(vectors, cards, y, n_class):
 def _information(counts, cards, has_h, n_class, n_rows):
     """Plug-in I(v;y) of every vector and H(v) of those ``has_h`` flags, in bits.
 
-    ``counts`` is ``_count`` output, or several of them concatenated.  Returns
-    two lists of floats, equal bit for bit to ``joint_mutual_information`` of
-    each segment divided by ``n_rows`` and to ``entropy(bincount(v) / n_rows)``.
+    ``counts`` is ``_joint_counts`` output, or several of them concatenated.
+    Returns two lists of floats, equal bit for bit to
+    ``joint_mutual_information`` of each segment divided by ``n_rows`` and to
+    ``entropy(bincount(v) / n_rows)``.
     """
     sizes = [c * n_class for c in cards]
     joint = counts / n_rows
@@ -193,7 +194,7 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
         layer = topo.layers[layer_idx]
         pairs = [mux_combine([below[g[0]], below[g[1]]], [r, r]) for g in groups if len(g) == 3]
         layer_cards = [layer.n_out] * layer.size + [r * r for _ in pairs] + list(layer.n_in)
-        counts.append(_count([outputs, *pairs, inputs], layer_cards, y, data.n_class))
+        counts.append(_joint_counts([outputs, *pairs, inputs], layer_cards, y, data.n_class))
         cards += layer_cards
         has_h += [True] * (layer.size + len(pairs)) + [False] * layer.size
         below, r = outputs, layer.n_out

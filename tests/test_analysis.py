@@ -23,7 +23,7 @@ from dinet import (
     predict_quantized,
     train_network,
 )
-from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _count, _information
+from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _joint_counts, _information
 from dinet.cli import apply_overrides, load_config, prepare_dataset, run_single
 from dinet.errors import ResourceError
 from dinet.ib import IBDiagnostics, IBSolution
@@ -257,7 +257,7 @@ class TestMiFlow:
                 below += formula < 0
                 v = np.repeat(np.arange(card), n_class)
                 y = np.tile(np.arange(n_class), card)
-                (flow,), _ = _information(_count([v], [card], y, n_class), [card], [False],
+                (flow,), _ = _information(_joint_counts([v], [card], y, n_class), [card], [False],
                                           n_class, y.size)
                 for mi in (joint_mutual_information(joint), flow):
                     # copysign tells 0.0 from -0.0
