@@ -817,9 +817,10 @@ class TestKeptTables:
 
 # ---------------------------------------------------------------------------
 # The node-by-node walk, training and prediction that the layer walk replaced,
-# kept verbatim as the reference that the layer walk must match draw for draw.
-# The one edit is the sampling rule, ``u >= t`` where it had ``u > t``: they
-# differ only on a draw exactly equal to a threshold.
+# kept as the reference that the layer walk must match draw for draw.  Two
+# edits: the sampling rule is ``u >= t`` where it had ``u > t`` (they differ
+# only on a draw exactly equal to a threshold), and an ensemble pass walks
+# only the rows whose majority is still open.
 
 def reference_sample_channel(thresholds, rng):
     u = rng.random(thresholds.shape[1])
