@@ -1085,6 +1085,18 @@ class TestSettledRows:
         assert generator.bit_generator.state == want.bit_generator.state
         return open_rows
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 4000, 25 * 46 * 400])
+    def test_advance_skips_as_many_draws_on_the_predict_stream(self, n):
+        """``check_stream``'s premise: advancing the predict stream by n is
+        drawing n doubles from it, in any number of calls."""
+        drawn = np.random.default_rng([5, _STREAM_PREDICT])
+        for size in (n // 3, n - n // 3):
+            drawn.random(size)
+        skipped = np.random.default_rng([5, _STREAM_PREDICT])
+        skipped.bit_generator.advance(n)
+        assert skipped.bit_generator.state == drawn.bit_generator.state
+        assert np.array_equal(skipped.random(9), drawn.random(9))
+
 
 def predict_and_record(model, data, seed, passes):
     """The ensemble labels and the generator every sample call drew from."""
