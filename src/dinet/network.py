@@ -28,10 +28,11 @@ stay in the narrow unsigned type ``sample_channel`` counts in, and the walk
 packs them by Horner's rule straight into the next layer's int64 inputs.
 
 Sampling is a gather and a draw.  A layer's ``LayerTable`` holds its nodes'
-``channel_cdf`` tables side by side, built once per trained layer and once
-per loaded model and never saved; ``LayerTable.gather`` takes the
-thresholds of each input symbol, and ``sample_channel`` draws one uniform
-per symbol.  Every ensemble repeat feeds layer 0 the same columns, so
+``channel_cdf`` tables side by side.  Every model derives its tables once
+from its nodes, however it is made, and never saves them; training samples
+each layer from a table of the same channels.  ``LayerTable.gather`` takes
+the thresholds of each input symbol, and ``sample_channel`` draws one
+uniform per symbol.  Every ensemble repeat feeds layer 0 the same columns, so
 prediction gathers the layer-0 thresholds once for all repeats.  An
 ensemble row leaves the walk once no remaining pass can change its
 majority, and later passes walk, and draw for, the open rows only.
@@ -46,7 +47,7 @@ never share draws.  The solver's start seeds come from ``derive_seed``.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,13 +163,15 @@ def mux_combine(inputs, radices) -> np.ndarray:
     """Losslessly pack parallel symbol arrays into one mixed-radix array.
 
     The first input is the low-order digit: out = v0 + r0*v1 + r0*r1*v2 + ...
-    Every symbol must lie in ``[0, r)`` of its radix.  Inputs of any one
-    shape are packed elementwise, so a layer's groups pack in one call.
+    Every symbol must lie in ``[0, r)`` of its radix, and the radices'
+    product be at most 2**63.  Inputs of any one shape are packed
+    elementwise, so a layer's groups pack in one call.
     """
     if len(inputs) != len(radices):
         raise ValidationError("need one radix per input vector")
     if len(inputs) < 2:
         raise ValidationError("a multiplexer combines at least two inputs")
+    _radix_product(radices)
     vecs = [np.asarray(v, dtype=np.int64) for v in inputs]
     shape = vecs[0].shape
     for v, r in zip(vecs, radices):
@@ -178,6 +181,14 @@ def mux_combine(inputs, radices) -> np.ndarray:
         if v.size and v.view(np.uint64).max() >= r:
             raise ValidationError(f"symbol outside [0, {r})")
     return _pack(vecs, radices, np.empty(shape, dtype=np.int64))
+
+
+def _radix_product(radices) -> int:
+    """The product of ``radices``, refused above 2**63: int64 symbols could not hold it."""
+    total = math.prod(int(r) for r in radices)
+    if total > 2**63:
+        raise ValidationError(f"radix product {total} exceeds 2**63")
+    return total
 
 
 def _pack(digits, radices, out) -> np.ndarray:
@@ -206,8 +217,8 @@ def _pack(digits, radices, out) -> np.ndarray:
 
 def mux_split(symbols, radices):
     """Inverse of mux_combine: recover the digit vectors."""
+    total = _radix_product(radices)
     s = np.asarray(symbols, dtype=np.int64)
-    total = int(np.prod([int(r) for r in radices]))
     if s.size and (s.min() < 0 or s.max() >= total):
         raise ValidationError(f"symbol outside [0, {total})")
     out = []
@@ -230,11 +241,10 @@ class DINModel:
     class_alignment: tuple   # final output symbol -> class label index
     beta: float
     seed: int
-    trained_tables: InitVar[tuple] = None  # training's, so none is built twice
     # one LayerTable per layer, derived from the nodes: not compared, not saved
     tables: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, trained_tables):
+    def __post_init__(self):
         layers = self.topology.layers
         slots = {(i, k): (layers[i].n_in[k], layers[i].n_out)
                  for i, k in self.topology.slots}
@@ -253,7 +263,7 @@ class DINModel:
         if sorted(align) != list(range(self.topology.n_class)):
             raise ValidationError("class_alignment must be a bijection on the classes")
         object.__setattr__(self, "class_alignment", align)
-        object.__setattr__(self, "tables", trained_tables or tuple(
+        object.__setattr__(self, "tables", tuple(
             LayerTable.of([self.nodes[(i, k)].channel.p for k in range(layer.size)])
             for i, layer in enumerate(layers)))
 
@@ -393,7 +403,6 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
             f"dataset has {data.n_class} classes, topology expects {topology.n_class}")
 
     nodes = {}
-    tables = []
     final_problem = None
     rng = np.random.default_rng([seed, _STREAM_TRAIN_SAMPLE])
 
@@ -406,26 +415,17 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
             nodes[(layer_idx, k)] = solve_ib(final_problem, tol=tol, max_iter=max_iter,
                                              seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
                                              keep_input=layer_idx < topology.depth)
-        tables.append(LayerTable.of([nodes[(layer_idx, k)].channel.p
-                                     for k in range(layer.size)]))
-        return sample_channel(tables[-1].gather(inputs), rng)
+        table = LayerTable.of([nodes[(layer_idx, k)].channel.p for k in range(layer.size)])
+        return sample_channel(table.gather(inputs), rng)
 
     for _ in walk(topology, data.symbols, train_layer):
         pass
 
     # the walk ends on the final node, whose outputs are aligned to classes
     _, py_out = posteriors(final_problem, nodes[(topology.depth, 0)].channel)
-    return DINModel(
-        topology=topology,
-        nodes=nodes,
-        quantizers=tuple(quantizers),
-        feature_names=tuple(feature_names),
-        class_names=tuple(class_names),
-        class_alignment=_align_classes(py_out.p),
-        beta=float(beta),
-        seed=int(seed),
-        trained_tables=tuple(tables),
-    )
+    return DINModel(topology=topology, nodes=nodes, quantizers=tuple(quantizers),
+                    feature_names=tuple(feature_names), class_names=tuple(class_names),
+                    class_alignment=_align_classes(py_out.p), beta=float(beta), seed=int(seed))
 
 
 def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
@@ -448,8 +448,8 @@ def predict_quantized(model: DINModel, data: QuantizedDataset, seed: int = 0,
     _check_alphabets(data, model.topology)
     if mode not in ("stochastic", "ensemble"):
         raise ValidationError(f"unknown prediction mode {mode!r}")
-    if mode == "ensemble" and repeats < 1:
-        raise ValidationError("ensemble needs repeats >= 1")
+    if repeats < 1:
+        raise ValidationError(f"repeats must be >= 1, got {repeats}")
     passes = repeats if mode == "ensemble" else 1
     rng = np.random.default_rng([seed, _STREAM_PREDICT])
     topology, tables, n = model.topology, model.tables, data.n_rows

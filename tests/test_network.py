@@ -17,6 +17,7 @@ from dinet import (
     make_synthetic_ckd,
     mux_combine,
     mux_split,
+    predict,
     predict_quantized,
     train_network,
 )
@@ -133,6 +134,26 @@ class TestMux:
     def test_split_refuses_a_symbol_outside_the_product(self, symbol):
         with pytest.raises(ValidationError, match=re.escape("symbol outside [0, 6)")):
             mux_split(np.array([0, symbol]), [2, 3])
+
+    @pytest.mark.parametrize("call, product", [
+        (lambda: mux_combine([np.array([2**32 - 1]), np.array([2**32 - 1])], [2**32, 2**32]),
+         2**64),
+        (lambda: mux_combine([np.array([3]), np.array([2**62])], [4, 2**63]), 2**65),
+        (lambda: mux_split(np.array([5]), [2**32, 2**32]), 2**64),
+        # refused before a symbol is read, so an out-of-range one is not what is named
+        (lambda: mux_combine([np.array([-1]), np.array([0])], [2**32, 2**32]), 2**64),
+        (lambda: mux_split(np.array([-1]), [2**40, 2**40]), 2**80),
+    ], ids=["combine-wraps", "combine-drops-a-digit", "split", "combine-first", "split-first"])
+    def test_a_radix_product_above_2_pow_63_is_refused(self, call, product):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"radix product {product} exceeds 2**63")):
+            call()
+
+    def test_a_radix_product_of_2_pow_63_packs_and_splits(self):
+        radices = [2, 2**62]
+        packed = mux_combine([np.array([1]), np.array([2**62 - 1])], radices)
+        assert packed.dtype == np.int64 and packed.tolist() == [2**63 - 1]
+        assert [d.tolist() for d in mux_split(packed, radices)] == [[1], [2**62 - 1]]
 
     @pytest.mark.parametrize("radices", [(2, 2), (3, 3), (2, 5), (5, 5, 5), (2, 3, 4)])
     def test_round_trip_exhaustive(self, radices):
@@ -509,10 +530,11 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict_quantized(model, data, mode="map")
 
-    def test_ensemble_needs_a_repeat(self, trained):
+    @pytest.mark.parametrize("mode, repeats", [("ensemble", 0), ("stochastic", -5)])
+    def test_every_mode_needs_a_repeat(self, trained, mode, repeats):
         data, model = trained
-        with pytest.raises(ValidationError, match="^ensemble needs repeats >= 1$"):
-            predict_quantized(model, data, mode="ensemble", repeats=0)
+        with pytest.raises(ValidationError, match=f"^repeats must be >= 1, got {repeats}$"):
+            predict_quantized(model, data, mode=mode, repeats=repeats)
 
     def test_alignment_must_be_a_bijection(self, trained):
         _, model = trained
@@ -525,6 +547,35 @@ class TestPredict:
         with pytest.raises(SchemaMismatchError,
                            match="^model carries no quantizers; pass quantized data$"):
             quantize_features(model, make_synthetic_ckd(n_rows=20, seed=0))
+
+
+class TestPredictRawRows:
+    """``predict`` quantizes a raw table with the model's specs, then predicts its rows."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        from dinet.cli import load_config, prepare_dataset, run_single
+        from tests.conftest import REPO_ROOT
+
+        cfg = load_config(REPO_ROOT / "configs" / "synthetic_smoke.json")
+        raw = prepare_dataset(cfg)
+        return raw, run_single(cfg, raw, 0, keep_model=True)["model"]
+
+    @pytest.mark.parametrize("mode", ["stochastic", "ensemble"])
+    def test_predict_is_predict_quantized_of_the_quantized_rows(self, trained, mode):
+        raw, model = trained
+        got = predict(model, raw, seed=4, mode=mode, repeats=7)
+        want = predict_quantized(model, quantize_features(model, raw), seed=4, mode=mode,
+                                 repeats=7)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_a_table_of_other_feature_names_is_refused(self, trained):
+        raw, model = trained
+        names = ("renamed",) + raw.feature_names[1:]
+        with pytest.raises(SchemaMismatchError, match=re.escape(
+                f"dataset columns {list(names)} do not match the model's features; "
+                f"missing column(s) {[raw.feature_names[0]]}")):
+            predict(model, dataclasses.replace(raw, feature_names=names))
 
 
 class TestTableFitsTree:
@@ -785,15 +836,16 @@ class TestKeptTables:
         assert not np.array_equal(replaced.tables[0].thresholds, table)
 
     @pytest.mark.parametrize("mode", ["stochastic", "ensemble"])
-    def test_training_builds_each_table_once_and_its_readers_none(self, monkeypatch, mode):
+    def test_the_walk_and_the_model_each_build_a_table_once_and_its_readers_none(
+            self, monkeypatch, mode):
         from dinet import network
 
-        tabled = []
+        tabled = []  # (stacked channels, their table) per channel_cdf call
         cdf = network.channel_cdf
 
         def counting_cdf(channel):
-            tabled.append(channel)
-            return cdf(channel)
+            tabled.append((channel, cdf(channel)))
+            return tabled[-1][1]
 
         monkeypatch.setattr(network, "channel_cdf", counting_cdf)
         rng = np.random.default_rng(12)
@@ -803,11 +855,16 @@ class TestKeptTables:
                                 cardinalities=tuple(cards), labels=y, n_class=2)
         topo = Topology(cards=cards, n_out=(3, 3, 2))
         model = train_network(data, topo, beta=5.0, seed=1)
-        # one table per layer, of the layer's stacked channel rows
-        assert len(tabled) == len(topo.layers)
-        for i, (layer, stacked) in enumerate(zip(topo.layers, tabled)):
-            assert np.array_equal(stacked, np.concatenate(
-                [model.nodes[(i, k)].channel.p for k in range(layer.size)]))
+        # the walk samples each layer from its own table, then the model derives its
+        # tables from its nodes: one table each per layer, of the same stacked channels
+        n_layers = len(topo.layers)
+        assert len(tabled) == 2 * n_layers
+        for i, layer in enumerate(topo.layers):
+            stacked = np.concatenate([model.nodes[(i, k)].channel.p for k in range(layer.size)])
+            (walked, walk_table), (held, model_table) = tabled[i], tabled[n_layers + i]
+            assert np.array_equal(walked, stacked) and np.array_equal(held, stacked)
+            assert np.array_equal(walk_table, model_table)
+            assert model.tables[i].thresholds is model_table
         self.assert_tables(model)
         tabled.clear()
         predict_quantized(model, data, seed=2, mode=mode, repeats=3)
