@@ -336,8 +336,8 @@ def load_dataset(path, format: str = "csv", target: str = "class",
     if (target_col.codes < 0).any():
         raise DatasetFormatError(f"{path}: line {line_of(target_col, -1)}: missing target value")
     return RawDataset(feature_names=tuple(name for _, name, _, _ in columns), columns=tuple(built),
-                      target_name=target, labels=target_col.codes, classes=target_col.cells,
-                      kinds=tuple(kind for _, _, kind, _ in columns))
+                      target_name=target, labels=target_col.codes.astype(np.int64),
+                      classes=target_col.cells, kinds=tuple(kind for _, _, kind, _ in columns))
 
 
 def split(data: RawDataset, n_train: int, seed: int, stratify: str = "none",

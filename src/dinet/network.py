@@ -163,9 +163,9 @@ def mux_combine(inputs, radices) -> np.ndarray:
     """Losslessly pack parallel symbol arrays into one mixed-radix array.
 
     The first input is the low-order digit: out = v0 + r0*v1 + r0*r1*v2 + ...
-    Every symbol must lie in ``[0, r)`` of its radix, and the radices'
-    product be at most 2**63.  Inputs of any one shape are packed
-    elementwise, so a layer's groups pack in one call.
+    Every symbol must lie in ``[0, r)`` of its radix, every radix be at
+    most 2**63 - 1 and the radices' product at most 2**63.  Inputs of any
+    one shape are packed elementwise, so a layer's groups pack in one call.
     """
     if len(inputs) != len(radices):
         raise ValidationError("need one radix per input vector")
@@ -184,10 +184,15 @@ def mux_combine(inputs, radices) -> np.ndarray:
 
 
 def _radix_product(radices) -> int:
-    """The product of ``radices``, refused above 2**63: int64 symbols could not hold it."""
-    total = math.prod(int(r) for r in radices)
+    """The product of ``radices``, refused above 2**63, as is a radix above 2**63 - 1:
+    int64 symbols could not hold them."""
+    radices = [int(r) for r in radices]
+    total = math.prod(radices)
     if total > 2**63:
         raise ValidationError(f"radix product {total} exceeds 2**63")
+    top = max(radices, default=0)
+    if top > 2**63 - 1:  # beside 1s or a 0, the product can pass
+        raise ValidationError(f"radix {top} exceeds 2**63 - 1")
     return total
 
 

@@ -71,12 +71,16 @@ class RawColumn:
     each distinct present cell once, in order of first appearance, where cells
     differ when their type, value or sign of zero does (NaN cells unless they
     are one object); ``numbers[k]`` is cell k read as a number, NaN where
-    ``is_number[k]`` is False.  When every present cell is a float and none
-    is NaN, ``cells`` is ``numbers`` itself, a read-only float64 array, so
-    each value is kept once; otherwise it is a tuple.  ``load_dataset``
-    builds an ARFF numeric column from its rows' numbers, so there the texts
-    ``1``, ``1.0`` and ``01`` are one cell.  The arrays ``from_cells`` makes
-    are read-only.  A row subset shares all but ``codes``.
+    ``is_number[k]`` is False.  ``codes`` has the narrowest signed integer
+    type that holds -1 and every index into ``cells``: int8 up to 128
+    distinct cells, int16 up to 32,768.  A ``RawDataset``'s labels, made from
+    its class column's codes, stay int64.  When every present cell is a float
+    and none is NaN, ``cells`` is ``numbers`` itself, a read-only float64
+    array, so each value is kept once; otherwise it is a tuple.
+    ``load_dataset`` builds an ARFF numeric column from its rows' numbers, so
+    there the texts ``1``, ``1.0`` and ``01`` are one cell.  The arrays
+    ``from_cells`` makes are read-only.  A row subset shares all but
+    ``codes``, whose type it keeps.
     """
 
     cells: tuple | np.ndarray
@@ -107,7 +111,9 @@ class RawColumn:
             keys = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)  # the distinct cells in order of first appearance
-        codes = np.full(cells.size, -1, dtype=np.int64)
+        # the narrowest signed type that holds -1 and every cell index; max(.., 1) because
+        # an all-missing column's 0 would give uint8, which cannot hold -1
+        codes = np.full(cells.size, -1, dtype=np.min_scalar_type(-max(first.size, 1)))
         codes[rows] = np.argsort(order)[inverse]
         first = first[order]
         is_number = np.ones(first.size, dtype=bool)

@@ -5,6 +5,11 @@ small-integer grades, yes/no flags), scattered missing cells, and a binary
 target.  The class structure is planted: feature ``lab_0`` separates the
 classes deterministically, several others correlate with the target at
 varying strength, and a few are pure noise.
+
+Every value is drawn before any missing mask, column by column.  Then each
+column in turn draws its missing mask and is parsed into its ``RawColumn``
+at once, and its drawn values are dropped, so one column's cells are alive
+at a time.  A flag column waits as booleans, not as texts.
 """
 
 from __future__ import annotations
@@ -38,24 +43,29 @@ def make_synthetic_ckd(n_rows: int = 400, seed: int = 0) -> RawDataset:
     for k in range(12, 15):
         columns[f"grade_{k}"] = np.minimum(
             rng.poisson(np.where(y == 1, 2.2, 0.4)), 5).astype(float)
-    flags = {}
+    flags = {}  # per flag, its two texts and where the first one holds
     for k in range(15, 21):
         p_flag = np.where(y == 1, 0.75, 0.2) if k % 2 else np.where(y == 1, 0.3, 0.7)
-        flags[f"flag_{k}"] = np.where(rng.random(n_rows) < p_flag, "yes", "no")
+        flags[f"flag_{k}"] = ("yes", "no"), rng.random(n_rows) < p_flag
     # pure-noise features
     columns["noise_21"] = rng.normal(0.0, 1.0, n_rows) * 100
     columns["noise_22"] = rng.integers(0, 9, n_rows).astype(float)
-    flags["noise_23"] = np.where(rng.random(n_rows) < 0.5, "left", "right")
+    flags["noise_23"] = ("left", "right"), rng.random(n_rows) < 0.5
 
+    kinds = ("numeric",) * len(columns) + ("nominal",) * len(flags)
     cols = {}
-    for name, values in {**columns, **flags}.items():
-        cells = values.astype(object)  # Python floats or texts
+    for name in [*columns, *flags]:
+        if name in columns:
+            cells = columns.pop(name).astype(object)  # Python floats
+        else:  # every row shares one of the two text objects
+            (first, second), is_first = flags.pop(name)
+            cells = np.array([second, first], dtype=object)[is_first.astype(np.intp)]
         if name != "lab_0":
             cells[rng.random(n_rows) < MISSING_RATE] = None
         cols[name] = RawColumn.from_cells(cells)
+        del cells  # before the next column's cells are made
 
     assert len(cols) == N_FEATURES
     return RawDataset(feature_names=tuple(cols), columns=tuple(cols.values()),
                       target_name="status", labels=1 - y,  # sick rows (y = 1) hold class 0
-                      classes=("sick", "healthy"),
-                      kinds=("numeric",) * len(columns) + ("nominal",) * len(flags))
+                      classes=("sick", "healthy"), kinds=kinds)

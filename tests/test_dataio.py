@@ -80,6 +80,11 @@ class TestCSV:
         assert data.classes == ("ckd", "notckd")
         assert data.labels.tolist() == [0, 0, 1, 1]
 
+    def test_features_keep_narrow_codes_and_labels_are_int64(self, csv_file):
+        data = load_dataset(csv_file, format="csv", target="class")
+        assert [col.codes.dtype for col in data.columns] == [np.int8] * 3
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 0, 1, 1]
+
     def test_cells_stay_text_and_are_parsed_once(self, csv_file):
         data = load_dataset(csv_file, format="csv", target="class")
         age = data.columns[0]
@@ -133,6 +138,12 @@ class TestARFF:
         assert isinstance(row_cells(data.columns[0])[0], float)
         assert row_cells(data.columns[1])[0] == "2"           # nominal stays a string
         assert row_cells(data.columns[2])[1] == "no"          # tab stripped
+
+    def test_features_keep_narrow_codes_and_labels_are_int64(self, arff_file):
+        # the numeric column is rebuilt from its numbers, and keeps narrow codes too
+        data = load_dataset(arff_file, format="arff", target="class")
+        assert [col.codes.dtype for col in data.columns] == [np.int8] * 3
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 0, 1, 1]
 
     def test_missing_target_column(self, arff_file):
         # the message names the @data line and the columns, as CSV's does

@@ -149,6 +149,16 @@ class TestMux:
                            match=re.escape(f"radix product {product} exceeds 2**63")):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: mux_combine([np.array([5]), np.array([0])], [2**63, 1]),
+        lambda: mux_split(np.array([5]), [2**63, 1]),
+        # a radix beside a 0: the product is 0, and no symbol is read
+        lambda: mux_split(np.array([], dtype=np.int64), [2**63, 0]),
+    ], ids=["combine", "split", "split-empty"])
+    def test_a_radix_above_2_pow_63_minus_1_is_refused(self, call):
+        with pytest.raises(ValidationError, match=re.escape(f"radix {2**63} exceeds 2**63 - 1")):
+            call()
+
     def test_a_radix_product_of_2_pow_63_packs_and_splits(self):
         radices = [2, 2**62]
         packed = mux_combine([np.array([1]), np.array([2**62 - 1])], radices)

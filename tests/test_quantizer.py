@@ -453,6 +453,27 @@ class TestFitMatchesPerCellReference:
         assert repr(column.numbers.tolist()[:5]) == "[1.0, 1.0, 1.0, -0.0, 0.0]"
 
 
+class TestCodeType:
+    """Codes are kept in the narrowest signed type that holds -1 and every cell index."""
+
+    def test_an_all_missing_column_has_int8_codes(self):
+        column = raw([None] * 5)
+        assert column.codes.dtype == np.int8 and column.codes.tolist() == [-1] * 5
+
+    @pytest.mark.parametrize("cell", [float, str], ids=["floats", "texts"])
+    @pytest.mark.parametrize("n_distinct, kind", [(128, np.int8), (129, np.int16)])
+    def test_the_type_widens_past_128_distinct_cells(self, cell, n_distinct, kind):
+        cells = [cell(v) for v in range(n_distinct)] + [None, cell(n_distinct - 1)]
+        column = raw(cells)
+        assert column.codes.dtype == kind
+        assert column.codes.tolist() == [*range(n_distinct), -1, n_distinct - 1]
+
+    def test_a_row_subset_keeps_the_type(self):
+        column = raw([float(v) for v in range(200)] + [None])
+        subset = column.take(np.array([200, 3, 199]))
+        assert subset.codes.dtype == np.int16 and subset.codes.tolist() == [-1, 3, 199]
+
+
 def bits(v):
     return None if v is None else struct.pack("<d", v)
 
