@@ -17,8 +17,9 @@ serve its own row and the bounds of the mux it feeds, and a group's last
 stage observes the next node's input, whose I(in;y) its row already holds.
 Only the intermediate pair of a three-way mux needs its own I(pair;y) and
 H(pair).  While the walk is on a layer, one ``bincount`` counts the (v, y)
-pairs of all its vectors, so no layer's arrays outlive it.  After the walk
-the joints, their row and column sums and the integer row sums behind H(v)
+pairs of all its vectors (``ib.joint_counts``, which also counts a
+training layer), so no layer's arrays outlive it.  After the walk the
+joints, their row and column sums and the integer row sums behind H(v)
 all come from the tree's counts, and one ``infotheory.entropies`` call
 takes every entropy, bit for bit equal to ``entropy`` of each.
 """
@@ -34,6 +35,7 @@ import numpy as np
 
 from .dataio import write_text
 from .errors import ValidationError
+from .ib import joint_counts
 from .infotheory import ConditionalMatrix, entropies
 from .network import (
     DINModel,
@@ -124,25 +126,10 @@ def compose_full_matrix(model: DINModel, max_states: int = DEFAULT_STATE_CAP) ->
     return ConditionalMatrix(aligned)
 
 
-def _joint_counts(vectors, cards, y, n_class):
-    """One ``bincount`` of every vector's ``v * n_class + y``, each in its own segment.
-
-    ``vectors`` lists vectors and ``(K, N)`` blocks of them; vector i takes
-    symbols in ``[0, cards[i])``, so its segment is ``cards[i] * n_class`` long.
-    """
-    bounds = [0, *itertools.accumulate(c * n_class for c in cards)]
-    # vstack copies, so the arithmetic can be in place
-    cells = np.vstack(vectors)
-    cells *= n_class
-    cells += y
-    cells += np.array(bounds[:-1])[:, None]
-    return np.bincount(cells.ravel(), minlength=bounds[-1])
-
-
 def _information(counts, cards, has_h, n_class, n_rows):
     """Plug-in I(v;y) of every vector and H(v) of those ``has_h`` flags, in bits.
 
-    ``counts`` is ``_joint_counts`` output, or several of them concatenated.
+    ``counts`` is ``joint_counts`` output, or several of them concatenated.
     Returns two lists of floats, equal bit for bit to
     ``joint_mutual_information`` of each segment divided by ``n_rows`` and to
     ``entropy(bincount(v) / n_rows)``.
@@ -194,7 +181,7 @@ def mi_flow(model: DINModel, data: QuantizedDataset) -> MIFlowReport:
         layer = topo.layers[layer_idx]
         pairs = [mux_combine([below[g[0]], below[g[1]]], [r, r]) for g in groups if len(g) == 3]
         layer_cards = [layer.n_out] * layer.size + [r * r for _ in pairs] + list(layer.n_in)
-        counts.append(_joint_counts([outputs, *pairs, inputs], layer_cards, y, data.n_class))
+        counts.append(joint_counts([outputs, *pairs, inputs], layer_cards, y, data.n_class))
         cards += layer_cards
         has_h += [True] * (layer.size + len(pairs)) + [False] * layer.size
         below, r = outputs, layer.n_out

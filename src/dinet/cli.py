@@ -427,16 +427,54 @@ _worker_job = None  # (config, table) of a pool worker process, set by _pool_ini
 def _pool_init(cfg, data):
     global _worker_job
     _worker_job = (cfg, data)
-    warnings.showwarning = _say_warning
 
 
 def _pool_run(run_index):
+    """A run's result and the warnings it showed, for the parent to issue; a failure
+    carries them as its ``warned``."""
     cfg, data = _worker_job
-    return _run_indexed(cfg, data, run_index)
+    with warnings.catch_warnings(record=True) as shown:
+        try:
+            return _run_indexed(cfg, data, run_index), _as_sent(shown)
+        except Exception as exc:
+            exc.warned = _as_sent(shown)
+            raise
+
+
+def _as_sent(shown):
+    """The (message, category, filename, lineno) of each recorded warning: all a
+    parent needs to issue it again, and all picklable."""
+    return [(w.message, w.category, w.filename, w.lineno) for w in shown]
+
+
+def _warn_again(kept):
+    """Issue a worker's warnings in this process, each through the registry of the module
+    that issued it, so the filters show it as often as a run in this process would."""
+    for message, category, filename, lineno in kept:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=getattr(module, "__name__", None),
+            registry=None if module is None else vars(module).setdefault(
+                "__warningregistry__", {}))
+
+
+def _pool_outcome(future):
+    """A pool run's result, once the warnings it showed are issued here."""
+    try:
+        result, kept = future.result()
+    except Exception as exc:
+        _warn_again(getattr(exc, "warned", ()))
+        raise
+    _warn_again(kept)
+    return result
 
 
 def _pool_results(cfg: ExperimentConfig, data: RawDataset, n_workers: int):
     """Run results in run order from a process pool.
+
+    Each worker keeps the warnings its runs show and hands them back with the
+    run; they are issued here, so a warning is written as often as at one worker.
 
     At most two runs per worker wait in the queue, so a huge ``cfg.runs`` still starts;
     the results kept for the report's ``per_run`` grow by one per run.  Runs still queued
@@ -452,9 +490,9 @@ def _pool_results(cfg: ExperimentConfig, data: RawDataset, n_workers: int):
             for r in range(cfg.runs):
                 queued.append(pool.submit(_pool_run, r))
                 if len(queued) > 2 * n_workers:
-                    yield queued.popleft().result()
+                    yield _pool_outcome(queued.popleft())
             while queued:
-                yield queued.popleft().result()
+                yield _pool_outcome(queued.popleft())
         finally:
             for future in queued:
                 future.cancel()

@@ -34,6 +34,15 @@ losslessly as a multiplexer does, and its diagnostics read zero
 iterations, converged.  The network asks this of every node below the
 final one.
 
+A node's constants, the source terms the update, the guard and the
+diagnostics read (``px``, ``P(y|in)``, the class prior, the ``plogp`` row
+sums, H(in), H(y) and I(in;y)), are computed once per problem, by array
+passes that serve a whole layer at once: ``layer_problems`` counts every
+node of a layer in one ``bincount`` and builds all their problems and
+constants from it, and a problem built on its own gets the same constants
+from the one-node case of those passes.  ``estimate_empirical`` is the
+one-node case of the count.
+
 ``solve_ib`` returns the record a trained model keeps per node: an
 ``IBSolution`` of the channel and its ``IBDiagnostics``, whose fields are
 also the node's scalars in a model file.  What a channel induces, the
@@ -43,14 +52,23 @@ channel)`` when it is wanted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .infotheory import ConditionalMatrix, DiscreteDistribution, entropy, mutual_information
+from .infotheory import (
+    ConditionalMatrix,
+    DiscreteDistribution,
+    conditionals,
+    distributions,
+    entropies,
+    mutual_informations,
+)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
@@ -84,6 +102,11 @@ class IBProblem:
     def n_class(self) -> int:
         return self.py_given_x.cols
 
+    @cached_property
+    def _source(self) -> _Source:
+        """The node's constants; ``layer_problems`` sets them on the problems it builds."""
+        return _sources(self.px.probs, self.py_given_x.p, [self.n_in])[0]
+
 
 @dataclass(frozen=True)
 class IBDiagnostics:
@@ -107,6 +130,48 @@ class IBSolution:
     diagnostics: IBDiagnostics
 
 
+def joint_counts(vectors, cards, y, n_class: int) -> np.ndarray:
+    """One ``bincount`` of every vector's ``v * n_class + y``, each in its own segment.
+
+    ``vectors`` lists vectors and ``(K, N)`` blocks of them; vector i takes
+    symbols in ``[0, cards[i])``, so its segment is ``cards[i] * n_class`` long.
+    """
+    bounds = [0, *itertools.accumulate(c * n_class for c in cards)]
+    # vstack copies, so the arithmetic can be in place
+    cells = np.vstack(vectors)
+    cells *= n_class
+    cells += y
+    cells += np.array(bounds[:-1])[:, None]
+    return np.bincount(cells.ravel(), minlength=bounds[-1])
+
+
+def _estimates(inputs: np.ndarray, labels: np.ndarray, n_in, n_class: int):
+    """Frequency estimates of P(in) and P(y|in) for each row of the int64 ``(K, N)`` ``inputs``.
+
+    Row k is node k's input, with alphabet ``n_in[k]``, and every node sees
+    the N int64 ``labels``.  The nodes' P(in) vectors and P(y|in) rows are
+    returned back to back.  A symbol never observed gets the class prior as
+    its row, so every row is stochastic.
+    """
+    if labels.size == 0:
+        raise ValidationError("empty training vectors")
+    # viewed unsigned, a negative entry is >= 2**63: one scan checks both ends
+    above = np.flatnonzero(inputs.view(np.uint64).max(axis=1) >= np.asarray(n_in))
+    if above.size:
+        raise ValidationError(f"input symbols outside [0, {n_in[above[0]]})")
+    if labels.view(np.uint64).max() >= n_class:
+        raise ValidationError(f"labels outside [0, {n_class})")
+    counts_xy = joint_counts([inputs], n_in, labels, n_class)
+    counts_xy = counts_xy.reshape(-1, n_class).astype(np.float64)
+    # integer row sums and class counts: exact in float64
+    counts_x = counts_xy.sum(axis=1)
+    prior = np.bincount(labels, minlength=n_class) / labels.size
+    py_x = np.where(counts_x[:, None] > 0,
+                    counts_xy / np.maximum(counts_x[:, None], 1.0),
+                    prior[None, :])
+    return counts_x / labels.size, py_x
+
+
 def estimate_empirical(x_symbols, y_labels, n_in: int, n_class: int):
     """Frequency estimates of P(X) and P(Y|X) from paired symbol vectors.
 
@@ -115,28 +180,39 @@ def estimate_empirical(x_symbols, y_labels, n_in: int, n_class: int):
     """
     x = np.asarray(x_symbols, dtype=np.int64)
     y = np.asarray(y_labels, dtype=np.int64)
-    if x.size == 0 or y.size == 0:
-        raise ValidationError("empty training vectors")
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("x_symbols and y_labels must be equal-length vectors")
-    # viewed unsigned, a negative entry is >= 2**63: one scan checks both ends
-    if x.view(np.uint64).max() >= n_in:
-        raise ValidationError(f"input symbols outside [0, {n_in})")
-    if y.view(np.uint64).max() >= n_class:
-        raise ValidationError(f"labels outside [0, {n_class})")
-    counts_xy = np.bincount(x * n_class + y, minlength=n_in * n_class)
-    counts_xy = counts_xy.reshape(n_in, n_class).astype(np.float64)
-    # integer row and column sums: exact in float64
-    counts_x = counts_xy.sum(axis=1)
-    prior = counts_xy.sum(axis=0) / y.size
-    py_x = np.where(counts_x[:, None] > 0,
-                    counts_xy / np.maximum(counts_x[:, None], 1.0),
-                    prior[None, :])
-    return DiscreteDistribution(counts_x / x.size), ConditionalMatrix(py_x)
+    px, py_x = _estimates(x[None, :], y, [n_in], n_class)
+    return DiscreteDistribution(px), ConditionalMatrix(py_x)
+
+
+def layer_problems(inputs, labels, n_in, n_class: int, beta: float,
+                   n_out: int) -> list[IBProblem]:
+    """The bottleneck problem of every node of a layer, from one count.
+
+    Node k observes row k of the ``(K, N)`` symbol array ``inputs``, with
+    alphabet ``n_in[k]``, against the N class ``labels``; every node has the
+    same ``beta`` and ``n_out``.  Problem k equals ``IBProblem(px, py_x,
+    beta, n_out)`` on ``estimate_empirical(inputs[k], labels, n_in[k],
+    n_class)``, constants included, bit for bit.  Here the layer's estimates
+    are checked as one array, not node by node.
+    """
+    inputs = np.asarray(inputs, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if inputs.ndim != 2 or labels.ndim != 1 or inputs.shape[1] != labels.size:
+        raise ValidationError("inputs must be a (K, N) array for N labels")
+    px, py_x = _estimates(inputs, labels, n_in, n_class)
+    problems = []
+    for p, c, src in zip(distributions(px, n_in), conditionals(py_x, n_in),
+                         _sources(px, py_x, n_in)):
+        problem = IBProblem(px=p, py_given_x=c, beta=beta, n_out=n_out)
+        vars(problem)["_source"] = src  # where cached_property keeps the value
+        problems.append(problem)
+    return problems
 
 
 class _Source(NamedTuple):
-    """The per-problem constants of the update, computed once per solve."""
+    """The per-problem constants of the update, computed once per problem."""
 
     px: np.ndarray
     px_col: np.ndarray       # px as a column, px[:, None]
@@ -147,16 +223,27 @@ class _Source(NamedTuple):
     any_zero_mass: bool
     h_in: float              # H(in)
     h_y: float               # H(y)
+    mi_in_y: float           # I(in;y)
 
 
-def _source(problem: IBProblem) -> _Source:
-    px, py_x = problem.px.probs, problem.py_given_x.p
+def _sources(px: np.ndarray, py_x: np.ndarray, sizes) -> list[_Source]:
+    """The constants of each node whose ``px`` and ``py_x`` rows lie back to back,
+    ``sizes[k]`` rows for node k, each from array passes over all the rows."""
     plogp = np.where(py_x > 0, py_x * np.log2(np.where(py_x > 0, py_x, 1.0)), 0.0)
+    plogp = plogp.sum(axis=1)[:, None]
     px_col = px[:, None]
     zero_mass = px_col == 0
-    prior = px @ py_x
-    return _Source(px, px_col, py_x, prior, plogp.sum(axis=1)[:, None],
-                   zero_mass, bool(zero_mass.any()), entropy(px), entropy(prior))
+    mi_in_y, prior = mutual_informations(px, py_x, sizes)
+    n_nodes, n_class = prior.shape
+    h = entropies(np.concatenate((px, prior.ravel())), [*sizes, *[n_class] * n_nodes])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    any_zero_mass = np.logical_or.reduceat(zero_mass[:, 0], starts)
+    return [_Source(px[a:b], px_col[a:b], py_x[a:b], prior[k], plogp[a:b], zero_mass[a:b],
+                    *scalars)
+            for k, (a, b, *scalars) in enumerate(zip(
+                starts.tolist(), ends.tolist(), any_zero_mass.tolist(),
+                h[:n_nodes].tolist(), h[n_nodes:].tolist(), mi_in_y.tolist()))]
 
 
 # Every update runs under this: dead outputs divide 0 by 0, and exp2
@@ -237,9 +324,8 @@ def _check_channel(problem: IBProblem, channel: ConditionalMatrix):
 def ib_step(problem: IBProblem, channel: ConditionalMatrix) -> ConditionalMatrix:
     """One full self-consistent update of the channel."""
     _check_channel(problem, channel)
-    src = _source(problem)
     with np.errstate(**_QUIET):
-        return ConditionalMatrix(_step(src, problem.beta, channel.p))
+        return ConditionalMatrix(_step(problem._source, problem.beta, channel.p))
 
 
 def posteriors(problem: IBProblem,
@@ -250,7 +336,7 @@ def posteriors(problem: IBProblem,
     update gives it zero weight anyway.
     """
     _check_channel(problem, channel)
-    src = _source(problem)
+    src = problem._source
     with np.errstate(**_QUIET):
         p_out, py_out = _bayes(src, channel.p)
     py_out[p_out == 0] = src.prior
@@ -291,7 +377,7 @@ def lagrangian(problem: IBProblem, channel: ConditionalMatrix) -> float:
     """Training objective I(in;out) - beta * I(y;out), in bits."""
     _check_channel(problem, channel)
     with np.errstate(**_QUIET):
-        return _lagrangian(_source(problem), problem.beta, channel.p)
+        return _lagrangian(problem._source, problem.beta, channel.p)
 
 
 def _init_channel(n_in, n_out, rng):
@@ -379,7 +465,7 @@ def solve_ib(problem: IBProblem, tol: float = DEFAULT_TOL,
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    src = _source(problem)
+    src = problem._source
     with np.errstate(**_QUIET):
         if keep_input and problem.n_in <= problem.n_out:
             channel, iterations, converged = np.eye(problem.n_in, problem.n_out), 0, True
@@ -387,6 +473,5 @@ def solve_ib(problem: IBProblem, tol: float = DEFAULT_TOL,
             start = _init_channel(problem.n_in, problem.n_out, np.random.default_rng(seed))
             channel, iterations, converged = _squarem(src, problem.beta, start, tol, max_iter)
         i_in_out, i_y_out = (0.0 if v <= 0 else v for v in _information(src, channel))
-    mi_in_y = mutual_information(problem.px.probs, problem.py_given_x.p)
     return IBSolution(ConditionalMatrix(channel),
-                      IBDiagnostics(iterations, i_in_out, i_y_out, converged, mi_in_y))
+                      IBDiagnostics(iterations, i_in_out, i_y_out, converged, src.mi_in_y))

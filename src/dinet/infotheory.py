@@ -6,8 +6,12 @@ entries; sums within tolerance 1e-9), never renormalize, and are immutable
 afterwards.  The kernels take plain arrays and do not validate; callers
 pass probabilities they built themselves.  Convention: 0*log2(0) == 0.
 
+``distributions`` and ``conditionals`` check many containers laid back to
+back as one array, by the same rules, and return views of one frozen copy.
+
 The array kernels are ``entropy``, ``entropies`` (the ``entropy`` of each
-of many vectors laid back to back, in one pass), ``mutual_information`` and
+of many vectors laid back to back, in one pass), ``mutual_information``,
+``mutual_informations`` (its laid-back-to-back form) and
 ``joint_mutual_information``.
 """
 
@@ -32,9 +36,38 @@ def _check_entries(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} has a negative entry")
 
 
+def _check_sums(sums: np.ndarray) -> None:
+    """The sum rule of a distribution, for distributions of checked entries summing to ``sums``."""
+    deviation = np.abs(sums - 1.0)
+    if np.maximum.reduce(deviation) > VALIDATION_TOL:
+        raise ValidationError(f"distribution sums to {sums[deviation.argmax()]!r}, not 1")
+
+
+def _check_conditional(m: np.ndarray) -> None:
+    """The rules of a row-stochastic matrix."""
+    _check_entries(m, "conditional matrix")
+    deviation = np.abs(m.sum(axis=1) - 1.0)
+    if np.maximum.reduce(deviation) > VALIDATION_TOL:
+        bad = np.flatnonzero(deviation > VALIDATION_TOL)
+        raise ValidationError(f"rows {bad.tolist()} do not sum to 1")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
+    return out
+
+
+def _bounds(sizes) -> list:
+    """The start and end of each consecutive segment ``sizes[i]`` long."""
+    ends = np.cumsum(sizes).tolist()
+    return list(zip([0, *ends[:-1]], ends))
+
+
+def _checked(cls, name: str, value: np.ndarray):
+    """A container holding ``value``, whose rules were already checked: no copy, no check."""
+    out = object.__new__(cls)
+    object.__setattr__(out, name, value)
     return out
 
 
@@ -49,8 +82,7 @@ class DiscreteDistribution:
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("distribution must be a non-empty 1-d vector")
         _check_entries(p, "distribution")
-        if abs(p.sum() - 1.0) > VALIDATION_TOL:
-            raise ValidationError(f"distribution sums to {p.sum()!r}, not 1")
+        _check_sums(p.sum(keepdims=True))
         object.__setattr__(self, "probs", _freeze(p))
 
     def __len__(self) -> int:
@@ -67,11 +99,7 @@ class ConditionalMatrix:
         m = np.asarray(self.p, dtype=np.float64)
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("conditional matrix must be a non-empty 2-d array")
-        _check_entries(m, "conditional matrix")
-        deviation = np.abs(m.sum(axis=1) - 1.0)
-        if np.maximum.reduce(deviation) > VALIDATION_TOL:
-            bad = np.flatnonzero(deviation > VALIDATION_TOL)
-            raise ValidationError(f"rows {bad.tolist()} do not sum to 1")
+        _check_conditional(m)
         object.__setattr__(self, "p", _freeze(m))
 
     @property
@@ -81,6 +109,31 @@ class ConditionalMatrix:
     @property
     def cols(self) -> int:
         return self.p.shape[1]
+
+
+def distributions(probs, sizes) -> list:
+    """A ``DiscreteDistribution`` of each consecutive segment of ``probs``, ``sizes[i]`` long.
+
+    The vector is checked once, by the constructor's rules applied to each
+    segment, and frozen in one copy that every distribution views.  Sizes
+    must be positive.
+    """
+    p = _freeze(probs)
+    bounds = _bounds(sizes)
+    _check_entries(p, "distribution")
+    _check_sums(np.add.reduceat(p, [a for a, _ in bounds]))
+    return [_checked(DiscreteDistribution, "probs", p[a:b]) for a, b in bounds]
+
+
+def conditionals(p, sizes) -> list:
+    """A ``ConditionalMatrix`` of each consecutive block of rows of ``p``, ``sizes[i]`` rows.
+
+    The matrix is checked once, by the constructor's rules, and frozen in
+    one copy that every block views.  Sizes must be positive.
+    """
+    m = _freeze(p)
+    _check_conditional(m)
+    return [_checked(ConditionalMatrix, "p", m[a:b]) for a, b in _bounds(sizes)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +176,31 @@ def mutual_information(px: np.ndarray, cond: np.ndarray) -> float:
     0.0 where the sum reads 0 or below, as rounding gives for independent X and T.
     """
     px = np.asarray(px, dtype=np.float64)
+    return float(mutual_informations(px, cond, [px.size])[0][0])
+
+
+def mutual_informations(px: np.ndarray, cond: np.ndarray, sizes):
+    """``mutual_information`` of each consecutive segment, and the segments' P(T).
+
+    Segment i is ``sizes[i]`` entries of ``px`` with as many rows of ``cond``.
+    Returns the I(X;T) of every segment, each equal to ``mutual_information``
+    of the segment bit for bit, and the ``(K, m)`` array whose row i is the
+    segment's ``px @ cond``.  Only the two dot products of a segment, whose
+    BLAS summation order fixes the last bit, are taken segment by segment;
+    every elementwise term and row sum is taken over all rows at once.
+    """
+    px = np.asarray(px, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
-    pt = px @ cond
+    bounds = _bounds(sizes)
+    pt = np.array([np.dot(px[a:b], cond[a:b]) for a, b in bounds])
     mask = (cond > 0) & (px[:, None] > 0)
     # wherever mask holds, pt[j] >= px[i] * cond[i, j] > 0
     ratio = np.ones_like(cond)
-    np.divide(cond, pt[None, :], out=ratio, where=mask)
-    terms = np.where(mask, cond * np.log2(ratio), 0.0)
-    mi = float(px @ terms.sum(axis=1))
-    return 0.0 if mi <= 0 else mi
+    np.divide(cond, np.repeat(pt, sizes, axis=0), out=ratio, where=mask)
+    terms = np.where(mask, cond * np.log2(ratio), 0.0).sum(axis=1)
+    mi = np.array([np.dot(px[a:b], terms[a:b]) for a, b in bounds])
+    mi[mi <= 0] = 0.0
+    return mi, pt
 
 
 def joint_mutual_information(joint: np.ndarray) -> float:

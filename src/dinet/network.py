@@ -8,7 +8,9 @@ one way to build a tree: the layer-0 alphabets and one output alphabet per
 layer fix it, and its layer shapes and mux groups are derived from them.
 Layers train in order: each node solves its own bottleneck problem against
 the target, then stochastically emits the symbol stream the next layer
-trains on.  The model keeps each node as ``solve_ib`` returned it, an
+trains on.  A layer's problems come from one count of its whole input
+array (``ib.layer_problems``); the nodes are then solved one by one, in
+order.  The model keeps each node as ``solve_ib`` returned it, an
 ``IBSolution`` of channel and diagnostics.
 
 A node below the final layer whose output alphabet can hold its input
@@ -52,7 +54,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SchemaMismatchError, ValidationError
-from .ib import DEFAULT_MAX_ITER, DEFAULT_TOL, IBProblem, estimate_empirical, posteriors, solve_ib
+# estimate_empirical is not called here, but perfbench/tracer.py wraps it under this name
+from .ib import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    estimate_empirical,
+    layer_problems,
+    posteriors,
+    solve_ib,
+)
 from .quantizer import QuantizedDataset, quantize_with
 
 # stream purposes for seed derivation
@@ -396,11 +406,12 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
     """Train the tree layer by layer on quantized columns.
 
     Each node gets empirical estimates from its (possibly sampled) input
-    stream, solves its bottleneck problem, then emits one stochastic
-    realization that feeds the muxes of the next layer.  The final node's
-    class posteriors align its outputs to the classes.  A non-final node
-    with ``n_in <= n_out`` keeps its input (see the module docstring).  A
-    node that fails to converge is recorded in its diagnostics, not fatal.
+    stream, counted with its whole layer, solves its bottleneck problem,
+    then emits one stochastic realization that feeds the muxes of the next
+    layer.  The final node's class posteriors align its outputs to the
+    classes.  A non-final node with ``n_in <= n_out`` keeps its input (see
+    the module docstring).  A node that fails to converge is recorded in
+    its diagnostics, not fatal.
     """
     _check_alphabets(data, topology)
     if data.n_class != topology.n_class:
@@ -414,12 +425,13 @@ def train_network(data: QuantizedDataset, topology: Topology, beta: float,
     def train_layer(layer_idx, inputs):
         nonlocal final_problem
         layer = topology.layers[layer_idx]
-        for k, symbols in enumerate(inputs):
-            px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
-            final_problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out)
-            nodes[(layer_idx, k)] = solve_ib(final_problem, tol=tol, max_iter=max_iter,
+        problems = layer_problems(inputs, data.labels, layer.n_in, data.n_class, beta,
+                                  layer.n_out)
+        for k, problem in enumerate(problems):
+            nodes[(layer_idx, k)] = solve_ib(problem, tol=tol, max_iter=max_iter,
                                              seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
                                              keep_input=layer_idx < topology.depth)
+        final_problem = problems[-1]
         table = LayerTable.of([nodes[(layer_idx, k)].channel.p for k in range(layer.size)])
         return sample_channel(table.gather(inputs), rng)
 

@@ -23,10 +23,10 @@ from dinet import (
     predict_quantized,
     train_network,
 )
-from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _joint_counts, _information
+from dinet.analysis import MIFlowReport, MuxFlow, NodeFlow, _information
 from dinet.cli import apply_overrides, load_config, prepare_dataset, run_single
 from dinet.errors import ResourceError
-from dinet.ib import IBDiagnostics, IBSolution
+from dinet.ib import IBDiagnostics, IBSolution, joint_counts
 from dinet.infotheory import entropy, joint_mutual_information
 from dinet.network import (
     _STREAM_MIFLOW,
@@ -257,7 +257,7 @@ class TestMiFlow:
                 below += formula < 0
                 v = np.repeat(np.arange(card), n_class)
                 y = np.tile(np.arange(n_class), card)
-                (flow,), _ = _information(_joint_counts([v], [card], y, n_class), [card], [False],
+                (flow,), _ = _information(joint_counts([v], [card], y, n_class), [card], [False],
                                           n_class, y.size)
                 for mi in (joint_mutual_information(joint), flow):
                     # copysign tells 0.0 from -0.0

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -385,6 +386,51 @@ class TestPipeline:
         assert sizes == started
         assert report == run_experiment(apply_overrides(cfg, ["runs=3"]), data)
 
+    def test_a_pool_worker_hands_back_what_its_run_showed(self, monkeypatch):
+        def run(cfg, data, run_index):
+            warnings.warn(f"run {run_index} warns")
+            if run_index == 1:
+                raise ConfigError("run 1 failed")
+            return run_index
+
+        monkeypatch.setattr(cli, "_run_indexed", run)
+        monkeypatch.setattr(cli, "_worker_job", (None, None))
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            result, kept = cli._pool_run(0)
+            with pytest.raises(ConfigError) as failed:
+                cli._pool_run(1)
+        assert result == 0
+        assert [(str(m), c) for m, c, *_ in kept] == [("run 0 warns", UserWarning)]
+        assert [str(m) for m, *_ in failed.value.warned] == ["run 1 warns"]
+        # what a worker sends back must pickle
+        assert [str(m) for m, *_ in pickle.loads(pickle.dumps(kept))] == ["run 0 warns"]
+
+    def test_pool_warnings_are_issued_once_here_and_before_a_failure(self):
+        def done(result=None, exc=None):
+            future = Future()
+            if exc:
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
+            return future
+
+        def kept(text):  # as a worker keeps a warning of cli.py's line 1
+            return [(UserWarning(text), UserWarning, cli.__file__, 1)]
+
+        failure = ConfigError("run 2 failed")
+        failure.warned = kept("before the failure")
+        shown = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = lambda message, *_: shown.append(str(message))
+            # the same warning from two workers is shown once, as from one process
+            assert cli._pool_outcome(done((0, kept("constant")))) == 0
+            assert cli._pool_outcome(done((1, kept("constant")))) == 1
+            with pytest.raises(ConfigError, match="^run 2 failed$"):
+                cli._pool_outcome(done(exc=failure))
+        assert shown == ["constant", "before the failure"]
+
 
 class TestCommands:
     def run(self, *argv, capsys=None):
@@ -524,10 +570,9 @@ class TestCommands:
         assert done.returncode == 0, done.stderr
         records = [json.loads(line) for line in done.stderr.splitlines()]
         warned = [r for r in records if "warning" in r]
-        # each process warns once; the progress records are the rest
-        assert 1 <= len(warned) <= workers
-        assert set(map(json.dumps, warned)) == {json.dumps(
-            {"warning": "feature 'const' is constant; using a single degenerate bin"})}
+        # once at any worker count: pool workers hand their warnings to the parent
+        assert warned == [
+            {"warning": "feature 'const' is constant; using a single degenerate bin"}]
         assert [r["run"] for r in records if "run" in r] == [0, 1]
         assert len(records) == len(warned) + 2
 

@@ -4,6 +4,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dinet import (
     ConditionalMatrix,
@@ -17,8 +19,9 @@ from dinet import (
     posteriors,
     solve_ib,
 )
-from dinet.ib import DEFAULT_MAX_ITER, DEFAULT_TOL
+from dinet.ib import DEFAULT_MAX_ITER, DEFAULT_TOL, layer_problems
 from dinet.infotheory import entropy, joint_mutual_information, mutual_information
+from tests.test_infotheory import reference_mutual_information
 
 
 def random_problem(rng, beta=5.0, n_in=None, n_class=None, n_out=None):
@@ -86,6 +89,102 @@ class TestEstimateEmpirical:
         with pytest.raises(ValidationError,
                            match="^x_symbols and y_labels must be equal-length vectors$"):
             estimate_empirical([0, 1, 1], [0, 1], 2, 2)
+
+
+def reference_estimate(x, y, n_in, n_class):
+    """P(in) and P(y|in) of one node by the plain formulas; unseen symbols get the class prior."""
+    counts_xy = np.bincount(x * n_class + y, minlength=n_in * n_class)
+    counts_xy = counts_xy.reshape(n_in, n_class).astype(np.float64)
+    counts_x = counts_xy.sum(axis=1)
+    prior = counts_xy.sum(axis=0) / y.size
+    py_x = np.where(counts_x[:, None] > 0,
+                    counts_xy / np.maximum(counts_x[:, None], 1.0),
+                    prior[None, :])
+    return counts_x / x.size, py_x
+
+
+@st.composite
+def layers(draw):
+    """A layer's (K, N) inputs, labels, alphabets and class count.
+
+    Node k draws its symbols uniformly from the first ``seen`` of them, so
+    with few rows many go unseen; a node with a reserved symbol has one more
+    symbol, never drawn, as the missing-value symbol is on complete rows.
+    """
+    k, n_rows, n_class = draw(st.integers(1, 24)), draw(st.integers(1, 400)), draw(
+        st.integers(2, 3))
+    reserved = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    seen = [draw(st.integers(1, 320 - r)) for r in reserved]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = np.array([rng.integers(0, s, n_rows) for s in seen])
+    labels = rng.integers(0, n_class, n_rows)
+    return inputs, labels, [s + r for s, r in zip(seen, reserved)], n_class
+
+
+class TestLayerProblems:
+    @settings(max_examples=200, deadline=None)
+    @given(layers())
+    @example((np.array([[0, 0, 1], [2, 0, 0]]), np.array([0, 1, 1]), [3, 320], 2))
+    @example((np.zeros((24, 1), np.int64), np.array([2]), [1, 2] * 12, 3))
+    def test_every_node_is_its_own_estimate_bit_for_bit(self, layer):
+        """The layer's one count and array passes give each node what the plain
+        one-node formulas give, and what ``estimate_empirical`` and a problem
+        built on its own give."""
+        inputs, labels, n_in, n_class = layer
+        problems = layer_problems(inputs, labels, n_in, n_class, beta=5.0, n_out=2)
+        assert len(problems) == len(n_in)
+        for x, n, problem in zip(inputs, n_in, problems):
+            px, py_x = reference_estimate(x, labels, n, n_class)
+            prior = px @ py_x
+            plogp = np.where(py_x > 0, py_x * np.log2(np.where(py_x > 0, py_x, 1.0)), 0.0)
+            src = problem._source
+            assert np.array_equal(problem.px.probs, px)
+            assert np.array_equal(problem.py_given_x.p, py_x)
+            assert (problem.beta, problem.n_out) == (5.0, 2)
+            assert np.array_equal(src.px, px) and np.array_equal(src.py_x, py_x)
+            assert np.array_equal(src.prior, prior)
+            assert np.array_equal(src.plogp, plogp.sum(axis=1)[:, None])
+            assert np.array_equal(src.zero_mass, px[:, None] == 0)
+            assert src.any_zero_mass is bool((px == 0).any())
+            assert src.h_in == entropy(px) and src.h_y == entropy(prior)
+            assert src.mi_in_y == mutual_information(px, py_x) == reference_mutual_information(px, py_x)
+            alone = IBProblem(*estimate_empirical(x, labels, n, n_class), beta=5.0, n_out=2)
+            for got, want in zip(src, alone._source):
+                assert np.array_equal(got, want)
+
+    def test_a_reserved_symbol_has_zero_mass_and_the_class_prior(self):
+        inputs = np.array([[0, 1, 1, 0], [1, 1, 1, 1]])
+        labels = np.array([0, 1, 1, 1])
+        problems = layer_problems(inputs, labels, [3, 2], 2, beta=5.0, n_out=2)
+        assert [p.px.probs.tolist() for p in problems] == [[0.5, 0.5, 0.0], [0.0, 1.0]]
+        assert problems[0].py_given_x.p[2].tolist() == [0.25, 0.75]
+        assert problems[1].py_given_x.p[0].tolist() == [0.25, 0.75]
+        assert [p._source.any_zero_mass for p in problems] == [True, True]
+
+    def test_the_layer_is_frozen_and_checked(self):
+        problems = layer_problems(np.array([[0, 1], [1, 1]]), np.array([0, 1]), [2, 2], 2,
+                                  beta=5.0, n_out=2)
+        with pytest.raises(ValueError):
+            problems[1].px.probs[0] = 0.5
+        with pytest.raises(ValueError):
+            problems[0].py_given_x.p[0, 0] = 0.5
+
+    @pytest.mark.parametrize("inputs, labels, message", [
+        ([[0, 2], [0, 1]], [0, 1], "input symbols outside [0, 2)"),
+        ([[0, 1], [0, 3]], [0, 1], "input symbols outside [0, 3)"),
+        ([[0, -1], [0, 1]], [0, 1], "input symbols outside [0, 2)"),
+        ([[0, 1], [0, 1]], [0, 2], "labels outside [0, 2)"),
+        (np.zeros((2, 0), np.int64), np.zeros(0, np.int64), "empty training vectors"),
+        ([[0, 1], [0, 1]], [0, 1, 1], "inputs must be a (K, N) array for N labels"),
+        ([0, 1], [0, 1], "inputs must be a (K, N) array for N labels"),
+    ])
+    def test_refuses(self, inputs, labels, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            layer_problems(inputs, labels, [2, 3], 2, beta=5.0, n_out=2)
+
+    def test_refuses_bad_knobs_as_a_problem_does(self):
+        with pytest.raises(ValidationError, match="^beta must be positive, got 0.0$"):
+            layer_problems([[0, 1]], [0, 1], [2], 2, beta=0.0, n_out=2)
 
 
 class TestProblem:

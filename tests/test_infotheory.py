@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +9,13 @@ from hypothesis.extra import numpy as hnp
 from dinet import ConditionalMatrix, DiscreteDistribution, ValidationError
 from dinet.infotheory import (
     VALIDATION_TOL,
+    conditionals,
+    distributions,
     entropies,
     entropy,
     joint_mutual_information,
     mutual_information,
+    mutual_informations,
 )
 
 
@@ -121,6 +126,41 @@ class TestContainerChecks:
             assert "non-finite" in verdict(container, a)
 
 
+class TestLaidBackToBack:
+    """``distributions`` and ``conditionals`` check many containers as one array."""
+
+    def test_each_segment_is_its_container(self):
+        p = np.array([0.5, 0.5, 1.0, 0.25, 0.0, 0.75])
+        m = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75]])
+        dists, conds = distributions(p, [2, 1, 3]), conditionals(m, [1, 3])
+        assert [d.probs.tolist() for d in dists] == [[0.5, 0.5], [1.0], [0.25, 0.0, 0.75]]
+        assert [c.p.tolist() for c in conds] == [m[:1].tolist(), m[1:].tolist()]
+        assert all(isinstance(d, DiscreteDistribution) for d in dists)
+        assert all(isinstance(c, ConditionalMatrix) for c in conds)
+        p[0] = m[0, 0] = 0.0  # frozen copies: the inputs stay the caller's
+        assert dists[0].probs[0] == 0.5 and conds[0].p[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            dists[2].probs[0] = 0.5
+        with pytest.raises(ValueError):
+            conds[1].p[0, 0] = 0.5
+
+    @pytest.mark.parametrize("p, message", [
+        ([0.5, 0.5, 0.5, 0.6], "distribution sums to np.float64(1.1), not 1"),
+        ([0.5, 0.5, np.nan, 1.0], "distribution has a non-finite entry"),
+        ([0.5, 0.5, -0.5, 1.5], "distribution has a negative entry"),
+    ])
+    def test_a_bad_segment_is_refused_as_its_container_refuses_it(self, p, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            distributions(np.array(p), [2, 2])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DiscreteDistribution(p[2:])
+
+    def test_a_bad_row_is_refused(self):
+        m = np.array([[1.0, 0.0], [0.5, 0.4], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match=re.escape("rows [1] do not sum to 1")):
+            conditionals(m, [1, 2])
+
+
 class TestEntropy:
     def test_uniform_binary(self):
         assert entropy([0.5, 0.5]) == pytest.approx(1.0)
@@ -219,6 +259,42 @@ class TestMutualInformation:
             via_cond = mutual_information(px, cond)
             via_joint = joint_mutual_information(px[:, None] * cond)
             assert via_cond == pytest.approx(via_joint, abs=1e-9)
+
+
+def reference_mutual_information(px, cond):
+    """I(X;T) in the KL form, as one plain expression per step."""
+    pt = px @ cond
+    mask = (cond > 0) & (px[:, None] > 0)
+    ratio = np.ones_like(cond)
+    np.divide(cond, pt[None, :], out=ratio, where=mask)
+    mi = float(px @ np.where(mask, cond * np.log2(ratio), 0.0).sum(axis=1))
+    return 0.0 if mi <= 0 else mi
+
+
+@st.composite
+def sources(draw, n_out):
+    """P(X) of 1-300 symbols, zeros among them, and P(T|X) rows of ``n_out``, some certain."""
+    px = draw(non_negative_vectors())
+    if not px.any():
+        px[0] = 1.0
+    px = px / px.sum()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cond = rng.dirichlet(np.full(n_out, 0.2), size=px.size)
+    cond[rng.random(px.size) < 0.3] = np.eye(n_out)[0]
+    return px, cond
+
+
+class TestMutualInformations:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3).flatmap(
+        lambda n_out: st.lists(sources(n_out), min_size=1, max_size=12)))
+    def test_each_segment_is_mutual_information_bit_for_bit(self, segments):
+        mi, pt = mutual_informations(np.concatenate([px for px, _ in segments]),
+                                     np.concatenate([c for _, c in segments]),
+                                     [px.size for px, _ in segments])
+        assert mi.tolist() == [mutual_information(px, c) for px, c in segments]
+        assert mi.tolist() == [reference_mutual_information(px, c) for px, c in segments]
+        assert all(np.array_equal(row, px @ c) for row, (px, c) in zip(pt, segments))
 
 
 class TestJointMI:

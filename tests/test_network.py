@@ -22,7 +22,7 @@ from dinet import (
     train_network,
 )
 from dinet.analysis import mi_flow
-from dinet.infotheory import ConditionalMatrix
+from dinet.infotheory import ConditionalMatrix, DiscreteDistribution
 from dinet.network import (
     _STREAM_MIFLOW,
     _STREAM_PREDICT,
@@ -34,6 +34,7 @@ from dinet.network import (
     tree_layer_sizes,
     walk,
 )
+from tests.test_ib import reference_estimate
 
 
 def toy_dataset(rng, n=300):
@@ -911,7 +912,7 @@ def reference_walk(topology, columns, node):
 
 def reference_train(data, topology, beta, max_iter, seed):
     """Each node's (channel, diagnostics, mi_in_y), the alignment and the generator."""
-    from dinet.ib import IBProblem, estimate_empirical, posteriors, solve_ib
+    from dinet.ib import IBProblem, posteriors, solve_ib
     from dinet.infotheory import mutual_information
     from dinet.network import _STREAM_IB, _align_classes
 
@@ -922,13 +923,14 @@ def reference_train(data, topology, beta, max_iter, seed):
     def node(layer_idx, k, symbols):
         nonlocal final
         layer = topology.layers[layer_idx]
-        px, py_x = estimate_empirical(symbols, data.labels, layer.n_in[k], data.n_class)
-        problem = IBProblem(px=px, py_given_x=py_x, beta=beta, n_out=layer.n_out)
+        px, py_x = reference_estimate(symbols, data.labels, layer.n_in[k], data.n_class)
+        problem = IBProblem(px=DiscreteDistribution(px), py_given_x=ConditionalMatrix(py_x),
+                            beta=beta, n_out=layer.n_out)
         sol = solve_ib(problem, max_iter=max_iter,
                        seed=derive_seed(seed, _STREAM_IB, layer_idx, k),
                        keep_input=layer_idx < topology.depth)
         nodes[(layer_idx, k)] = (sol.channel.p, sol.diagnostics,
-                                 mutual_information(px.probs, py_x.p))
+                                 mutual_information(px, py_x))
         final = problem, sol.channel  # the walk ends on the final node
         return reference_sample_channel(channel_cdf(sol.channel.p).take(symbols, axis=1), rng)
 
